@@ -2,8 +2,24 @@
 
 A triangle is balanced iff the product of its three edge signs is positive.
 The global balance degree is the balanced fraction over all triangles; the
-local balance degree of an edge is (b - u) / (b + u) over the triangles
-containing it, and its difficulty score is (1 - local) / 2 in [0, 1].
+local balance degree of an edge is (b - ub) / (b + ub) over the b balanced
+and ub unbalanced triangles containing it, and its difficulty score is
+(1 - local) / 2 in [0, 1].
+
+Every count comes from one sparse kernel.  With S the signed adjacency
+(entries +1/-1) and S_i its row i, each common neighbor k of an edge (u, v)
+with sign s closes the triangle {u, v, k}, which is balanced iff
+s * S[u,k] * S[v,k] = +1.  So, per edge,
+
+    s * <S_u, S_v>   = b - ub
+    <|S_u|, |S_v|>   = b + ub
+
+and both are read off the row-gathered Hadamard product S[u] * S[v]: its
+row sum is <S_u, S_v> and its count of stored entries is <|S_u|, |S_v|>.
+Each triangle touches three edges, so the global totals are sum(b) / 3 and
+sum(ub) / 3.  This is the matrix form of triangle counting (Azad, Buluc &
+Gilbert, IPDPSW 2015), evaluated in fixed-size edge chunks so the product's
+memory stays bounded.
 """
 
 from __future__ import annotations
@@ -11,11 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .graph import EdgeSample, SignedGraph
 
+# edges per row gather; bounds the Hadamard product held at once
+_CHUNK_EDGES = 8192
 
-@dataclass
+
+@dataclass(frozen=True)
 class TriangleStats:
     """Balanced/unbalanced triangle totals for a whole graph."""
 
@@ -38,53 +58,104 @@ class EdgeBalanceProfile:
     difficulty: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BalanceReport:
+    """Global triangle stats plus one column entry per edge.
+
+    Edges are listed once as u < v in (u, v) order, like
+    ``SignedGraph.edges()``.  ``balanced``/``unbalanced`` count the
+    triangles through each edge.  The arrays are read-only because one
+    report is shared by every caller on the same graph.
+    """
+
     stats: TriangleStats
-    profiles: list[EdgeBalanceProfile]
+    u: np.ndarray
+    v: np.ndarray
+    sign: np.ndarray
+    balanced: np.ndarray
+    unbalanced: np.ndarray
 
     @property
     def balance_degree(self) -> float | None:
         return global_balance_degree(self.stats)
 
+    @property
+    def local_degree(self) -> np.ndarray:
+        return _local_degree(self.balanced, self.unbalanced)
 
-def _edge_triangle_counts(
-    graph: SignedGraph, u: int, v: int, sign: int
-) -> tuple[int, int]:
-    """(balanced, unbalanced) triangle counts over common neighbors of u, v."""
-    ids_u, signs_u = graph.neighbors(u)
-    ids_v, signs_v = graph.neighbors(v)
-    common, iu, iv = np.intersect1d(ids_u, ids_v, assume_unique=True, return_indices=True)
-    if len(common) == 0:
-        return 0, 0
-    prod = sign * signs_u[iu].astype(np.int64) * signs_v[iv].astype(np.int64)
-    balanced = int(np.count_nonzero(prod > 0))
-    return balanced, len(common) - balanced
+    @property
+    def difficulty(self) -> np.ndarray:
+        return (1.0 - self.local_degree) / 2.0
+
+    @property
+    def profiles(self) -> list[EdgeBalanceProfile]:
+        """The columns as one profile object per edge."""
+        return _profiles(self.u, self.v, self.sign, self.balanced, self.unbalanced)
+
+
+def _local_degree(balanced: np.ndarray, unbalanced: np.ndarray) -> np.ndarray:
+    total = balanced + unbalanced
+    # An edge in no triangle carries no imbalance evidence: treat as easiest.
+    return np.divide(balanced - unbalanced, total, out=np.ones(len(total)), where=total > 0)
+
+
+def _profiles(u, v, sign, balanced, unbalanced) -> list[EdgeBalanceProfile]:
+    local = _local_degree(balanced, unbalanced)
+    return [
+        EdgeBalanceProfile(EdgeSample(*edge), b, ub, loc, (1.0 - loc) / 2.0)
+        for *edge, b, ub, loc in zip(
+            u.tolist(), v.tolist(), sign.tolist(),
+            balanced.tolist(), unbalanced.tolist(), local.tolist(),
+        )
+    ]
+
+
+def _incident_triangles(
+    adj: sparse.csr_matrix, u: np.ndarray, v: np.ndarray, sign: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (balanced, unbalanced) triangle counts from the signed adjacency."""
+    balanced = np.empty(len(u), dtype=np.int64)
+    unbalanced = np.empty(len(u), dtype=np.int64)
+    for lo in range(0, len(u), _CHUNK_EDGES):
+        hi = lo + _CHUNK_EDGES
+        common = adj[u[lo:hi]].multiply(adj[v[lo:hi]]).tocsr()
+        both = np.diff(common.indptr)  # b + ub
+        agree = sign[lo:hi] * np.asarray(common.sum(axis=1)).ravel().astype(np.int64)  # b - ub
+        balanced[lo:hi] = (both + agree) // 2
+        unbalanced[lo:hi] = (both - agree) // 2
+    return balanced, unbalanced
+
+
+def _compute_report(graph: SignedGraph) -> BalanceReport:
+    adj = graph.signed_adjacency()
+    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), np.diff(adj.indptr))
+    upper = adj.indices > rows
+    u = rows[upper]
+    v = adj.indices[upper].astype(np.int64)
+    sign = adj.data[upper].astype(np.int64)
+    balanced, unbalanced = _incident_triangles(adj, u, v, sign)
+    for column in (u, v, sign, balanced, unbalanced):
+        column.flags.writeable = False
+    stats = TriangleStats(int(balanced.sum()) // 3, int(unbalanced.sum()) // 3)
+    return BalanceReport(stats, u, v, sign, balanced, unbalanced)
+
+
+def balance_report(graph: SignedGraph) -> BalanceReport:
+    """Global triangle stats plus per-edge counts, computed once per graph.
+
+    Per-edge incident counts sum to three times the global totals (each
+    triangle touches three edges).  The graph is immutable, so the report
+    is kept on it and later calls return the same object.
+    """
+    report = graph._balance_report
+    if report is None:
+        report = graph._balance_report = _compute_report(graph)
+    return report
 
 
 def enumerate_triangles(graph: SignedGraph) -> TriangleStats:
-    """Count balanced/unbalanced triangles by neighbor-set intersection.
-
-    Each unordered triple {i, j, k} with all three edges present is counted
-    exactly once: for every edge (i, j) with i < j, only common neighbors
-    k > j contribute.
-    """
-    balanced = 0
-    unbalanced = 0
-    for e in graph.edges():
-        ids_u, signs_u = graph.neighbors(e.u)
-        ids_v, signs_v = graph.neighbors(e.v)
-        common, iu, iv = np.intersect1d(
-            ids_u, ids_v, assume_unique=True, return_indices=True
-        )
-        above = common > e.v
-        if not above.any():
-            continue
-        prod = e.sign * signs_u[iu[above]].astype(np.int64) * signs_v[iv[above]].astype(np.int64)
-        b = int(np.count_nonzero(prod > 0))
-        balanced += b
-        unbalanced += len(prod) - b
-    return TriangleStats(balanced=balanced, unbalanced=unbalanced)
+    """Balanced/unbalanced totals, each unordered triangle counted once."""
+    return balance_report(graph).stats
 
 
 def global_balance_degree(stats: TriangleStats) -> float | None:
@@ -94,55 +165,19 @@ def global_balance_degree(stats: TriangleStats) -> float | None:
     return stats.balanced / stats.total
 
 
-def _profile(edge: EdgeSample, balanced: int, unbalanced: int) -> EdgeBalanceProfile:
-    total = balanced + unbalanced
-    # An edge in no triangle carries no imbalance evidence: treat as easiest.
-    local = 1.0 if total == 0 else (balanced - unbalanced) / total
-    return EdgeBalanceProfile(
-        edge=edge,
-        balanced_incident=balanced,
-        unbalanced_incident=unbalanced,
-        local_degree=local,
-        difficulty=(1.0 - local) / 2.0,
-    )
-
-
 def local_balance_degree(graph: SignedGraph, edge: EdgeSample) -> EdgeBalanceProfile:
-    """Balance profile of one existing edge."""
+    """Balance profile of one existing edge, read from the graph's report."""
     edge = edge.canonical()
     stored = graph.sign_of(edge.u, edge.v)
     if stored == 0:
         raise ValueError(f"edge ({edge.u}, {edge.v}) not in graph")
     if stored != edge.sign:
         raise ValueError(f"edge ({edge.u}, {edge.v}) has sign {stored}, not {edge.sign}")
-    b, u = _edge_triangle_counts(graph, edge.u, edge.v, edge.sign)
-    return _profile(edge, b, u)
-
-
-def balance_report(graph: SignedGraph) -> BalanceReport:
-    """Global triangle stats plus a profile for every edge, in one pass.
-
-    Per-edge incident counts sum to three times the global totals (each
-    triangle touches three edges).
-    """
-    balanced = 0
-    unbalanced = 0
-    profiles: list[EdgeBalanceProfile] = []
-    for e in graph.edges():
-        ids_u, signs_u = graph.neighbors(e.u)
-        ids_v, signs_v = graph.neighbors(e.v)
-        common, iu, iv = np.intersect1d(
-            ids_u, ids_v, assume_unique=True, return_indices=True
-        )
-        if len(common):
-            prod = e.sign * signs_u[iu].astype(np.int64) * signs_v[iv].astype(np.int64)
-            b_all = int(np.count_nonzero(prod > 0))
-            u_all = len(prod) - b_all
-            above = common > e.v
-            b_top = int(np.count_nonzero(prod[above] > 0))
-            balanced += b_top
-            unbalanced += int(above.sum()) - b_top
-        else:
-            b_all = u_all = 0
-        profiles.append(_profile(e, b_all, u_all))
-    return BalanceReport(TriangleStats(balanced, unbalanced), profiles)
+    report = balance_report(graph)
+    lo, hi = np.searchsorted(report.u, (edge.u, edge.u + 1))
+    i = lo + int(np.searchsorted(report.v[lo:hi], edge.v))
+    row = slice(i, i + 1)
+    return _profiles(
+        report.u[row], report.v[row], report.sign[row],
+        report.balanced[row], report.unbalanced[row],
+    )[0]

@@ -70,14 +70,15 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_encoder_args(p: argparse.ArgumentParser) -> None:
+    from .encoder import INPUT_FEATURES
+
     p.add_argument("--embed-dim", type=int, help="embedding width per track")
     p.add_argument("--layers", type=int, help="message-passing layers")
     p.add_argument("--learning-rate", type=float, help="optimizer step size")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--optimizer", choices=["adam", "sgd"])
     p.add_argument(
-        "--input-features", choices=["seeded-random", "adjacency-rows"],
-        help="fixed node input features",
+        "--input-features", choices=INPUT_FEATURES, help="fixed node input features"
     )
 
 
@@ -314,17 +315,16 @@ def cmd_balance_report(args: argparse.Namespace) -> int:
         with Path(args.per_edge_csv).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["u", "v", "sign", "b", "ub", "difficulty"])
-            for p in report.profiles:
-                writer.writerow(
-                    [
-                        p.edge.u,
-                        p.edge.v,
-                        p.edge.sign,
-                        p.balanced_incident,
-                        p.unbalanced_incident,
-                        f"{p.difficulty:.6f}",
-                    ]
+            writer.writerows(
+                zip(
+                    report.u.tolist(),
+                    report.v.tolist(),
+                    report.sign.tolist(),
+                    report.balanced.tolist(),
+                    report.unbalanced.tolist(),
+                    [f"{d:.6f}" for d in report.difficulty.tolist()],
                 )
+            )
         log.info("wrote per-edge balance profiles to %s", args.per_edge_csv)
     return 0
 
@@ -343,7 +343,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from .evalbench import _derive_seeds
     from .graph import build_graph, graph_from_samples, load_edge_list, split_train_test
 
-    cfg = _config_from_args_augment(args)
+    cfg = _config_from_args(args)
     path, fmt = cfg.resolve_dataset(_data_dirs())
     loaded = load_edge_list(path, format=fmt)
     graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
@@ -363,33 +363,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
     (outdir / "augment_log.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps({k: v for k, v in payload.items() if k != "pretrain_loss"}, indent=2))
     return 0
-
-
-def _config_from_args_augment(args: argparse.Namespace):
-    from dataclasses import replace
-
-    from .config import RunConfig
-
-    cfg = RunConfig(dataset=args.dataset, dataset_format=args.format)
-    enc = {
-        "embed_dim": args.embed_dim,
-        "layers": args.layers,
-        "learning_rate": args.learning_rate,
-        "epochs": args.epochs,
-        "optimizer": args.optimizer,
-        "input_features": args.input_features,
-    }
-    cfg.encoder = replace(cfg.encoder, **{k: v for k, v in enc.items() if v is not None})
-    aug = {
-        "eps_add_pos": args.eps_add_pos,
-        "eps_add_neg": args.eps_add_neg,
-        "eps_del_pos": args.eps_del_pos,
-        "eps_del_neg": args.eps_del_neg,
-        "candidate_scope": args.candidate_scope,
-        "max_additions": args.max_additions,
-    }
-    cfg.augment = replace(cfg.augment, **{k: v for k, v in aug.items() if v is not None})
-    return cfg
 
 
 def _write_report_files(report, outdir: Path, save_encoders: bool) -> None:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .balance import balance_report
 from .encoder import EncoderConfig, EncoderState, _train_loop, init_state
 from .graph import EdgeSample, SignedGraph
@@ -64,18 +66,25 @@ def score_and_sort(graph: SignedGraph, train: Sequence[EdgeSample]) -> Curriculu
     edge multiset.
     """
     report = balance_report(graph)
-    by_pair = {p.edge.pair: p.difficulty for p in report.profiles}
-    scored = []
-    for e in train:
-        e = e.canonical()
-        difficulty = by_pair.get(e.pair)
-        if difficulty is None:
-            raise ValueError(f"train edge ({e.u}, {e.v}) not in scoring graph")
-        scored.append((difficulty, e))
-    scored.sort(key=lambda item: (item[0], item[1].u, item[1].v))
+    edges = [e.canonical() for e in train]
+    u = np.fromiter((e.u for e in edges), dtype=np.int64, count=len(edges))
+    v = np.fromiter((e.v for e in edges), dtype=np.int64, count=len(edges))
+    # the report lists edges in (u, v) order, so its pair keys are sorted
+    n = graph.num_nodes
+    keys = report.u * n + report.v
+    wanted = u * n + v
+    at = np.searchsorted(keys, wanted)
+    inside = (at < len(keys)) & (v < n)
+    present = np.zeros(len(edges), dtype=bool)
+    present[inside] = keys[at[inside]] == wanted[inside]
+    if not present.all():
+        e = edges[int(np.argmin(present))]
+        raise ValueError(f"train edge ({e.u}, {e.v}) not in scoring graph")
+    difficulty = report.difficulty[at]
+    order = np.lexsort((v, u, difficulty))
     return CurriculumSchedule(
-        ordered_edges=[e for _, e in scored],
-        difficulties=[difficulty for difficulty, _ in scored],
+        ordered_edges=[edges[i] for i in order],
+        difficulties=difficulty[order].tolist(),
     )
 
 

@@ -24,6 +24,7 @@ training is full batch and deterministic for a fixed seed.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -35,9 +36,14 @@ from scipy import sparse
 
 from .graph import NEG, POS, EdgeSample, SignedGraph
 
+log = logging.getLogger(__name__)
+
 # class-column order of the pair classifier
 CLASS_POS, CLASS_NEG, CLASS_NONE = 0, 1, 2
 LABEL_TO_CLASS = {POS: CLASS_POS, NEG: CLASS_NEG, 0: CLASS_NONE}
+
+# fixed node input features EncoderConfig accepts; see its docstring
+INPUT_FEATURES = ("spectral", "seeded-random", "adjacency-rows")
 
 _CHECKPOINT_MAGIC = b"SIGAUG01"
 _CHECKPOINT_VERSION = 1
@@ -81,7 +87,7 @@ class EncoderConfig:
             raise ValueError("epochs must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.input_features not in ("spectral", "seeded-random", "adjacency-rows"):
+        if self.input_features not in INPUT_FEATURES:
             raise ValueError(f"unknown input_features {self.input_features!r}")
 
 
@@ -382,6 +388,9 @@ class _Optimizer:
 # -- no-edge pair sampling --------------------------------------------------
 
 
+_ABSENT_PAIR_ROUNDS = 50
+
+
 def _edge_keys(graph: SignedGraph) -> np.ndarray:
     keys = [u * graph.num_nodes + v for u, v in (e.pair for e in graph.edges())]
     return np.sort(np.asarray(keys, dtype=np.int64))
@@ -390,11 +399,15 @@ def _edge_keys(graph: SignedGraph) -> np.ndarray:
 def _sample_absent_pairs(
     rng: np.random.Generator, num_nodes: int, edge_keys: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform non-adjacent (u < v) pairs, with replacement, rejection-sampled."""
+    """Uniform non-adjacent (u < v) pairs, with replacement, rejection-sampled.
+
+    Gives up after ``_ABSENT_PAIR_ROUNDS`` rounds and warns with the
+    shortfall; that happens only on graphs that are nearly complete.
+    """
     got_u: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
     need = count
-    for _ in range(50):
+    for _ in range(_ABSENT_PAIR_ROUNDS):
         if need <= 0:
             break
         k = max(64, 2 * need)
@@ -417,6 +430,12 @@ def _sample_absent_pairs(
             got_u.append(lo[idx])
             got_v.append(hi[idx])
             need -= take
+    if need > 0:
+        log.warning(
+            "no-edge sampling short by %d of %d pairs after %d rounds; "
+            "the graph has few absent pairs",
+            need, count, _ABSENT_PAIR_ROUNDS,
+        )
     if not got_u:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(got_u), np.concatenate(got_v)

@@ -116,6 +116,13 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[int]) -> MetricsSe
 # -- downstream sign classifier ----------------------------------------------
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    # exp overflows to inf on confidently separated pairs, and 1 / (1 + inf)
+    # is exactly 0.0, so the overflow is harmless and not worth a warning
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
 def fit_logistic(
     features: np.ndarray,
     labels01: np.ndarray,
@@ -131,7 +138,7 @@ def fit_logistic(
     mb = vb = 0.0
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, steps + 1):
-        p = 1.0 / (1.0 + np.exp(-(features @ w + b)))
+        p = _sigmoid(features @ w + b)
         err = (p - labels01) / m
         gw = features.T @ err
         gb = float(err.sum())
@@ -165,7 +172,7 @@ def predict_test_signs(
     if len(train) == 0 or train_labels.min() == train_labels.max():
         raise ValueError("training set must contain both signs")
     w, b = fit_logistic(_pair_features(state, train), train_labels)
-    scores = 1.0 / (1.0 + np.exp(-(_pair_features(state, test) @ w + b)))
+    scores = _sigmoid(_pair_features(state, test) @ w + b)
     labels = np.asarray([e.sign for e in test], dtype=np.int64)
     return scores, labels
 
@@ -303,8 +310,8 @@ def generalization_diagnostic(
     constants = constants or GapConstants()
     train_labels = np.asarray([1.0 if e.sign == POS else 0.0 for e in train])
     w, b = fit_logistic(_pair_features(state, train), train_labels)
-    train_scores = 1.0 / (1.0 + np.exp(-(_pair_features(state, train) @ w + b)))
-    test_scores = 1.0 / (1.0 + np.exp(-(_pair_features(state, test) @ w + b)))
+    train_scores = _sigmoid(_pair_features(state, train) @ w + b)
+    test_scores = _sigmoid(_pair_features(state, test) @ w + b)
     train_err = _binary_cross_entropy(train_scores, np.asarray([e.sign for e in train]))
     test_err = _binary_cross_entropy(test_scores, np.asarray([e.sign for e in test]))
     beta = float(np.abs(state.embeddings).max())
@@ -491,7 +498,10 @@ def run_experiment(
                 final_train = train
 
             stage = "schedule"
-            final_graph = graph_from_samples(final_train, num_nodes)
+            if final_train is train:
+                final_graph = train_graph  # same edges: reuse its memoised balance report
+            else:
+                final_graph = graph_from_samples(final_train, num_nodes)
             schedule = score_and_sort(final_graph, final_train)
             pace = pace_cfg if kind in ("sga", "tp-only") else plain_pace
 

@@ -159,7 +159,7 @@ class SignedGraph:
     numpy views.
     """
 
-    __slots__ = ("num_nodes", "edge_count", "_indptr", "_indices", "_signs")
+    __slots__ = ("num_nodes", "edge_count", "_indptr", "_indices", "_signs", "_balance_report")
 
     def __init__(self, num_nodes: int, pair_signs: dict[tuple[int, int], int]):
         if num_nodes < 1:
@@ -194,6 +194,8 @@ class SignedGraph:
         self._indptr = indptr
         self._indices = indices
         self._signs = signs
+        # filled by balance.balance_report; the graph never changes, so it never goes stale
+        self._balance_report = None
 
     # -- neighbor access -------------------------------------------------
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -72,17 +72,28 @@ def random_signed_records(
 
 
 @pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that grows by one entry per evaluation of the balance kernel."""
+    from sigaug import balance
+
+    calls = []
+    kernel = balance._incident_triangles
+    monkeypatch.setattr(balance, "_incident_triangles",
+                        lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+@pytest.fixture
 def small_community():
     edges = community_records(n=30, seed=3, p_intra=0.3, p_inter=0.15, flip=0.06)
     return edges, graph_from_samples(edges, 30)
 
 
-def brute_force_triangles(edges: list[EdgeSample], num_nodes: int) -> tuple[int, int]:
-    """O(n^3) oracle: scan every node triple for balanced/unbalanced triangles."""
+def _brute_force_triangle_scan(edges: list[EdgeSample], num_nodes: int):
+    """O(n^3) scan of every node triple; yields (i, j, k, balanced) per triangle."""
     sign = {}
     for e in edges:
         sign[e.pair] = e.sign
-    balanced = unbalanced = 0
     for i in range(num_nodes):
         for j in range(i + 1, num_nodes):
             s_ij = sign.get((i, j))
@@ -93,8 +104,26 @@ def brute_force_triangles(edges: list[EdgeSample], num_nodes: int) -> tuple[int,
                 s_jk = sign.get((j, k))
                 if s_ik is None or s_jk is None:
                     continue
-                if s_ij * s_ik * s_jk > 0:
-                    balanced += 1
-                else:
-                    unbalanced += 1
+                yield i, j, k, s_ij * s_ik * s_jk > 0
+
+
+def brute_force_triangles(edges: list[EdgeSample], num_nodes: int) -> tuple[int, int]:
+    """O(n^3) oracle: scan every node triple for balanced/unbalanced triangles."""
+    balanced = unbalanced = 0
+    for *_, is_balanced in _brute_force_triangle_scan(edges, num_nodes):
+        if is_balanced:
+            balanced += 1
+        else:
+            unbalanced += 1
     return balanced, unbalanced
+
+
+def brute_force_edge_triangles(
+    edges: list[EdgeSample], num_nodes: int
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """O(n^3) oracle per edge: pair -> (balanced, unbalanced) triangles through it."""
+    counts = {e.pair: [0, 0] for e in edges}
+    for i, j, k, is_balanced in _brute_force_triangle_scan(edges, num_nodes):
+        for pair in ((i, j), (i, k), (j, k)):
+            counts[pair][0 if is_balanced else 1] += 1
+    return {pair: (b, ub) for pair, (b, ub) in counts.items()}

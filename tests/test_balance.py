@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_triangles, random_signed_records
+from conftest import brute_force_edge_triangles, brute_force_triangles, random_signed_records
+from sigaug import balance
 from sigaug.balance import (
     TriangleStats,
     balance_report,
@@ -136,3 +139,67 @@ def test_sign_flip_flips_triangle_parity():
     # every triangle through the flipped edge swaps parity; the rest keep it
     assert after.balanced == before.balanced - prof.balanced_incident + prof.unbalanced_incident
     assert after.total == before.total
+
+
+@st.composite
+def signed_graphs(draw, signs=(0, 1, -1)):
+    """(edges, num_nodes): random signs on the pairs of n nodes, plus isolated trailing nodes."""
+    n = draw(st.integers(1, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    drawn = draw(st.lists(st.sampled_from(signs), min_size=len(pairs), max_size=len(pairs)))
+    edges = [EdgeSample(u, v, s) for (u, v), s in zip(pairs, drawn) if s]
+    return edges, n + draw(st.integers(0, 3))
+
+
+def _complete(n, sign):
+    return [EdgeSample(u, v, sign) for u in range(n) for v in range(u + 1, n)], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(signed_graphs(), signed_graphs(signs=(0, -1))))
+@example(([], 1))  # one node, no edges
+@example(([], 6))  # edgeless graph
+@example(([EdgeSample(0, 1, -1), EdgeSample(0, 2, -1), EdgeSample(1, 2, -1)], 7))  # isolated tail
+@example(_complete(6, -1))  # all negative: every triangle unbalanced
+@example(_complete(6, 1))
+def test_balance_report_matches_per_edge_oracle(graph_spec):
+    edges, n = graph_spec
+    g = graph_of(edges, n)
+    report = balance_report(g)
+    oracle = brute_force_edge_triangles(edges, n)
+
+    assert [(u, v) for u, v in zip(report.u.tolist(), report.v.tolist())] == sorted(oracle)
+    got = dict(zip(zip(report.u.tolist(), report.v.tolist()),
+                   zip(report.balanced.tolist(), report.unbalanced.tolist())))
+    assert got == oracle
+    assert (report.stats.balanced, report.stats.unbalanced) == brute_force_triangles(edges, n)
+
+    for p, e in zip(report.profiles, g.edges()):
+        b, ub = oracle[e.pair]
+        local = 1.0 if b + ub == 0 else (b - ub) / (b + ub)
+        assert p.edge == e
+        assert (p.balanced_incident, p.unbalanced_incident) == (b, ub)
+        assert p.local_degree == local and p.difficulty == (1.0 - local) / 2.0
+        assert local_balance_degree(g, e) == p
+    assert report.difficulty.tolist() == [p.difficulty for p in report.profiles]
+
+
+def test_balance_report_chunking_matches_single_chunk(monkeypatch):
+    rng = np.random.default_rng(5)
+    edges = random_signed_records(rng, 40, edge_prob=0.3)
+    whole = balance_report(graph_of(edges, 40))
+    monkeypatch.setattr(balance, "_CHUNK_EDGES", 7)
+    chunked = balance_report(graph_of(edges, 40))
+    assert chunked.stats == whole.stats
+    for name in ("u", "v", "sign", "balanced", "unbalanced"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
+
+def test_balance_report_is_computed_once_per_graph(kernel_calls):
+    g = graph_of([EdgeSample(0, 1, 1), EdgeSample(0, 2, 1), EdgeSample(1, 2, -1)], 3)
+    first = balance_report(g)
+    assert balance_report(g) is first and enumerate_triangles(g) is first.stats
+    assert local_balance_degree(g, EdgeSample(0, 1, 1)).balanced_incident == 0
+    assert len(kernel_calls) == 1
+    with pytest.raises(ValueError):
+        first.balanced[0] = 5  # shared between callers, so read-only

@@ -99,6 +99,31 @@ def test_augment_command(dataset_file_path, tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["augment"],
+    ["sweep", "--param", "lambda0", "--values", "0.5"],
+])
+def test_input_features_flag_accepts_every_encoder_choice(command):
+    from sigaug.cli import build_parser
+    from sigaug.encoder import INPUT_FEATURES
+
+    parser = build_parser()
+    for choice in INPUT_FEATURES:
+        args = parser.parse_args([*command, "--dataset", "x", "--input-features", choice])
+        assert args.input_features == choice
+
+
+def test_augment_applies_encoder_flags(dataset_file_path, tmp_path, capsys):
+    outdir = tmp_path / "aug"
+    rc = main(["augment", "--dataset", str(dataset_file_path), "--outdir", str(outdir),
+               "--embed-dim", "6", "--epochs", "7", "--input-features", "spectral"])
+    assert rc == 0
+    capsys.readouterr()
+    log = json.loads((outdir / "augment_log.json").read_text())
+    assert len(log["pretrain_loss"]) == 7
+
+
 def test_run_baseline_writes_outputs(dataset_file_path, tmp_path, capsys):
     outdir = tmp_path / "run"
     rc = main(
@@ -319,3 +344,27 @@ output_dir = "{tmp_path / 'from_toml'}"
     report = json.loads((tmp_path / "from_toml" / "report.json").read_text())
     assert report["pipeline"] == "baseline"
     assert report["seeds"] == [0]
+
+
+def test_fallback_toml_reader_matches_library():
+    # pytest pulls in tomli on 3.10, so the fallback needs a direct check
+    from sigaug.config import _fallback_toml, _toml
+
+    if _toml is None:
+        pytest.skip("no TOML library to compare against")
+    text = """
+# comment line
+[split]
+ratio = 0.75   # trailing comment
+seeds = [0, 2, 4]
+
+[encoder]
+embed_dim = 6
+learning_rate = 0.005
+input_features = "spectral"
+
+[run]
+diagnostic = true
+save_encoders = false
+"""
+    assert _fallback_toml(text, "run.toml") == _toml.loads(text)

@@ -98,6 +98,12 @@ def test_score_and_sort_requires_edges_present():
     g = graph_from_samples(edges, 3)
     with pytest.raises(ValueError):
         score_and_sort(g, [EdgeSample(0, 2, 1)])
+    # (0, 5) is past the node range; its row-major key 0*3+5 would alias (1, 2)
+    g = graph_from_samples([EdgeSample(1, 2, 1)], 3)
+    with pytest.raises(ValueError, match=r"\(0, 5\)"):
+        score_and_sort(g, [EdgeSample(1, 2, 1), EdgeSample(0, 5, 1)])
+    with pytest.raises(ValueError):
+        score_and_sort(graph_from_samples([], 3), [EdgeSample(0, 1, 1)])
 
 
 def test_score_and_sort_is_stable_permutation():

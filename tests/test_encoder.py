@@ -12,8 +12,10 @@ from sigaug.encoder import (
     _adjacency_pair,
     _as_index_arrays,
     _backward,
+    _edge_keys,
     _forward,
     _loss_and_mlg_grads,
+    _sample_absent_pairs,
     export_state_json,
     forward,
     init_state,
@@ -393,3 +395,20 @@ def test_json_export(tmp_path):
     assert payload["embed_dim"] == 4
     assert len(payload["pos_weights"]) == 2
     assert np.asarray(payload["embeddings"]).shape == (6, 8)
+
+
+def test_absent_pair_sampling_warns_when_short(caplog):
+    # complete graph on 6 nodes minus (0, 1): one absent pair, drawn with p = 1/18
+    edges = [EdgeSample(u, v, 1) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)]
+    g = graph_from_samples(edges, 6)
+    rng = np.random.default_rng(0)
+    with caplog.at_level("WARNING", logger="sigaug.encoder"):
+        qu, qv = _sample_absent_pairs(rng, 6, _edge_keys(g), 10_000)
+    assert 0 < len(qu) < 10_000
+    assert set(zip(qu.tolist(), qv.tolist())) == {(0, 1)}
+    assert f"short by {10_000 - len(qu)} of 10000 pairs" in caplog.text
+
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="sigaug.encoder"):
+        qu, _ = _sample_absent_pairs(rng, 6, _edge_keys(g), 3)
+    assert len(qu) == 3 and not caplog.records

@@ -173,17 +173,20 @@ def separable_state():
     )
 
 
+SEPARABLE_TRAIN = [
+    EdgeSample(0, 1, 1),
+    EdgeSample(1, 2, 1),
+    EdgeSample(3, 4, 1),
+    EdgeSample(4, 5, 1),
+    EdgeSample(0, 3, -1),
+    EdgeSample(1, 4, -1),
+    EdgeSample(2, 5, -1),
+]
+
+
 def test_predict_test_signs_separable_all_correct():
     state = separable_state()
-    train = [
-        EdgeSample(0, 1, 1),
-        EdgeSample(1, 2, 1),
-        EdgeSample(3, 4, 1),
-        EdgeSample(4, 5, 1),
-        EdgeSample(0, 3, -1),
-        EdgeSample(1, 4, -1),
-        EdgeSample(2, 5, -1),
-    ]
+    train = SEPARABLE_TRAIN
     test = [EdgeSample(0, 2, 1), EdgeSample(3, 5, 1), EdgeSample(2, 4, -1), EdgeSample(0, 5, -1)]
     scores, labels = predict_test_signs(state, train, test)
     preds = np.where(scores >= 0.5, 1, -1)
@@ -191,6 +194,23 @@ def test_predict_test_signs_separable_all_correct():
     # deterministic: zero-init optimizer, no randomness
     scores2, _ = predict_test_signs(state, train, test)
     assert np.array_equal(scores, scores2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_logistic_head_silent_on_separable_data():
+    # features of +-1e4 push the logits far past exp's float64 range
+    feats = np.asarray([[1e4], [2e4], [-1e4], [-2e4]])
+    w, b = fit_logistic(feats, np.asarray([1.0, 1.0, 0.0, 0.0]))
+    assert np.isfinite(w).all() and math.isfinite(b)
+
+    state = separable_state()
+    state.embeddings = 1e4 * state.embeddings
+    train = SEPARABLE_TRAIN
+    test = [EdgeSample(0, 2, 1), EdgeSample(3, 5, 1), EdgeSample(2, 4, -1), EdgeSample(0, 5, -1)]
+    scores, labels = predict_test_signs(state, train, test)
+    assert np.array_equal(np.where(scores >= 0.5, 1, -1), labels)
+    diag = generalization_diagnostic(state, train, test)
+    assert math.isfinite(diag.train_error) and math.isfinite(diag.test_error)
 
 
 def test_predict_test_signs_single_class_errors():
@@ -341,6 +361,15 @@ def test_run_experiment_records_densities_and_balance(tiny_setup):
     assert r.n_train_final == len(r.final_train)
     assert r.density_before > 0 and r.density_after > 0
     assert rep.aggregate()["auc"]["n"] == 1
+
+
+@pytest.mark.parametrize("pipeline, per_seed", [("baseline", 1), ("sga", 3)])
+def test_balance_kernel_evaluations_per_seed(tiny_setup, kernel_calls, pipeline, per_seed):
+    # baseline scores, trains and reports on its one train graph; sga
+    # evaluates the train graph, augment's result graph and the final graph
+    edges, enc = tiny_setup
+    run_experiment(edges, pipeline, [0, 1], enc_cfg=enc)
+    assert len(kernel_calls) == 2 * per_seed
 
 
 def test_run_experiment_unknown_pipeline(tiny_setup):
