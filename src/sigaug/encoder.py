@@ -206,19 +206,28 @@ def _adjacency_pair(graph: SignedGraph) -> tuple[sparse.csr_matrix, sparse.csr_m
     return graph.adjacency(POS), graph.adjacency(NEG)
 
 
+def _layer0_inputs(
+    a_pos: sparse.csr_matrix, a_neg: sparse.csr_matrix, h0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Layer-1 inputs ``([A+ H0, H0], [A- H0, H0])``; fixed while H0 and the graph are."""
+    return np.hstack([a_pos @ h0, h0]), np.hstack([a_neg @ h0, h0])
+
+
 def _forward(
     a_pos: sparse.csr_matrix,
     a_neg: sparse.csr_matrix,
     state: EncoderState,
     keep_caches: bool = False,
+    layer0: tuple[np.ndarray, np.ndarray] | None = None,
 ):
+    """Embeddings Z plus per-layer caches; ``layer0`` reuses precomputed layer-1 inputs."""
     h_pos = h_neg = None
     caches = []
-    h0 = state.input_features
     for layer, (w_pos, w_neg) in enumerate(zip(state.pos_weights, state.neg_weights)):
         if layer == 0:
-            x_pos = np.hstack([a_pos @ h0, h0])
-            x_neg = np.hstack([a_neg @ h0, h0])
+            if layer0 is None:
+                layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
+            x_pos, x_neg = layer0
         else:
             x_pos = np.hstack([a_pos @ h_pos, a_neg @ h_neg, h_pos])
             x_neg = np.hstack([a_pos @ h_neg, a_neg @ h_pos, h_neg])
@@ -297,12 +306,24 @@ def _as_index_arrays(
 
 
 def _pair_logits(z: np.ndarray, theta: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # project once (n x 3), then gather per pair; far cheaper than gathering
-    # (m x zdim) embedding rows for large sample batches
+    # [z_u, z_v] @ theta without the (m x 2 zdim) pair matrix: project once
+    # (n x k), then gather per pair.  theta is (2 zdim, k) for this 3-class
+    # classifier or (2 zdim,) for evalbench's binary sign head.
     zdim = z.shape[1]
     z_top = z @ theta[:zdim]
     z_bot = z @ theta[zdim:]
     return z_top[u] + z_bot[v]
+
+
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``n`` rows by ``index``: the transpose of a gather.
+
+    Each output starts at 0.0 and adds in index order, bit-identical to
+    ``np.add.at`` on zeros; 2-D values take one ``bincount`` per column.
+    """
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    return np.stack([np.bincount(index, weights=col, minlength=n) for col in values.T], axis=1)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -344,10 +365,8 @@ def _loss_and_mlg_grads(
     dlogits = expv / norm[:, None]
     dlogits[np.arange(m), cls] -= 1.0
     dlogits /= m
-    mu = np.zeros((z.shape[0], 3))
-    mv = np.zeros((z.shape[0], 3))
-    np.add.at(mu, u, dlogits)
-    np.add.at(mv, v, dlogits)
+    mu = _scatter_rows(u, dlogits, z.shape[0])
+    mv = _scatter_rows(v, dlogits, z.shape[0])
     g_theta = np.vstack([z.T @ mu, z.T @ mv])
     dz = mu @ theta[:zdim].T + mv @ theta[zdim:].T
     return loss, g_theta, dz
@@ -392,8 +411,10 @@ _ABSENT_PAIR_ROUNDS = 50
 
 
 def _edge_keys(graph: SignedGraph) -> np.ndarray:
-    keys = [u * graph.num_nodes + v for u, v in (e.pair for e in graph.edges())]
-    return np.sort(np.asarray(keys, dtype=np.int64))
+    """Sorted ``u * n + v`` keys of the edges (u < v), for absent-pair lookups."""
+    upper = sparse.triu(graph.signed_adjacency(), k=1, format="csr")
+    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), np.diff(upper.indptr))
+    return np.sort(rows * graph.num_nodes + upper.indices)
 
 
 def _sample_absent_pairs(
@@ -465,6 +486,7 @@ def _train_loop(
     params = state.parameters()
     opt = _Optimizer(config.optimizer, config.learning_rate, params)
     d = state.embed_dim
+    layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
     u_all, v_all, cls_all = _as_index_arrays(samples)
     for epoch in range(config.epochs):
         k = min(size_for_epoch(epoch), len(u_all))
@@ -475,7 +497,7 @@ def _train_loop(
             v = np.concatenate([v, qv])
             cls = np.concatenate([cls, np.full(len(qu), CLASS_NONE, dtype=np.int64)])
         try:
-            z, caches = _forward(a_pos, a_neg, state, keep_caches=True)
+            z, caches = _forward(a_pos, a_neg, state, keep_caches=True, layer0=layer0)
             loss, g_theta, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls)
         except FloatingPointError as exc:
             raise TrainingDivergedError(epoch) from exc
@@ -485,7 +507,7 @@ def _train_loop(
         opt.step([*g_pos, *g_neg, g_theta])
         state.loss_history.append(loss)
     state.epochs_trained += config.epochs
-    z, _ = _forward(a_pos, a_neg, state)
+    z, _ = _forward(a_pos, a_neg, state, layer0=layer0)
     state.embeddings = z
     return state
 

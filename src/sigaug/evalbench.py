@@ -2,10 +2,12 @@
 random-perturbation baselines, sensitivity sweeps, and a generalization-gap
 diagnostic.
 
-Test-edge signs are predicted by a binary logistic head fit on concatenated
-pair embeddings of the training edges.  AUC is the rank statistic with half
-credit for ties; F1 comes in binary (positive class), micro, and macro
-flavors.  The gap diagnostic evaluates the bound
+Test-edge signs are predicted by a binary logistic head on concatenated pair
+embeddings [z_u, z_v] of the training edges, fit and scored in node space:
+the embedding is projected once per step and gathered per pair, so the pair
+matrix is never built.  AUC is the rank statistic with half credit for ties;
+F1 comes in binary (positive class), micro, and macro flavors.  The gap
+diagnostic evaluates the bound
 
     2*a_lx + sqrt(2) * a_ly * M * beta * (theta + t * eta * a_lx * a_f * beta) / n_t
 
@@ -34,7 +36,14 @@ from .curriculum import (
     score_and_sort,
     train_with_curriculum,
 )
-from .encoder import EncoderConfig, EncoderState, train_encoder
+from .encoder import (
+    EncoderConfig,
+    EncoderState,
+    _Optimizer,
+    _pair_logits,
+    _scatter_rows,
+    train_encoder,
+)
 from .graph import (
     NEG,
     POS,
@@ -124,40 +133,49 @@ def _sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def fit_logistic(
-    features: np.ndarray,
+    z: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
     labels01: np.ndarray,
     lr: float = 0.1,
     steps: int = 300,
 ) -> tuple[np.ndarray, float]:
-    """Unregularized binary logistic fit (full-batch Adam from zero init)."""
-    m, dim = features.shape
-    w = np.zeros(dim)
-    b = 0.0
-    mw = np.zeros(dim)
-    vw = np.zeros(dim)
-    mb = vb = 0.0
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for t in range(1, steps + 1):
-        p = _sigmoid(features @ w + b)
+    """Unregularized binary logistic fit on pair embeddings ``[z_u, z_v]``.
+
+    Full-batch Adam from zero init, worked in node space: logits project the
+    (n x zdim) embedding once and gather per pair, and the weight gradient
+    scatters the per-pair error onto nodes before the product with Z, so the
+    (m x 2 zdim) pair matrix is never built.  Returns (w, b) with w of
+    width 2 * zdim.
+    """
+    n, zdim = z.shape
+    m = len(u)
+    w = np.zeros(2 * zdim)
+    b = np.zeros(1)
+    opt = _Optimizer("adam", lr, [w, b])
+    for _ in range(steps):
+        p = _sigmoid(_pair_logits(z, w, u, v) + b[0])
         err = (p - labels01) / m
-        gw = features.T @ err
-        gb = float(err.sum())
-        mw = b1 * mw + (1 - b1) * gw
-        vw = b2 * vw + (1 - b2) * gw * gw
-        mb = b1 * mb + (1 - b1) * gb
-        vb = b2 * vb + (1 - b2) * gb * gb
-        c1 = 1 - b1**t
-        c2 = 1 - b2**t
-        w -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-        b -= lr * (mb / c1) / (math.sqrt(vb / c2) + eps)
-    return w, b
+        gw = (np.stack([_scatter_rows(u, err, n), _scatter_rows(v, err, n)]) @ z).ravel()
+        opt.step([gw, np.asarray([err.sum()])])
+    return w, float(b[0])
 
 
-def _pair_features(state: EncoderState, edges: Sequence[EdgeSample]) -> np.ndarray:
-    z = state.embeddings
-    u = np.asarray([e.pair[0] for e in edges], dtype=np.int64)
-    v = np.asarray([e.pair[1] for e in edges], dtype=np.int64)
-    return np.hstack([z[u], z[v]])
+def _pair_index(edges: Sequence[EdgeSample]) -> tuple[np.ndarray, np.ndarray]:
+    # canonical (u < v) order, so [z_u, z_v] does not depend on how an edge was written
+    pairs = np.asarray([e.pair for e in edges], dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _fit_sign_head(z: np.ndarray, train: Sequence[EdgeSample]) -> tuple[np.ndarray, float]:
+    labels01 = np.asarray([1.0 if e.sign == POS else 0.0 for e in train])
+    return fit_logistic(z, *_pair_index(train), labels01)
+
+
+def _head_scores(
+    z: np.ndarray, w: np.ndarray, b: float, edges: Sequence[EdgeSample]
+) -> np.ndarray:
+    return _sigmoid(_pair_logits(z, w, *_pair_index(edges)) + b)
 
 
 def predict_test_signs(
@@ -168,11 +186,10 @@ def predict_test_signs(
     """P(positive) per test edge from a logistic head fit on the train edges."""
     if state.embeddings is None:
         raise ValueError("state has no embeddings; train or run forward first")
-    train_labels = np.asarray([1.0 if e.sign == POS else 0.0 for e in train])
-    if len(train) == 0 or train_labels.min() == train_labels.max():
+    if len({e.sign for e in train}) < 2:
         raise ValueError("training set must contain both signs")
-    w, b = fit_logistic(_pair_features(state, train), train_labels)
-    scores = _sigmoid(_pair_features(state, test) @ w + b)
+    w, b = _fit_sign_head(state.embeddings, train)
+    scores = _head_scores(state.embeddings, w, b, test)
     labels = np.asarray([e.sign for e in test], dtype=np.int64)
     return scores, labels
 
@@ -308,10 +325,10 @@ def generalization_diagnostic(
     classifier; beta is max|Z| and theta the recorded initial weight norm.
     """
     constants = constants or GapConstants()
-    train_labels = np.asarray([1.0 if e.sign == POS else 0.0 for e in train])
-    w, b = fit_logistic(_pair_features(state, train), train_labels)
-    train_scores = _sigmoid(_pair_features(state, train) @ w + b)
-    test_scores = _sigmoid(_pair_features(state, test) @ w + b)
+    z = state.embeddings
+    w, b = _fit_sign_head(z, train)
+    train_scores = _head_scores(z, w, b, train)
+    test_scores = _head_scores(z, w, b, test)
     train_err = _binary_cross_entropy(train_scores, np.asarray([e.sign for e in train]))
     test_err = _binary_cross_entropy(test_scores, np.asarray([e.sign for e in test]))
     beta = float(np.abs(state.embeddings).max())

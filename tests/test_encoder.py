@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import community_records, random_signed_records
+from sigaug import encoder
 from sigaug.encoder import (
     EncoderConfig,
     EncoderState,
@@ -15,6 +16,7 @@ from sigaug.encoder import (
     _edge_keys,
     _forward,
     _loss_and_mlg_grads,
+    _pair_logits,
     _sample_absent_pairs,
     export_state_json,
     forward,
@@ -253,6 +255,40 @@ def test_gradients_match_finite_differences(seed):
         assert rel < 1e-4, f"block {block.shape}: relative error {rel}"
 
 
+def add_at_mlg_grads(z, theta, u, v, cls):
+    """_loss_and_mlg_grads as first written, scattering with np.add.at."""
+    m = len(u)
+    zdim = z.shape[1]
+    logits = _pair_logits(z, theta, u, v)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    norm = expv.sum(axis=1)
+    loss = float((np.log(norm) - shifted[np.arange(m), cls]).mean())
+    dlogits = expv / norm[:, None]
+    dlogits[np.arange(m), cls] -= 1.0
+    dlogits /= m
+    mu = np.zeros((z.shape[0], 3))
+    mv = np.zeros((z.shape[0], 3))
+    np.add.at(mu, u, dlogits)
+    np.add.at(mv, v, dlogits)
+    return loss, np.vstack([z.T @ mu, z.T @ mv]), mu @ theta[:zdim].T + mv @ theta[zdim:].T
+
+
+def test_mlg_grads_scatter_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((12, 6))
+    theta = rng.standard_normal((12, 3))
+    # nodes 9-11 appear in no pair; 0, 2 and 5 repeat on both sides
+    u = np.asarray([0, 0, 2, 5, 5, 5, 1, 2, 0, 3])
+    v = np.asarray([2, 2, 5, 0, 8, 8, 2, 0, 5, 7])
+    cls = rng.integers(0, 3, size=len(u))
+    got = _loss_and_mlg_grads(z, theta, u, v, cls)
+    expected = add_at_mlg_grads(z, theta, u, v, cls)
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2], expected[2])
+
+
 # -- training ----------------------------------------------------------------------
 
 
@@ -282,6 +318,25 @@ def test_training_deterministic_loss_curve():
     b = train_encoder(g, edges, cfg)
     assert a.loss_history == b.loss_history
     for pa, pb in zip(a.parameters(), b.parameters()):
+        assert np.array_equal(pa, pb)
+
+
+def test_cached_layer0_inputs_match_rebuilding_every_epoch(monkeypatch):
+    edges = community_records(n=24, seed=5)
+    g = graph_from_samples(edges, 24)
+    cfg = EncoderConfig(embed_dim=6, epochs=12, seed=2)
+    cached = train_encoder(g, edges, cfg)
+
+    forward = encoder._forward
+
+    def rebuilding_forward(a_pos, a_neg, state, keep_caches=False, layer0=None):
+        return forward(a_pos, a_neg, state, keep_caches)
+
+    monkeypatch.setattr(encoder, "_forward", rebuilding_forward)
+    rebuilt = train_encoder(g, edges, cfg)
+    assert cached.loss_history == rebuilt.loss_history
+    assert np.array_equal(cached.embeddings, rebuilt.embeddings)
+    for pa, pb in zip(cached.parameters(), rebuilt.parameters()):
         assert np.array_equal(pa, pb)
 
 
@@ -395,6 +450,29 @@ def test_json_export(tmp_path):
     assert payload["embed_dim"] == 4
     assert len(payload["pos_weights"]) == 2
     assert np.asarray(payload["embeddings"]).shape == (6, 8)
+
+
+def python_edge_keys(g):
+    """_edge_keys as first written: one EdgeSample per edge."""
+    keys = [u * g.num_nodes + v for u, v in (e.pair for e in g.edges())]
+    return np.sort(np.asarray(keys, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        (community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08), 40),
+        (community_records(n=30, seed=3, p_intra=0.3, p_inter=0.15, flip=0.06), 33),
+        (random_signed_records(np.random.default_rng(9), 25, edge_prob=0.3), 25),
+        ([], 5),
+    ],
+    ids=["golden-community", "community-isolated-tail", "random", "edgeless"],
+)
+def test_edge_keys_match_edge_walk(edges, n):
+    g = graph_from_samples(edges, n)
+    keys = _edge_keys(g)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, python_edge_keys(g))
 
 
 def test_absent_pair_sampling_warns_when_short(caplog):

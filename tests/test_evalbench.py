@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import community_records
+from sigaug import evalbench
 from sigaug.augment import AugmentConfig
 from sigaug.curriculum import PacingConfig
-from sigaug.encoder import EncoderConfig, EncoderState
+from sigaug.encoder import EncoderConfig, EncoderState, _pair_logits, train_encoder
 from sigaug.evalbench import (
     GapConstants,
+    _sigmoid,
     auc_rank,
     bound_value,
     compute_metrics,
@@ -20,7 +24,7 @@ from sigaug.evalbench import (
     run_experiment,
     sensitivity_sweep,
 )
-from sigaug.graph import EdgeSample
+from sigaug.graph import EdgeSample, graph_from_samples
 
 
 # -- AUC -----------------------------------------------------------------------
@@ -115,6 +119,135 @@ def test_compute_metrics_validation():
 # -- downstream classifier -------------------------------------------------------
 
 
+def dense_gradient(features, labels01, w, b):
+    err = (_sigmoid(features @ w + b) - labels01) / len(labels01)
+    return features.T @ err, float(err.sum())
+
+
+def dense_fit_logistic(features, labels01, lr=0.1, steps=300, grads=None):
+    """The head as first written: Adam by hand on the materialised pair matrix.
+
+    With ``grads``, step t applies ``grads[t - 1]`` instead of the gradient
+    at the current weights, which replays another fit's trajectory.
+    """
+    dim = features.shape[1]
+    w = np.zeros(dim)
+    b = 0.0
+    mw = np.zeros(dim)
+    vw = np.zeros(dim)
+    mb = vb = 0.0
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, steps + 1):
+        if grads is None:
+            gw, gb = dense_gradient(features, labels01, w, b)
+        else:
+            gw, gb = grads[t - 1]
+        mw = b1 * mw + (1 - b1) * gw
+        vw = b2 * vw + (1 - b2) * gw * gw
+        mb = b1 * mb + (1 - b1) * gb
+        vb = b2 * vb + (1 - b2) * gb * gb
+        c1 = 1 - b1**t
+        c2 = 1 - b2**t
+        w -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
+        b -= lr * (mb / c1) / (math.sqrt(vb / c2) + eps)
+    return w, b
+
+
+def pair_embedding(feats):
+    """(z, u, v) whose pair rows [z[u_i], z[v_i]] are the rows of ``feats``.
+
+    An odd width gets one zero column, whose weight stays exactly 0.
+    """
+    m, width = feats.shape
+    half = (width + 1) // 2
+    padded = np.hstack([feats, np.zeros((m, 2 * half - width))])
+    return np.vstack([padded[:, :half], padded[:, half:]]), np.arange(m), m + np.arange(m)
+
+
+@st.composite
+def pair_problems(draw):
+    """(z, u, v, labels01): repeated pairs, nodes in no pair, all-zero embedding rows."""
+    n = draw(st.integers(2, 12))
+    zdim = draw(st.integers(1, 5))
+    values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    z = np.asarray(draw(st.lists(values, min_size=n * zdim, max_size=n * zdim))).reshape(n, zdim)
+    for row in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        z[row] = 0.0
+    # pairs draw from a prefix of the nodes, so the tail may appear in none
+    used = draw(st.integers(2, n))
+    node = st.integers(0, used - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=30))
+    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(pairs), max_size=len(pairs)))
+    u, v = (np.asarray(side, dtype=np.int64) for side in zip(*pairs))
+    return z, u, v, np.asarray(labels)
+
+
+# conflicting labels on repeated pairs: the optimum sits at a zero gradient,
+# where Adam's constant step rattles and rounding decides the trajectory
+CONFLICTING_PAIRS = (
+    np.vstack([np.zeros((7, 3)), [[0.0, 0.0, 3.0]], np.zeros((1, 3))]),
+    np.asarray([0, 0, 0]),
+    np.asarray([1, 7, 7]),
+    np.asarray([0.0, 0.0, 1.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_problems())
+@example(CONFLICTING_PAIRS)
+def test_node_space_logistic_follows_dense_fit_step_by_step(problem):
+    """Every step's gradient is the dense one at the same weights, and Adam
+    by hand on those gradients lands on the same weights bit for bit.
+
+    The final weights are not compared with an independent dense fit: on
+    problems like ``CONFLICTING_PAIRS`` Adam amplifies rounding differences
+    in the gradient sums up to the size of its step.
+    """
+    z, u, v, labels = problem
+    trace = []
+
+    class RecordingOptimizer(evalbench._Optimizer):
+        def step(self, grads):
+            trace.append(([p.copy() for p in self.params], [g.copy() for g in grads]))
+            super().step(grads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evalbench, "_Optimizer", RecordingOptimizer)
+        w, b = fit_logistic(z, u, v, labels)
+    features = np.hstack([z[u], z[v]])
+    for (w_t, b_t), (gw, gb) in trace:
+        gw_dense, gb_dense = dense_gradient(features, labels, w_t, b_t[0])
+        np.testing.assert_allclose(gw, gw_dense, rtol=1e-12, atol=1e-12)
+        assert gb[0] == pytest.approx(gb_dense, rel=1e-12, abs=1e-12)
+    replayed = [(gw, gb[0]) for _, (gw, gb) in trace]
+    w_replay, b_replay = dense_fit_logistic(features, labels, grads=replayed)
+    assert np.array_equal(w, w_replay) and b == b_replay
+    np.testing.assert_allclose(
+        _sigmoid(_pair_logits(z, w, u, v) + b), _sigmoid(features @ w + b), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_node_space_logistic_matches_dense_fit_on_trained_embeddings():
+    edges = community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08)
+    graph = graph_from_samples(edges, 40)
+    z = train_encoder(graph, edges, EncoderConfig(embed_dim=8, epochs=20)).embeddings
+    u = np.asarray([e.u for e in edges])
+    v = np.asarray([e.v for e in edges])
+    labels = np.asarray([1.0 if e.sign == 1 else 0.0 for e in edges])
+    w, b = fit_logistic(z, u, v, labels)
+    features = np.hstack([z[u], z[v]])
+    w_dense, b_dense = dense_fit_logistic(features, labels)
+    np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=1e-12)
+    assert b == pytest.approx(b_dense, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(
+        _sigmoid(_pair_logits(z, w, u, v) + b),
+        _sigmoid(features @ w_dense + b_dense),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+
+
 def test_logistic_matches_grid_search_oracle():
     feats = np.asarray(
         [
@@ -153,7 +286,7 @@ def test_logistic_matches_grid_search_oracle():
     w_oracle = np.asarray(center[:2])
     b_oracle = center[2]
 
-    w_fit, b_fit = fit_logistic(feats, labels)
+    w_fit, b_fit = fit_logistic(*pair_embedding(feats), labels)
     p_oracle = 1.0 / (1.0 + np.exp(-(feats @ w_oracle + b_oracle)))
     p_fit = 1.0 / (1.0 + np.exp(-(feats @ w_fit + b_fit)))
     assert np.abs(p_fit - p_oracle).max() <= 0.05
@@ -200,7 +333,7 @@ def test_predict_test_signs_separable_all_correct():
 def test_logistic_head_silent_on_separable_data():
     # features of +-1e4 push the logits far past exp's float64 range
     feats = np.asarray([[1e4], [2e4], [-1e4], [-2e4]])
-    w, b = fit_logistic(feats, np.asarray([1.0, 1.0, 0.0, 0.0]))
+    w, b = fit_logistic(*pair_embedding(feats), np.asarray([1.0, 1.0, 0.0, 0.0]))
     assert np.isfinite(w).all() and math.isfinite(b)
 
     state = separable_state()
