@@ -10,6 +10,7 @@ random-perturbation baselines.
 __version__ = "0.1.0"
 
 from .graph import (  # noqa: F401
+    EdgeColumns,
     EdgeSample,
     SignedGraph,
     DatasetSplit,

@@ -62,10 +62,11 @@ class EdgeBalanceProfile:
 class BalanceReport:
     """Global triangle stats plus one column entry per edge.
 
-    Edges are listed once as u < v in (u, v) order, like
-    ``SignedGraph.edges()``.  ``balanced``/``unbalanced`` count the
-    triangles through each edge.  The arrays are read-only because one
-    report is shared by every caller on the same graph.
+    Edges are listed once as u < v in (u, v) order: ``u``, ``v`` and
+    ``sign`` are the graph's own ``edge_columns()`` arrays.
+    ``balanced``/``unbalanced`` count the triangles through each edge.  The
+    arrays are read-only because one report is shared by every caller on
+    the same graph.
     """
 
     stats: TriangleStats
@@ -127,14 +128,10 @@ def _incident_triangles(
 
 
 def _compute_report(graph: SignedGraph) -> BalanceReport:
-    adj = graph.signed_adjacency()
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), np.diff(adj.indptr))
-    upper = adj.indices > rows
-    u = rows[upper]
-    v = adj.indices[upper].astype(np.int64)
-    sign = adj.data[upper].astype(np.int64)
-    balanced, unbalanced = _incident_triangles(adj, u, v, sign)
-    for column in (u, v, sign, balanced, unbalanced):
+    edges = graph.edge_columns()
+    u, v, sign = edges.u, edges.v, edges.sign
+    balanced, unbalanced = _incident_triangles(graph.signed_adjacency(), u, v, sign)
+    for column in (balanced, unbalanced):
         column.flags.writeable = False
     stats = TriangleStats(int(balanced.sum()) // 3, int(unbalanced.sum()) // 3)
     return BalanceReport(stats, u, v, sign, balanced, unbalanced)

@@ -278,7 +278,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "balance_degree": None if bd is None else round(bd, 6),
     }
     if args.split_ratio is not None:
-        split = split_train_test(graph.to_samples(), args.split_ratio, args.split_seed)
+        split = split_train_test(graph.edge_columns(), args.split_ratio, args.split_seed)
         train_graph = graph_from_samples(split.train, graph.num_nodes)
         train_report = balance_report(train_graph)
         tbd = train_report.balance_degree

@@ -412,9 +412,8 @@ _ABSENT_PAIR_ROUNDS = 50
 
 def _edge_keys(graph: SignedGraph) -> np.ndarray:
     """Sorted ``u * n + v`` keys of the edges (u < v), for absent-pair lookups."""
-    upper = sparse.triu(graph.signed_adjacency(), k=1, format="csr")
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), np.diff(upper.indptr))
-    return np.sort(rows * graph.num_nodes + upper.indices)
+    edges = graph.edge_columns()  # in (u, v) order, so the keys come out sorted
+    return edges.u * graph.num_nodes + edges.v
 
 
 def _sample_absent_pairs(

@@ -4,15 +4,27 @@ A signed graph is undirected; every edge carries exactly one sign (+1 or -1).
 Raw dataset files are directed rating records, so building a graph
 symmetrizes them and resolves duplicate/conflicting records with a
 sum-of-signs policy.
+
+Edges travel as columns: three int64 arrays ``(u, v, sign)``.  The loader
+parses straight into them, ``build_graph``, ``graph_from_samples`` and
+``split_train_test`` work on them with sorts and bincounts, and
+``SignedGraph`` keeps a CSR layout plus its upper-triangle columns in
+(u, v) order.  ``EdgeSample`` objects exist only at the API and file
+boundary: ``EdgeColumns`` is a read-only ``Sequence[EdgeSample]`` over the
+columns that builds a sample when indexed or iterated, and plain lists of
+samples are accepted everywhere and converted to columns once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -55,11 +67,68 @@ class EdgeSample:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
+class EdgeColumns(Sequence):
+    """Read-only ``Sequence[EdgeSample]`` backed by int64 ``u``/``v``/``sign`` columns.
+
+    The columns are copied and validated by the same rules as
+    ``EdgeSample``.  Indexing with an int builds one ``EdgeSample``;
+    indexing with a slice or an index array selects rows into new columns.
+    """
+
+    __slots__ = ("u", "v", "sign")
+
+    def __init__(self, u, v, sign):
+        columns = [np.asarray(c) for c in (u, v, sign)]
+        if any(c.shape != columns[0].shape for c in columns) or columns[0].ndim != 1:
+            raise ValueError("u, v and sign must be 1-D and of one length")
+        if any(c.size and c.dtype.kind not in "iu" for c in columns):
+            raise ValueError("u, v and sign must hold integers")
+        columns = [c.astype(np.int64) for c in columns]
+        u, v, sign = columns
+        bad = (u == v) | (u < 0) | (v < 0) | ((sign != POS) & (sign != NEG))
+        if bad.any():
+            i = int(np.argmax(bad))
+            EdgeSample(int(u[i]), int(v[i]), int(sign[i]))  # raises its ValueError
+        for c in columns:
+            c.flags.writeable = False
+        self.u, self.v, self.sign = columns
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return EdgeColumns(self.u[index], self.v[index], self.sign[index])
+        i = operator.index(index)
+        return EdgeSample(int(self.u[i]), int(self.v[i]), int(self.sign[i]))
+
+    def __iter__(self) -> Iterator[EdgeSample]:
+        return map(EdgeSample, self.u.tolist(), self.v.tolist(), self.sign.tolist())
+
+
+def _columns(samples: Sequence[EdgeSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(u, v, sign)`` columns of samples: read directly, or converted once."""
+    if isinstance(samples, EdgeColumns):
+        return samples.u, samples.v, samples.sign
+    u, v, sign = (
+        np.fromiter(map(operator.attrgetter(name), samples), dtype=np.int64, count=len(samples))
+        for name in ("u", "v", "sign")
+    )
+    return u, v, sign
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """One int64 key ``lo * width + hi`` per unordered pair; width is the largest id + 1."""
+    hi = np.maximum(u, v)
+    width = int(hi.max()) + 1 if len(hi) else 1
+    return np.minimum(u, v) * width + hi, width
+
+
 @dataclass
 class LoadResult:
     """Edge records with densified node ids plus bookkeeping counters."""
 
-    samples: list[EdgeSample]
+    samples: Sequence[EdgeSample]  # EdgeColumns from load_edge_list
     num_nodes: int
     original_ids: list  # dense id -> original id
     zero_rating_dropped: int = 0
@@ -67,76 +136,115 @@ class LoadResult:
 
     @property
     def positive_count(self) -> int:
-        return sum(1 for s in self.samples if s.sign == POS)
+        return int(np.count_nonzero(_columns(self.samples)[2] == POS))
 
     @property
     def negative_count(self) -> int:
-        return sum(1 for s in self.samples if s.sign == NEG)
+        return int(np.count_nonzero(_columns(self.samples)[2] == NEG))
+
+
+def _read_rows(fh, format: str) -> tuple[list[int], list, list, list, ParseError | None]:
+    """Line numbers and the source, target and value fields of the data rows.
+
+    Reading stops at the first row with fewer than three fields; the last
+    item returned is a ``ParseError`` for it, or None when there is none.
+    """
+    tsv = format == "sign-tsv"
+    if tsv:
+        rows = enumerate(map(str.split, fh), start=1)
+    else:
+        rows = enumerate(csv.reader(fh), start=1)
+    lines, src, dst, val = [], [], [], []
+    for lineno, row in rows:
+        if not row or (tsv and row[0].startswith("#")):
+            continue
+        if len(row) < 3:
+            short = ParseError(f"expected at least 3 fields, got {len(row)}", lineno)
+            return lines, src, dst, val, short
+        lines.append(lineno)
+        src.append(row[0])
+        dst.append(row[1])
+        val.append(row[2])
+    if not tsv:
+        src = [s.strip() for s in src]
+        dst = [s.strip() for s in dst]
+    return lines, src, dst, val, None
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _first_seen_ids(tokens: list) -> tuple[np.ndarray, list]:
+    """Dense ids of tokens in first-seen order, and the token of each id."""
+    values = np.array(tokens)
+    if np.char.str_len(values).sum() != sum(map(len, tokens)):
+        values = np.array(tokens, dtype=object)  # numpy's str dtype drops trailing NULs
+    unique, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], unique[order].tolist()
 
 
 def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
-    """Read a signed edge file into directed EdgeSample records.
+    """Read a signed edge file into directed (u, v, sign) columns.
 
     ``rating-csv`` rows are ``source,target,rating[,time]`` with an integer
     rating whose sign becomes the edge sign (rating 0 rows are dropped and
-    counted).  ``sign-tsv`` rows are whitespace-separated ``src dst sign``
-    with sign in {1, -1}; lines starting with '#' are skipped.  Node ids are
-    densified to 0..n-1 in first-seen order; the original ids are kept in
-    ``original_ids``.
+    counted; a fractional rating is truncated toward zero first).
+    ``sign-tsv`` rows are whitespace-separated ``src dst sign`` with sign in
+    {1, -1}; lines starting with '#' are skipped.  A rating or sign that is
+    not a finite number raises ``ParseError``, except on line 1 of a
+    rating-csv file, which is then taken as a header.  Node ids of the kept
+    records are densified to 0..n-1 in first-seen order; the original ids
+    are kept in ``original_ids``.
     """
     if format not in ("rating-csv", "sign-tsv"):
         raise ValueError(f"unknown format {format!r}")
     path = Path(path)
-    id_map: dict = {}
-    original_ids: list = []
-
-    def dense(orig) -> int:
-        idx = id_map.get(orig)
-        if idx is None:
-            idx = len(original_ids)
-            id_map[orig] = idx
-            original_ids.append(orig)
-        return idx
-
-    samples: list[EdgeSample] = []
-    zero_dropped = 0
-    loops_dropped = 0
     with path.open(newline="") as fh:
-        if format == "rating-csv":
-            rows: Iterator[tuple[int, list[str]]] = (
-                (i, row) for i, row in enumerate(csv.reader(fh), start=1)
-            )
-        else:
-            rows = ((i, line.split()) for i, line in enumerate(fh, start=1))
-        for lineno, row in rows:
-            if not row or (row[0].startswith("#") and format == "sign-tsv"):
-                continue
-            if len(row) < 3:
-                raise ParseError(f"expected at least 3 fields, got {len(row)}", lineno)
-            src_s, dst_s, val_s = row[0].strip(), row[1].strip(), row[2].strip()
-            try:
-                value = int(float(val_s))
-            except ValueError:
-                if lineno == 1 and format == "rating-csv":
-                    continue  # optional header row
-                raise ParseError(f"non-numeric rating/sign {val_s!r}", lineno) from None
-            if format == "sign-tsv" and value not in (1, -1):
-                raise ParseError(f"sign must be 1 or -1, got {value}", lineno)
-            if value == 0:
-                zero_dropped += 1
-                continue
-            if src_s == dst_s:
-                loops_dropped += 1
-                continue
-            samples.append(EdgeSample(dense(src_s), dense(dst_s), POS if value > 0 else NEG))
-    if not samples:
+        lines, src, dst, val, short_row = _read_rows(fh, format)
+    try:
+        values = np.fromiter(map(float, val), dtype=np.float64, count=len(val))
+    except ValueError:
+        values = np.array([_float_or_nan(text) for text in val], dtype=np.float64)
+    bad = ~np.isfinite(values)
+    if format == "rating-csv" and lines[:1] == [1] and bad[0]:
+        # optional header row
+        lines, src, dst, val = lines[1:], src[1:], dst[1:], val[1:]
+        values, bad = values[1:], bad[1:]
+    truncated = np.trunc(values)  # int(float(text)) for every finite value
+    if format == "sign-tsv":
+        bad |= (truncated != 1) & (truncated != -1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        text = val[i].strip()
+        if np.isfinite(values[i]):
+            raise ParseError(f"sign must be 1 or -1, got {int(values[i])}", lines[i])
+        kind = "non-numeric" if math.isnan(values[i]) else "non-finite"
+        raise ParseError(f"{kind} rating/sign {text!r}", lines[i])
+    if short_row is not None:
+        raise short_row
+
+    zero = truncated == 0
+    loop = np.fromiter(map(operator.eq, src, dst), dtype=bool, count=len(src)) & ~zero
+    keep = ~(zero | loop)
+    if not keep.any():
         raise ValueError(f"no usable edge records in {path}")
+    tokens = [None] * (2 * int(keep.sum()))
+    tokens[0::2] = compress(src, keep)
+    tokens[1::2] = compress(dst, keep)
+    dense, original_ids = _first_seen_ids(tokens)
     return LoadResult(
-        samples=samples,
+        samples=EdgeColumns(dense[0::2], dense[1::2], np.where(values[keep] > 0, POS, NEG)),
         num_nodes=len(original_ids),
         original_ids=original_ids,
-        zero_rating_dropped=zero_dropped,
-        self_loops_dropped=loops_dropped,
+        zero_rating_dropped=int(zero.sum()),
+        self_loops_dropped=int(loop.sum()),
     )
 
 
@@ -155,40 +263,40 @@ class SignedGraph:
 
     Neighbors of node i are split into positive and negative sets; the two
     sets are disjoint and symmetric (j in N_i^+ iff i in N_j^+).  Backed by a
-    CSR-like layout so neighbor lookups are O(log deg) and row slices are
-    numpy views.
+    CSR layout so neighbor lookups are O(log deg) and row slices are numpy
+    views.  Built from canonical columns: ``0 <= u < v < num_nodes`` and one
+    sign in {+1, -1} per distinct pair, in any order.
     """
 
-    __slots__ = ("num_nodes", "edge_count", "_indptr", "_indices", "_signs", "_balance_report")
+    __slots__ = (
+        "num_nodes", "edge_count", "_indptr", "_indices", "_signs", "_edges", "_balance_report",
+    )
 
-    def __init__(self, num_nodes: int, pair_signs: dict[tuple[int, int], int]):
+    def __init__(self, num_nodes: int, u, v, sign):
         if num_nodes < 1:
             raise ValueError("graph needs at least one node")
+        u, v, sign = (np.asarray(c, dtype=np.int64) for c in (u, v, sign))
+        bad = (u < 0) | (u >= v) | (v >= num_nodes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"bad canonical pair ({u[i]}, {v[i]}) for n={num_nodes}")
         self.num_nodes = num_nodes
-        self.edge_count = len(pair_signs)
-        deg = np.zeros(num_nodes + 1, dtype=np.int64)
-        for u, v in pair_signs:
-            if not (0 <= u < v < num_nodes):
-                raise ValueError(f"bad canonical pair ({u}, {v}) for n={num_nodes}")
-            deg[u + 1] += 1
-            deg[v + 1] += 1
-        indptr = np.cumsum(deg)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        signs = np.empty(indptr[-1], dtype=np.int8)
-        cursor = indptr[:-1].copy()
-        for (u, v), s in pair_signs.items():
-            indices[cursor[u]] = v
-            signs[cursor[u]] = s
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            signs[cursor[v]] = s
-            cursor[v] += 1
-        # sort each row by neighbor id
-        for i in range(num_nodes):
-            lo, hi = indptr[i], indptr[i + 1]
-            order = np.argsort(indices[lo:hi], kind="stable")
-            indices[lo:hi] = indices[lo:hi][order]
-            signs[lo:hi] = signs[lo:hi][order]
+        self.edge_count = len(u)
+        # both directions of every edge, sorted by (row, neighbor) in one pass
+        rows = np.concatenate((u, v))
+        cols = np.concatenate((v, u))
+        order = np.argsort(rows * num_nodes + cols)
+        rows, indices = rows[order], cols[order]
+        repeated = (rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            raise ValueError(f"duplicate pair ({rows[i]}, {indices[i]})")
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        both_signs = np.concatenate((sign, sign))[order]
+        upper = indices > rows  # each edge once, as u < v, in (u, v) order
+        self._edges = EdgeColumns(rows[upper], indices[upper], both_signs[upper])
+        signs = both_signs.astype(np.int8)
         for arr in (indptr, indices, signs):
             arr.flags.writeable = False
         self._indptr = indptr
@@ -225,16 +333,16 @@ class SignedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return self.sign_of(u, v) != 0
 
+    def edge_columns(self) -> EdgeColumns:
+        """Each undirected edge once, as u < v, in (u, v) order: the upper triangle."""
+        return self._edges
+
     def edges(self) -> Iterator[EdgeSample]:
-        """Each undirected edge once, as EdgeSample(u < v), in (u, v) order."""
-        for u in range(self.num_nodes):
-            ids, signs = self.neighbors(u)
-            above = ids > u
-            for v, s in zip(ids[above], signs[above]):
-                yield EdgeSample(u, int(v), int(s))
+        """The rows of ``edge_columns()`` as ``EdgeSample`` objects."""
+        return iter(self._edges)
 
     def to_samples(self) -> list[EdgeSample]:
-        return list(self.edges())
+        return list(self._edges)
 
     def positive_edge_count(self) -> int:
         return int(np.count_nonzero(self._signs == POS)) // 2
@@ -278,45 +386,48 @@ def build_graph(
     """
     if conflict_policy != "sum-sign":
         raise ValueError(f"unknown conflict policy {conflict_policy!r}")
-    stats = BuildStats(input_records=len(edges))
-    sums: dict[tuple[int, int], int] = {}
-    counts: dict[tuple[int, int], int] = {}
-    max_node = -1
-    for e in edges:
-        pair = e.pair
-        max_node = max(max_node, pair[1])
-        sums[pair] = sums.get(pair, 0) + e.sign
-        counts[pair] = counts.get(pair, 0) + 1
+    u, v, sign = _columns(edges)
+    keys, width = _pair_keys(u, v)
     if num_nodes is None:
-        num_nodes = max_node + 1
-    pair_signs: dict[tuple[int, int], int] = {}
-    for pair, total in sums.items():
-        if counts[pair] > 1:
-            stats.merged_pairs += 1
-        if total == 0:
-            stats.conflicts_dropped += 1
-            continue
-        pair_signs[pair] = POS if total > 0 else NEG
-    return SignedGraph(num_nodes, pair_signs), stats
+        num_nodes = width if len(u) else 0
+    pairs, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    sums = np.bincount(inverse.ravel(), weights=sign, minlength=len(pairs))
+    stats = BuildStats(
+        input_records=len(u),
+        merged_pairs=int(np.count_nonzero(counts > 1)),
+        conflicts_dropped=int(np.count_nonzero(sums == 0)),
+    )
+    kept = sums != 0
+    pairs = pairs[kept]
+    signs = np.where(sums[kept] > 0, POS, NEG)
+    return SignedGraph(num_nodes, pairs // width, pairs % width, signs), stats
 
 
 def graph_from_samples(samples: Sequence[EdgeSample], num_nodes: int) -> SignedGraph:
-    """Build a graph from already-deduplicated undirected samples."""
-    pair_signs: dict[tuple[int, int], int] = {}
-    for s in samples:
-        prev = pair_signs.get(s.pair)
-        if prev is not None and prev != s.sign:
-            raise ValueError(f"conflicting signs for pair {s.pair}")
-        pair_signs[s.pair] = s.sign
-    return SignedGraph(num_nodes, pair_signs)
+    """Build a graph from already-deduplicated undirected samples.
+
+    Repeats of a pair with the same sign collapse; opposite signs raise.
+    """
+    u, v, sign = _columns(samples)
+    keys, width = _pair_keys(u, v)
+    pairs, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    clash = sign != sign[first][inverse.ravel()]
+    if clash.any():
+        i = int(np.argmax(clash))
+        pair = (int(keys[i] // width), int(keys[i] % width))
+        raise ValueError(f"conflicting signs for pair {pair}")
+    return SignedGraph(num_nodes, pairs // width, pairs % width, sign[first])
 
 
 @dataclass
 class DatasetSplit:
-    """Train/test partition of an undirected edge list."""
+    """Train/test partition of an undirected edge list.
 
-    train: list[EdgeSample]
-    test: list[EdgeSample]
+    The halves are ``EdgeColumns`` when the split input was, else lists.
+    """
+
+    train: Sequence[EdgeSample]
+    test: Sequence[EdgeSample]
     seed: int
     ratio: float = field(default=0.8)
 
@@ -332,8 +443,11 @@ def split_train_test(
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(len(edges))
     n_train = math.ceil(ratio * len(edges))
-    train = [edges[i] for i in perm[:n_train]]
-    test = [edges[i] for i in perm[n_train:]]
+    if isinstance(edges, EdgeColumns):
+        train, test = edges[perm[:n_train]], edges[perm[n_train:]]
+    else:
+        train = [edges[i] for i in perm[:n_train]]
+        test = [edges[i] for i in perm[n_train:]]
     return DatasetSplit(train=train, test=test, seed=seed, ratio=ratio)
 
 
@@ -351,8 +465,8 @@ def record_density(samples: Sequence[EdgeSample], num_nodes: int | None = None) 
     ``n`` defaults to the number of distinct endpoint ids.
     """
     if num_nodes is None:
-        seen = {s.u for s in samples} | {s.v for s in samples}
-        num_nodes = len(seen)
+        u, v, _ = _columns(samples)
+        num_nodes = len(np.union1d(u, v))
     if num_nodes < 2:
         raise ValueError("density needs at least 2 nodes")
     return len(samples) / (num_nodes * (num_nodes - 1))

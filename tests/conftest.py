@@ -7,8 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sigaug.graph import EdgeSample, graph_from_samples
+
+# CI selects this with --hypothesis-profile=ci: every run draws the same
+# examples, so a property-test failure there reproduces locally.
+settings.register_profile("ci", derandomize=True)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

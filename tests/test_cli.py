@@ -53,6 +53,14 @@ def test_stats_empty_file_exits_2(tmp_path, capsys):
     assert main(["stats", "--dataset", str(empty), "--format", "rating-csv"]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_stats_non_finite_rating_exits_2(tmp_path, capsys, value):
+    data = tmp_path / "ratings.csv"
+    data.write_text(f"1,2,5\n2,3,{value}\n")
+    assert main(["stats", "--dataset", str(data), "--format", "rating-csv"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_balance_report(dataset_file_path, capsys, tmp_path):
     per_edge = tmp_path / "edges.csv"
     rc = main(
