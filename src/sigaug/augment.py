@@ -26,7 +26,8 @@ from .encoder import (
     pair_class_probabilities,
     train_encoder,
 )
-from .graph import NEG, POS, EdgeSample, SignedGraph, density, graph_from_samples
+from .graph import NEG, POS, EdgeColumns, EdgeSample, SignedGraph, density, graph_from_samples
+from .graph import _canonical, _concat
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +69,15 @@ class AugmentConfig:
 
 @dataclass
 class CandidateSets:
-    """Proposed edits: additions carry the winning class probability."""
+    """Proposed edits as canonical (u < v) columns.
 
-    additions: list[tuple[EdgeSample, float]]
-    deletions: list[EdgeSample]
+    ``confidence[i]`` is the winning class probability of ``additions[i]``;
+    ``generate_candidates`` sorts the additions by it, highest first.
+    """
+
+    additions: EdgeColumns
+    confidence: np.ndarray
+    deletions: EdgeColumns
 
 
 @dataclass
@@ -116,6 +122,8 @@ def generate_candidates(
     probability wins, positive on a tie.  Pairs already in the training set
     with the same sign are excluded.  Additions come back sorted by
     confidence (descending, then pair) and truncated to ``max_additions``.
+    Deletions are the training edges, canonical and in training order,
+    whose own-sign probability is below the matching delete threshold.
     """
     if state.epochs_trained == 0:
         raise ValueError("encoder state is untrained; train it before generating candidates")
@@ -129,8 +137,7 @@ def generate_candidates(
     else:
         us, vs = _two_hop_pairs(graph)
 
-    train_signs = {e.pair: e.sign for e in train}
-    additions: list[tuple[EdgeSample, float]] = []
+    parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     for lo in range(0, len(us), _SCAN_CHUNK):
         cu = us[lo : lo + _SCAN_CHUNK]
         cv = vs[lo : lo + _SCAN_CHUNK]
@@ -141,94 +148,80 @@ def generate_candidates(
         fire_neg = p_neg > config.eps_add_neg
         # higher probability wins when both clear; positive wins ties
         pick_neg = fire_neg & (~fire_pos | (p_neg > p_pos))
-        pick_pos = fire_pos & ~pick_neg
-        for idx in np.flatnonzero(pick_pos | pick_neg):
-            sign = NEG if pick_neg[idx] else POS
-            pair = (int(cu[idx]), int(cv[idx]))
-            if train_signs.get(pair) == sign:
-                continue
-            conf = float(p_neg[idx] if sign == NEG else p_pos[idx])
-            additions.append((EdgeSample(pair[0], pair[1], sign), conf))
-    additions.sort(key=lambda item: (-item[1], item[0].u, item[0].v))
-    if config.max_additions is not None:
-        additions = additions[: config.max_additions]
+        picked = np.flatnonzero(fire_pos | pick_neg)
+        pick_neg = pick_neg[picked]
+        conf = np.where(pick_neg, p_neg[picked], p_pos[picked])
+        parts.append((cu[picked], cv[picked], np.where(pick_neg, NEG, POS), conf))
+    au, av, sign, conf = (np.concatenate(column) for column in zip(*parts))
 
-    deletions: list[EdgeSample] = []
-    if train:
-        eu = np.asarray([e.pair[0] for e in train], dtype=np.int64)
-        ev = np.asarray([e.pair[1] for e in train], dtype=np.int64)
-        probs = pair_class_probabilities(state, eu, ev)
-        for e, p in zip(train, probs):
-            if e.sign == POS and p[CLASS_POS] < config.eps_del_pos:
-                deletions.append(e.canonical())
-            elif e.sign == NEG and p[CLASS_NEG] < config.eps_del_neg:
-                deletions.append(e.canonical())
-    return CandidateSets(additions=additions, deletions=deletions)
+    # drop pairs the training set holds with the same sign (a repeated pair: its last record's)
+    edges = _canonical(train)
+    width = max(graph.num_nodes, int(edges.v.max(initial=0)) + 1)
+    keys, last = np.unique((edges.u * width + edges.v)[::-1], return_index=True)
+    held = 2 * keys + (edges.sign[::-1][last] == POS)
+    fresh = np.flatnonzero(~np.isin(2 * (au * width + av) + (sign == POS), held))
+    order = fresh[np.lexsort((av[fresh], au[fresh], -conf[fresh]))][: config.max_additions]
+
+    probs = pair_class_probabilities(state, edges.u, edges.v)
+    own = np.where(edges.sign == POS, probs[:, CLASS_POS], probs[:, CLASS_NEG])
+    threshold = np.where(edges.sign == POS, config.eps_del_pos, config.eps_del_neg)
+    return CandidateSets(
+        additions=EdgeColumns(au[order], av[order], sign[order]),
+        confidence=conf[order],
+        deletions=edges[own < threshold],
+    )
 
 
 def select_beneficial(
     train: Sequence[EdgeSample],
     candidates: CandidateSets,
     log_counts: AugmentationLog | None = None,
-) -> list[EdgeSample]:
+) -> EdgeColumns:
     """Apply deletions, then additions that close only balanced triangles.
 
+    The kept training edges come first, canonical and in training order
+    (the first record of a repeated pair wins), then the accepted additions.
     Additions are processed in the given (confidence-descending) order
     against the evolving working graph, so an accepted edge is visible to
     every later balance check.  Candidates whose pair is already occupied
     are skipped.
     """
     counts = log_counts if log_counts is not None else AugmentationLog()
-    adj: dict[int, dict[int, int]] = {}
+    edges = _canonical(train)
+    deletions = _canonical(candidates.deletions)
+    width = int(max(edges.v.max(initial=0), deletions.v.max(initial=0))) + 1
+    keys = edges.u * width + edges.v
+    deleted = np.isin(keys, deletions.u * width + deletions.v)
+    counts.deleted_pos += int(np.count_nonzero(deleted & (edges.sign == POS)))
+    counts.deleted_neg += int(np.count_nonzero(deleted & (edges.sign == NEG)))
+    first = np.zeros(len(edges), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    kept = edges[first & ~deleted]
 
-    def put(u: int, v: int, sign: int) -> None:
+    adj: dict[int, dict[int, int]] = {}
+    for u, v, sign in zip(kept.u.tolist(), kept.v.tolist(), kept.sign.tolist()):
         adj.setdefault(u, {})[v] = sign
         adj.setdefault(v, {})[u] = sign
-
-    def drop(u: int, v: int) -> None:
-        adj.get(u, {}).pop(v, None)
-        adj.get(v, {}).pop(u, None)
-
-    kept: list[EdgeSample] = []
-    deleted = {d.pair for d in candidates.deletions}
-    for e in train:
-        e = e.canonical()
-        if e.pair in deleted:
-            if e.sign == POS:
-                counts.deleted_pos += 1
-            else:
-                counts.deleted_neg += 1
-            continue
-        if e.pair[0] in adj and e.pair[1] in adj[e.pair[0]]:
-            continue  # duplicate record in input
-        put(e.u, e.v, e.sign)
-        kept.append(e)
-
-    accepted: list[EdgeSample] = []
-    for cand, _conf in candidates.additions:
-        u, v = cand.pair
-        if v in adj.get(u, {}):
+    additions = _canonical(candidates.additions)
+    accepted: list[int] = []
+    for i, (u, v, sign) in enumerate(
+        zip(additions.u.tolist(), additions.v.tolist(), additions.sign.tolist())
+    ):
+        nbrs_u = adj.setdefault(u, {})
+        nbrs_v = adj.setdefault(v, {})
+        if v in nbrs_u:
             continue  # pair occupied (same or opposite sign)
-        nbrs_u = adj.get(u, {})
-        nbrs_v = adj.get(v, {})
         if len(nbrs_v) < len(nbrs_u):
             nbrs_u, nbrs_v = nbrs_v, nbrs_u
-        ok = True
-        for k, s_uk in nbrs_u.items():
-            s_vk = nbrs_v.get(k)
-            if s_vk is not None and cand.sign * s_uk * s_vk < 0:
-                ok = False
-                break
-        if not ok:
+        if any(k in nbrs_v and sign * s_uk * nbrs_v[k] < 0 for k, s_uk in nbrs_u.items()):
             counts.rejected += 1
             continue
-        put(u, v, cand.sign)
-        accepted.append(EdgeSample(u, v, cand.sign))
-        if cand.sign == POS:
-            counts.added_pos += 1
-        else:
-            counts.added_neg += 1
-    return kept + accepted
+        adj[u][v] = adj[v][u] = sign
+        accepted.append(i)
+    added = additions[np.asarray(accepted, dtype=np.int64)]
+    counts.added_pos += int(np.count_nonzero(added.sign == POS))
+    counts.added_neg += int(np.count_nonzero(added.sign == NEG))
+    return _concat(kept, added)
 
 
 def augment(
@@ -237,12 +230,14 @@ def augment(
     enc_cfg: EncoderConfig,
     aug_cfg: AugmentConfig,
     pretrained: EncoderState | None = None,
-) -> tuple[list[EdgeSample], AugmentationLog]:
+) -> tuple[EdgeColumns, AugmentationLog, SignedGraph]:
     """Full structure-augmentation pass over a training edge set.
 
     ``graph`` must contain exactly the training edges (over the full node
     universe).  A freshly trained encoder scores candidates unless a
     ``pretrained`` state (from the same graph and config) is supplied.
+    Returns the augmented edges, the log, and the graph of the augmented
+    edges over the same node universe.
     """
     logrec = AugmentationLog()
     state = pretrained if pretrained is not None else train_encoder(graph, train, enc_cfg)
@@ -252,12 +247,10 @@ def augment(
     logrec.candidate_deletions = len(candidates.deletions)
     augmented = select_beneficial(train, candidates, log_counts=logrec)
 
-    report_before = balance_report(graph)
-    logrec.bd_before = report_before.balance_degree
-    logrec.density_before = density(graph)
     after_graph = graph_from_samples(augmented, graph.num_nodes)
-    report_after = balance_report(after_graph)
-    logrec.bd_after = report_after.balance_degree
+    logrec.bd_before = balance_report(graph).balance_degree
+    logrec.bd_after = balance_report(after_graph).balance_degree
+    logrec.density_before = density(graph)
     logrec.density_after = density(after_graph)
     log.info(
         "augment: +%d/-%d edges (%d rejected), balance %.4f -> %.4f",
@@ -267,4 +260,4 @@ def augment(
         -1 if logrec.bd_before is None else logrec.bd_before,
         -1 if logrec.bd_after is None else logrec.bd_after,
     )
-    return augmented, logrec
+    return augmented, logrec, after_graph

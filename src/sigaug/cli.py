@@ -348,10 +348,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     loaded = load_edge_list(path, format=fmt)
     graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
     split_seed, pretrain_seed, _, _ = _derive_seeds(args.seed)
-    split = split_train_test(graph.to_samples(), args.ratio, split_seed)
+    split = split_train_test(graph.edge_columns(), args.ratio, split_seed)
     train_graph = graph_from_samples(split.train, graph.num_nodes)
     enc_cfg = replace(cfg.encoder, seed=pretrain_seed)
-    augmented, logrec = augment(train_graph, split.train, enc_cfg, cfg.augment)
+    augmented, logrec, _ = augment(train_graph, split.train, enc_cfg, cfg.augment)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -105,9 +105,7 @@ class RunConfig:
     def resolved_pacing(self) -> PacingConfig:
         if self.pacing is not None:
             return self.pacing
-        return PacingConfig(
-            big_t=max(1, self.encoder.epochs // 2), total_epochs=self.encoder.epochs
-        )
+        return PacingConfig.for_epochs(self.encoder.epochs)
 
     def resolve_dataset(self, data_dirs: list[Path]) -> tuple[Path, str]:
         """Map a dataset name or path to (file path, format)."""
@@ -167,9 +165,8 @@ def config_from_dict(data: dict) -> RunConfig:
         cfg.augment = AugmentConfig(**data["augment"])
     if "pacing" in data:
         pacing = dict(data["pacing"])
-        pacing.setdefault("total_epochs", cfg.encoder.epochs)
-        pacing.setdefault("big_t", max(1, pacing["total_epochs"] // 2))
-        cfg.pacing = PacingConfig(**pacing)
+        total = pacing.pop("total_epochs", cfg.encoder.epochs)
+        cfg.pacing = PacingConfig.for_epochs(total, **pacing)
     run = data.get("run", {})
     cfg.pipeline = run.get("pipeline", cfg.pipeline)
     cfg.output_dir = run.get("output_dir", cfg.output_dir)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .balance import balance_report
 from .encoder import EncoderConfig, EncoderState, _train_loop, init_state
-from .graph import EdgeSample, SignedGraph
+from .graph import EdgeColumns, EdgeSample, SignedGraph, _canonical
 
 
 @dataclass
@@ -40,12 +40,18 @@ class PacingConfig:
                 f"big_t must be in [1, total_epochs={self.total_epochs}], got {self.big_t}"
             )
 
+    @classmethod
+    def for_epochs(cls, total_epochs: int, **fields) -> "PacingConfig":
+        """Pacing over ``total_epochs``; unless given, big_t is half of it (at least 1)."""
+        fields.setdefault("big_t", max(1, total_epochs // 2))
+        return cls(total_epochs=total_epochs, **fields)
+
 
 @dataclass
 class CurriculumSchedule:
-    """Edges sorted by (difficulty ascending, u, v) with parallel scores."""
+    """Canonical edge columns sorted by (difficulty ascending, u, v) with parallel scores."""
 
-    ordered_edges: list[EdgeSample]
+    ordered_edges: EdgeColumns
     difficulties: list[float]
 
 
@@ -66,9 +72,8 @@ def score_and_sort(graph: SignedGraph, train: Sequence[EdgeSample]) -> Curriculu
     edge multiset.
     """
     report = balance_report(graph)
-    edges = [e.canonical() for e in train]
-    u = np.fromiter((e.u for e in edges), dtype=np.int64, count=len(edges))
-    v = np.fromiter((e.v for e in edges), dtype=np.int64, count=len(edges))
+    edges = _canonical(train)
+    u, v = edges.u, edges.v
     # the report lists edges in (u, v) order, so its pair keys are sorted
     n = graph.num_nodes
     keys = report.u * n + report.v
@@ -78,14 +83,11 @@ def score_and_sort(graph: SignedGraph, train: Sequence[EdgeSample]) -> Curriculu
     present = np.zeros(len(edges), dtype=bool)
     present[inside] = keys[at[inside]] == wanted[inside]
     if not present.all():
-        e = edges[int(np.argmin(present))]
-        raise ValueError(f"train edge ({e.u}, {e.v}) not in scoring graph")
+        i = int(np.argmin(present))
+        raise ValueError(f"train edge ({u[i]}, {v[i]}) not in scoring graph")
     difficulty = report.difficulty[at]
     order = np.lexsort((v, u, difficulty))
-    return CurriculumSchedule(
-        ordered_edges=[edges[i] for i in order],
-        difficulties=difficulty[order].tolist(),
-    )
+    return CurriculumSchedule(ordered_edges=edges[order], difficulties=difficulty[order].tolist())
 
 
 def subset_size(n_edges: int, t: int, config: PacingConfig) -> int:
@@ -94,7 +96,7 @@ def subset_size(n_edges: int, t: int, config: PacingConfig) -> int:
 
 def subset_at_epoch(
     schedule: CurriculumSchedule, t: int, config: PacingConfig
-) -> list[EdgeSample]:
+) -> Sequence[EdgeSample]:
     """The easiest ceil(g(t) * N) edges (never empty)."""
     return schedule.ordered_edges[: subset_size(len(schedule.ordered_edges), t, config)]
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .graph import NEG, POS, EdgeSample, SignedGraph
+from .graph import NEG, POS, EdgeColumns, EdgeSample, SignedGraph, _columns
 
 log = logging.getLogger(__name__)
 
@@ -287,22 +287,17 @@ def _backward(
 def _as_index_arrays(
     samples: Sequence[tuple[int, int, int]] | Sequence[EdgeSample],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, class)`` arrays of edge samples or of ``(u, v, label)`` tuples."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    us, vs, cls = [], [], []
-    for s in samples:
-        if isinstance(s, EdgeSample):
-            u, v, label = s.u, s.v, s.sign
-        else:
-            u, v, label = s
-        us.append(u)
-        vs.append(v)
-        cls.append(LABEL_TO_CLASS[label])
-    return (
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(cls, dtype=np.int64),
-    )
+    if isinstance(samples, EdgeColumns) or isinstance(samples[0], EdgeSample):
+        u, v, label = _columns(samples)
+    else:
+        u, v, label = np.asarray(samples, dtype=np.int64).reshape(-1, 3).T
+    cls = np.select([label == k for k in LABEL_TO_CLASS], list(LABEL_TO_CLASS.values()), -1)
+    if (cls < 0).any():
+        raise KeyError(int(label[np.argmax(cls < 0)]))
+    return u, v, cls
 
 
 def _pair_logits(z: np.ndarray, theta: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .encoder import (
 from .graph import (
     NEG,
     POS,
+    EdgeColumns,
     EdgeSample,
     build_graph,
     density,
@@ -54,6 +55,7 @@ from .graph import (
     load_edge_list,
     split_train_test,
 )
+from .graph import _canonical, _columns, _concat
 
 log = logging.getLogger(__name__)
 
@@ -161,21 +163,16 @@ def fit_logistic(
     return w, float(b[0])
 
 
-def _pair_index(edges: Sequence[EdgeSample]) -> tuple[np.ndarray, np.ndarray]:
-    # canonical (u < v) order, so [z_u, z_v] does not depend on how an edge was written
-    pairs = np.asarray([e.pair for e in edges], dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _fit_sign_head(z: np.ndarray, train: Sequence[EdgeSample]) -> tuple[np.ndarray, float]:
-    labels01 = np.asarray([1.0 if e.sign == POS else 0.0 for e in train])
-    return fit_logistic(z, *_pair_index(train), labels01)
-
-
-def _head_scores(
-    z: np.ndarray, w: np.ndarray, b: float, edges: Sequence[EdgeSample]
+def _sign_head_scores(
+    state: EncoderState, train: Sequence[EdgeSample], edges: Sequence[EdgeSample]
 ) -> np.ndarray:
-    return _sigmoid(_pair_logits(z, w, *_pair_index(edges)) + b)
+    """P(positive) per edge from one logistic head fit on the train edges."""
+    if state.embeddings is None:
+        raise ValueError("state has no embeddings; train or run forward first")
+    # canonical (u < v) pairs, so [z_u, z_v] does not depend on how an edge was written
+    fit, edges = _canonical(train), _canonical(edges)
+    w, b = fit_logistic(state.embeddings, fit.u, fit.v, (fit.sign == POS).astype(np.float64))
+    return _sigmoid(_pair_logits(state.embeddings, w, edges.u, edges.v) + b)
 
 
 def predict_test_signs(
@@ -184,14 +181,9 @@ def predict_test_signs(
     test: Sequence[EdgeSample],
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(positive) per test edge from a logistic head fit on the train edges."""
-    if state.embeddings is None:
-        raise ValueError("state has no embeddings; train or run forward first")
-    if len({e.sign for e in train}) < 2:
+    if len(np.unique(_columns(train)[2])) < 2:
         raise ValueError("training set must contain both signs")
-    w, b = _fit_sign_head(state.embeddings, train)
-    scores = _head_scores(state.embeddings, w, b, test)
-    labels = np.asarray([e.sign for e in test], dtype=np.int64)
-    return scores, labels
+    return _sign_head_scores(state, train, test), np.array(_columns(test)[2])
 
 
 # -- random perturbation baselines ---------------------------------------------
@@ -203,54 +195,46 @@ def random_perturbation(
     ratio: float,
     seed: int,
     num_nodes: int | None = None,
-) -> list[EdgeSample]:
+) -> EdgeColumns:
     """Uniformly apply one random edit kind to ceil(ratio * |edges|) items.
 
     drop-edge/flip-sign draw from all edges, del-pos/del-neg only from that
     sign's edges (error when the pool is too small), add-pos/add-neg insert
-    uniformly random absent pairs with the given sign.
+    uniformly random absent pairs with the given sign.  Edges come back
+    canonical (u < v) and in input order, additions last.
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
-    edges = [e.canonical() for e in train]
+    edges = _canonical(train)
     if ratio == 0.0:
         return edges
     if num_nodes is None:
-        num_nodes = 1 + max(max(e.u, e.v) for e in edges)
+        num_nodes = _node_count(edges)
     rng = np.random.Generator(np.random.PCG64(seed))
     count = math.ceil(ratio * len(edges))
 
-    if kind in ("drop-edge", "flip-sign"):
-        pool = list(range(len(edges)))
-    elif kind == "del-pos":
-        pool = [i for i, e in enumerate(edges) if e.sign == POS]
-    elif kind == "del-neg":
-        pool = [i for i, e in enumerate(edges) if e.sign == NEG]
-    else:
-        pool = []
-
-    if kind in ("drop-edge", "del-pos", "del-neg"):
+    if kind in ("drop-edge", "del-pos", "del-neg", "flip-sign"):
+        pool = np.arange(len(edges))
+        if kind in ("del-pos", "del-neg"):
+            pool = np.flatnonzero(edges.sign == (POS if kind == "del-pos" else NEG))
         if count > len(pool):
             raise ValueError(
                 f"{kind}: cannot remove {count} edges from a pool of {len(pool)}"
             )
-        chosen = set(rng.choice(pool, size=count, replace=False).tolist()) if count else set()
-        return [e for i, e in enumerate(edges) if i not in chosen]
-    if kind == "flip-sign":
-        chosen = set(rng.choice(pool, size=count, replace=False).tolist()) if count else set()
-        return [
-            EdgeSample(e.u, e.v, -e.sign) if i in chosen else e
-            for i, e in enumerate(edges)
-        ]
+        chosen = np.zeros(len(edges), dtype=bool)
+        chosen[rng.choice(pool, size=count, replace=False)] = True
+        if kind == "flip-sign":
+            return EdgeColumns(edges.u, edges.v, np.where(chosen, -edges.sign, edges.sign))
+        return edges[~chosen]
     # additions
     sign = POS if kind == "add-pos" else NEG
-    occupied = {e.pair for e in edges}
+    occupied = set(zip(edges.u.tolist(), edges.v.tolist()))
     max_pairs = num_nodes * (num_nodes - 1) // 2
     if count > max_pairs - len(occupied):
         raise ValueError("not enough absent pairs to add")
-    added: list[EdgeSample] = []
+    added: list[tuple[int, int]] = []
     while len(added) < count:
         a = int(rng.integers(0, num_nodes))
         b = int(rng.integers(0, num_nodes))
@@ -260,8 +244,9 @@ def random_perturbation(
         if pair in occupied:
             continue
         occupied.add(pair)
-        added.append(EdgeSample(pair[0], pair[1], sign))
-    return edges + added
+        added.append(pair)
+    au, av = np.asarray(added, dtype=np.int64).reshape(-1, 2).T
+    return _concat(edges, EdgeColumns(au, av, np.full(count, sign)))
 
 
 # -- generalization-gap diagnostic ----------------------------------------------
@@ -324,13 +309,22 @@ def generalization_diagnostic(
     Train/test error is the mean binary cross-entropy of the logistic sign
     classifier; beta is max|Z| and theta the recorded initial weight norm.
     """
+    edges = _concat(train, test)
+    scores = _sign_head_scores(state, train, edges)
+    return _gap_diagnostic(state, scores, edges.sign, len(train), constants)
+
+
+def _gap_diagnostic(
+    state: EncoderState,
+    scores: np.ndarray,
+    labels: np.ndarray,
+    n_train: int,
+    constants: GapConstants | None,
+) -> GapDiagnostic:
+    """The diagnostic from one head's scores of the train edges followed by the test edges."""
     constants = constants or GapConstants()
-    z = state.embeddings
-    w, b = _fit_sign_head(z, train)
-    train_scores = _head_scores(z, w, b, train)
-    test_scores = _head_scores(z, w, b, test)
-    train_err = _binary_cross_entropy(train_scores, np.asarray([e.sign for e in train]))
-    test_err = _binary_cross_entropy(test_scores, np.asarray([e.sign for e in test]))
+    train_err = _binary_cross_entropy(scores[:n_train], labels[:n_train])
+    test_err = _binary_cross_entropy(scores[n_train:], labels[n_train:])
     beta = float(np.abs(state.embeddings).max())
     return GapDiagnostic(
         train_error=train_err,
@@ -339,8 +333,8 @@ def generalization_diagnostic(
         z_inf_norm=beta,
         weight_norm=state.weight_norm(),
         init_weight_norm=state.init_weight_norm,
-        n_train_edges=len(train),
-        bound_value=bound_value(constants, beta, state.init_weight_norm, len(train)),
+        n_train_edges=n_train,
+        bound_value=bound_value(constants, beta, state.init_weight_norm, n_train),
     )
 
 
@@ -349,6 +343,13 @@ def generalization_diagnostic(
 
 @dataclass
 class SeedResult:
+    """One seed of an experiment.
+
+    ``final_train`` holds the edges the final model trained on (the split's
+    train edges after augmentation or perturbation, if any) as canonical
+    ``EdgeColumns``; ``schedule`` is their curriculum order.
+    """
+
     seed: int
     metrics: MetricsSet
     n_train: int
@@ -361,7 +362,7 @@ class SeedResult:
     runtime_sec: float
     augmentation: AugmentationLog | None = None
     diagnostic: GapDiagnostic | None = None
-    final_train: list[EdgeSample] = field(default_factory=list)
+    final_train: EdgeColumns = field(default_factory=lambda: EdgeColumns((), (), ()))
     schedule: CurriculumSchedule | None = None
     encoder_state: EncoderState | None = None
 
@@ -436,15 +437,21 @@ def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
     return pipeline, None, 0.0
 
 
-def _load_edges(dataset, dataset_format: str) -> tuple[list[EdgeSample], int, str]:
+def _node_count(edges: EdgeColumns) -> int:
+    """One more than the largest node id of canonical (u < v) edges."""
+    if len(edges) == 0:
+        raise ValueError("edge set is empty; there are no nodes to count")
+    return int(edges.v.max()) + 1
+
+
+def _load_edges(dataset, dataset_format: str) -> tuple[EdgeColumns, int, str]:
     if isinstance(dataset, (str, Path)):
         loaded = load_edge_list(dataset, format=dataset_format)
         graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
-        return graph.to_samples(), graph.num_nodes, str(dataset)
-    edges = [e.canonical() for e in dataset]
-    num_nodes = 1 + max(max(e.u, e.v) for e in edges)
-    graph = graph_from_samples(edges, num_nodes)
-    return graph.to_samples(), num_nodes, "<in-memory>"
+        return graph.edge_columns(), graph.num_nodes, str(dataset)
+    edges = _canonical(dataset)
+    num_nodes = _node_count(edges)
+    return graph_from_samples(edges, num_nodes).edge_columns(), num_nodes, "<in-memory>"
 
 
 def run_experiment(
@@ -472,9 +479,7 @@ def run_experiment(
     """
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
-    pace_cfg = pace_cfg or PacingConfig(
-        big_t=max(1, enc_cfg.epochs // 2), total_epochs=enc_cfg.epochs
-    )
+    pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
     if pace_cfg.total_epochs != enc_cfg.epochs:
         pace_cfg = replace(pace_cfg, total_epochs=enc_cfg.epochs)
     kind, perturb_kind, perturb_ratio = _parse_pipeline(pipeline)
@@ -503,7 +508,7 @@ def run_experiment(
                     scorer = train_encoder(train_graph, train, pre_cfg)
                     if encoder_cache is not None:
                         encoder_cache[seed] = scorer
-                final_train, aug_log = augment(
+                final_train, aug_log, final_graph = augment(
                     train_graph, train, pre_cfg, aug_cfg, pretrained=scorer
                 )
             elif kind == "random":
@@ -511,14 +516,12 @@ def run_experiment(
                 final_train = random_perturbation(
                     train, perturb_kind, perturb_ratio, perturb_seed, num_nodes=num_nodes
                 )
-            else:
-                final_train = train
-
-            stage = "schedule"
-            if final_train is train:
-                final_graph = train_graph  # same edges: reuse its memoised balance report
-            else:
                 final_graph = graph_from_samples(final_train, num_nodes)
+            else:
+                final_train, final_graph = train, train_graph
+
+            # the final graph's balance report is computed once, then memoised on it
+            stage = "schedule"
             schedule = score_and_sort(final_graph, final_train)
             pace = pace_cfg if kind in ("sga", "tp-only") else plain_pace
 
@@ -527,15 +530,18 @@ def run_experiment(
             state = train_with_curriculum(final_graph, schedule, model_cfg, pace)
 
             stage = "evaluate"
-            scores, labels = predict_test_signs(state, final_train, split.test)
-            metrics = compute_metrics(scores, labels)
+            # one head fit also scores the train edges, for the gap diagnostic
+            n_fit = len(final_train)
+            scored = _concat(final_train, split.test)
+            scores, labels = predict_test_signs(state, final_train, scored)
+            metrics = compute_metrics(scores[n_fit:], labels[n_fit:])
             after_report = balance_report(final_graph)
             diag = None
             if diagnostic:
                 constants = gap_constants or GapConstants(
                     eta=enc_cfg.learning_rate, t=enc_cfg.epochs
                 )
-                diag = generalization_diagnostic(state, final_train, split.test, constants)
+                diag = _gap_diagnostic(state, scores, labels, n_fit, constants)
         except Exception as exc:
             raise RuntimeError(f"seed {seed}: stage {stage!r} failed: {exc}") from exc
         result = SeedResult(
@@ -551,7 +557,7 @@ def run_experiment(
             runtime_sec=time.perf_counter() - started,
             augmentation=aug_log,
             diagnostic=diag,
-            final_train=list(final_train),
+            final_train=final_train,
             schedule=schedule,
             encoder_state=state if keep_states else None,
         )
@@ -623,9 +629,7 @@ def sensitivity_sweep(
         raise ValueError("sweep needs at least one value")
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
-    pace_cfg = pace_cfg or PacingConfig(
-        big_t=max(1, enc_cfg.epochs // 2), total_epochs=enc_cfg.epochs
-    )
+    pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
     cache: dict = {}
     rows: list[dict] = []
     for value in values:

@@ -9,10 +9,12 @@ Edges travel as columns: three int64 arrays ``(u, v, sign)``.  The loader
 parses straight into them, ``build_graph``, ``graph_from_samples`` and
 ``split_train_test`` work on them with sorts and bincounts, and
 ``SignedGraph`` keeps a CSR layout plus its upper-triangle columns in
-(u, v) order.  ``EdgeSample`` objects exist only at the API and file
-boundary: ``EdgeColumns`` is a read-only ``Sequence[EdgeSample]`` over the
-columns that builds a sample when indexed or iterated, and plain lists of
-samples are accepted everywhere and converted to columns once.
+(u, v) order.  The rest of the pipeline (candidate scan, selection,
+perturbation, curriculum, encoder training and the sign head) reads and
+returns ``EdgeColumns`` too.  ``EdgeSample`` objects exist only at the API
+and file boundary: ``EdgeColumns`` is a read-only ``Sequence[EdgeSample]``
+over the columns that builds a sample when indexed or iterated, and plain
+lists of samples are accepted everywhere and converted to columns once.
 """
 
 from __future__ import annotations
@@ -115,6 +117,17 @@ def _columns(samples: Sequence[EdgeSample]) -> tuple[np.ndarray, np.ndarray, np.
         for name in ("u", "v", "sign")
     )
     return u, v, sign
+
+
+def _canonical(samples: Sequence[EdgeSample]) -> EdgeColumns:
+    """Samples as columns with every pair written u < v, in input order."""
+    u, v, sign = _columns(samples)
+    return EdgeColumns(np.minimum(u, v), np.maximum(u, v), sign)
+
+
+def _concat(*parts: Sequence[EdgeSample]) -> EdgeColumns:
+    """The rows of ``parts`` one after another, as columns."""
+    return EdgeColumns(*map(np.concatenate, zip(*map(_columns, parts))))
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -421,13 +434,10 @@ def graph_from_samples(samples: Sequence[EdgeSample], num_nodes: int) -> SignedG
 
 @dataclass
 class DatasetSplit:
-    """Train/test partition of an undirected edge list.
+    """Train/test partition of an edge list, both halves as ``EdgeColumns``."""
 
-    The halves are ``EdgeColumns`` when the split input was, else lists.
-    """
-
-    train: Sequence[EdgeSample]
-    test: Sequence[EdgeSample]
+    train: EdgeColumns
+    test: EdgeColumns
     seed: int
     ratio: float = field(default=0.8)
 
@@ -443,12 +453,8 @@ def split_train_test(
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(len(edges))
     n_train = math.ceil(ratio * len(edges))
-    if isinstance(edges, EdgeColumns):
-        train, test = edges[perm[:n_train]], edges[perm[n_train:]]
-    else:
-        train = [edges[i] for i in perm[:n_train]]
-        test = [edges[i] for i in perm[n_train:]]
-    return DatasetSplit(train=train, test=test, seed=seed, ratio=ratio)
+    edges = EdgeColumns(*_columns(edges))
+    return DatasetSplit(edges[perm[:n_train]], edges[perm[n_train:]], seed, ratio)
 
 
 def density(graph: SignedGraph) -> float:

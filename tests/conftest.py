@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sigaug.graph import EdgeSample, graph_from_samples
+from sigaug.augment import CandidateSets
+from sigaug.graph import EdgeColumns, EdgeSample, _columns, graph_from_samples
 
 # CI selects this with --hypothesis-profile=ci: every run draws the same
 # examples, so a property-test failure there reproduces locally.
@@ -60,6 +61,15 @@ def community_records(
                     sign = -sign
                 edges.append(EdgeSample(u, v, sign))
     return edges
+
+
+def candidate_sets(additions=(), deletions=()) -> CandidateSets:
+    """``CandidateSets`` from ``(EdgeSample, confidence)`` pairs and deletion samples."""
+    return CandidateSets(
+        additions=EdgeColumns(*_columns([e for e, _ in additions])),
+        confidence=np.asarray([conf for _, conf in additions], dtype=np.float64),
+        deletions=EdgeColumns(*_columns(list(deletions))),
+    )
 
 
 def random_signed_records(

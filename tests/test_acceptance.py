@@ -16,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dataset_file, random_signed_records
-from sigaug.augment import AugmentConfig, CandidateSets, select_beneficial
+from conftest import candidate_sets, dataset_file, random_signed_records
+from sigaug.augment import AugmentConfig, select_beneficial
 from sigaug.balance import balance_report
 from sigaug.curriculum import CurriculumSchedule, PacingConfig, pacing, subset_at_epoch
 from sigaug.encoder import (
@@ -345,7 +345,7 @@ def test_criterion_8e_selection_safety():
                 (EdgeSample(u, v, 1 if rng.random() < 0.6 else -1), float(rng.random()))
             )
         proposals.sort(key=lambda item: -item[1])
-        out = select_beneficial(train, CandidateSets(proposals, []))
+        out = select_beneficial(train, candidate_sets(proposals))
         sign = {e.pair: e.sign for e in out}
         added = set(sign) - original
         for (u, v) in added:

@@ -354,6 +354,25 @@ output_dir = "{tmp_path / 'from_toml'}"
     assert report["seeds"] == [0]
 
 
+@pytest.mark.parametrize(
+    "data, big_t, total_epochs",
+    [
+        ({}, 150, 300),
+        ({"encoder": {"epochs": 9}}, 4, 9),
+        ({"encoder": {"epochs": 1}}, 1, 1),
+        ({"pacing": {"lambda0": 0.5}, "encoder": {"epochs": 9}}, 4, 9),
+        ({"pacing": {"total_epochs": 7}, "encoder": {"epochs": 20}}, 3, 7),
+        ({"pacing": {"big_t": 2}, "encoder": {"epochs": 20}}, 2, 20),
+    ],
+)
+def test_default_pacing_saturates_halfway(data, big_t, total_epochs):
+    from sigaug.config import config_from_dict
+
+    pacing = config_from_dict(data).resolved_pacing()
+    assert (pacing.big_t, pacing.total_epochs) == (big_t, total_epochs)
+    assert pacing.lambda0 == data.get("pacing", {}).get("lambda0", 0.25)
+
+
 def test_fallback_toml_reader_matches_library():
     # pytest pulls in tomli on 3.10, so the fallback needs a direct check
     from sigaug.config import _fallback_toml, _toml

@@ -12,6 +12,7 @@ from sigaug.augment import AugmentConfig
 from sigaug.curriculum import PacingConfig
 from sigaug.encoder import EncoderConfig, EncoderState, _pair_logits, train_encoder
 from sigaug.evalbench import (
+    PERTURBATION_KINDS,
     GapConstants,
     _sigmoid,
     auc_rank,
@@ -24,7 +25,7 @@ from sigaug.evalbench import (
     run_experiment,
     sensitivity_sweep,
 )
-from sigaug.graph import EdgeSample, graph_from_samples
+from sigaug.graph import EdgeColumns, EdgeSample, graph_from_samples
 
 
 # -- AUC -----------------------------------------------------------------------
@@ -353,6 +354,16 @@ def test_predict_test_signs_single_class_errors():
         predict_test_signs(state, train, [EdgeSample(0, 2, 1)])
 
 
+def test_sign_head_needs_embeddings():
+    state = separable_state()
+    state.embeddings = None
+    test = [EdgeSample(0, 2, 1)]
+    with pytest.raises(ValueError, match="no embeddings"):
+        predict_test_signs(state, SEPARABLE_TRAIN, test)
+    with pytest.raises(ValueError, match="no embeddings"):
+        generalization_diagnostic(state, SEPARABLE_TRAIN, test)
+
+
 # -- random perturbations ----------------------------------------------------------
 
 
@@ -368,9 +379,60 @@ def edges_mixed(n_pos=70, n_neg=30):
     return edges
 
 
+def list_random_perturbation(train, kind, ratio, seed, num_nodes=None):
+    """The per-sample perturbation, kept as an oracle for the columnar code."""
+    edges = [e.canonical() for e in train]
+    if ratio == 0.0:
+        return edges
+    if num_nodes is None:
+        num_nodes = 1 + max(max(e.u, e.v) for e in edges)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    count = math.ceil(ratio * len(edges))
+    if kind.startswith("add-"):
+        sign = 1 if kind == "add-pos" else -1
+        occupied = {e.pair for e in edges}
+        if count > num_nodes * (num_nodes - 1) // 2 - len(occupied):
+            raise ValueError("not enough absent pairs to add")
+        added = []
+        while len(added) < count:
+            a, b = int(rng.integers(0, num_nodes)), int(rng.integers(0, num_nodes))
+            pair = (min(a, b), max(a, b))
+            if a != b and pair not in occupied:
+                occupied.add(pair)
+                added.append(EdgeSample(*pair, sign))
+        return edges + added
+    pool = [i for i, e in enumerate(edges)
+            if kind in ("drop-edge", "flip-sign") or e.sign == (1 if kind == "del-pos" else -1)]
+    chosen = set(rng.choice(pool, size=count, replace=False).tolist()) if count else set()
+    if kind == "flip-sign":
+        return [EdgeSample(e.u, e.v, -e.sign) if i in chosen else e for i, e in enumerate(edges)]
+    return [e for i, e in enumerate(edges) if i not in chosen]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14), st.sampled_from([1, -1]))
+             .filter(lambda r: r[0] != r[1]), min_size=1, max_size=30),
+    st.sampled_from(PERTURBATION_KINDS),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 15, 40]),
+)
+@settings(max_examples=150, deadline=None)
+def test_perturbation_matches_list_oracle(rows, kind, ratio, seed, num_nodes):
+    train = [EdgeSample(*r) for r in rows]
+    try:
+        expected = list_random_perturbation(train, kind, ratio, seed, num_nodes)
+    except ValueError:  # a del-* pool too small, or too few absent pairs
+        with pytest.raises(ValueError):
+            random_perturbation(train, kind, ratio, seed, num_nodes)
+        return
+    for edges in (train, EdgeColumns(*np.array(rows).T)):
+        assert list(random_perturbation(edges, kind, ratio, seed, num_nodes)) == expected
+
+
 def test_perturbation_ratio_zero_is_identity():
     edges = edges_mixed()
-    assert random_perturbation(edges, "drop-edge", 0.0, seed=1) == edges
+    assert list(random_perturbation(edges, "drop-edge", 0.0, seed=1)) == edges
 
 
 def test_perturbation_drop_count():
@@ -407,7 +469,12 @@ def test_perturbation_deterministic():
     edges = edges_mixed()
     a = random_perturbation(edges, "drop-edge", 0.3, seed=9)
     b = random_perturbation(edges, "drop-edge", 0.3, seed=9)
-    assert a == b
+    assert list(a) == list(b)
+
+
+def test_perturbation_of_empty_edge_set_fails_clearly():
+    with pytest.raises(ValueError, match="edge set is empty"):
+        random_perturbation([], "add-pos", 0.5, seed=0)
 
 
 def test_perturbation_validation():
@@ -496,13 +563,47 @@ def test_run_experiment_records_densities_and_balance(tiny_setup):
     assert rep.aggregate()["auc"]["n"] == 1
 
 
-@pytest.mark.parametrize("pipeline, per_seed", [("baseline", 1), ("sga", 3)])
+@pytest.mark.parametrize("pipeline, per_seed", [("baseline", 1), ("sga", 2)])
 def test_balance_kernel_evaluations_per_seed(tiny_setup, kernel_calls, pipeline, per_seed):
     # baseline scores, trains and reports on its one train graph; sga
-    # evaluates the train graph, augment's result graph and the final graph
+    # evaluates the train graph and augment's result graph, which it then
+    # scores, trains and reports on
     edges, enc = tiny_setup
     run_experiment(edges, pipeline, [0, 1], enc_cfg=enc)
     assert len(kernel_calls) == 2 * per_seed
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    ["baseline", "sga", "sa-only", "tp-only", *(f"random:{k},0.1" for k in PERTURBATION_KINDS)],
+)
+def test_run_experiment_on_columns_builds_no_edge_samples(monkeypatch, pipeline):
+    edges = graph_from_samples(
+        community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08), 40
+    ).edge_columns()
+    built = []
+    post_init = EdgeSample.__post_init__
+    monkeypatch.setattr(EdgeSample, "__post_init__", lambda e: built.append(e) or post_init(e))
+    aug = AugmentConfig(eps_add_pos=0.6, eps_add_neg=0.6, eps_del_pos=0.2, eps_del_neg=0.2)
+    report = run_experiment(edges, pipeline, [3, 4], enc_cfg=EncoderConfig(embed_dim=8, epochs=20),
+                            aug_cfg=aug, diagnostic=True)
+    assert len(report.results) == 2
+    assert built == []
+
+
+def test_diagnostic_run_fits_the_sign_head_once_per_seed(tiny_setup, monkeypatch):
+    edges, enc = tiny_setup
+    fits = []
+    fit = evalbench.fit_logistic
+    monkeypatch.setattr(evalbench, "fit_logistic", lambda *a, **k: fits.append(1) or fit(*a, **k))
+    report = run_experiment(edges, "baseline", [0, 1], enc_cfg=enc, diagnostic=True)
+    assert len(fits) == 2
+    assert all(r.diagnostic is not None for r in report.results)
+
+
+def test_run_experiment_on_empty_edge_set_fails_clearly():
+    with pytest.raises(ValueError, match="edge set is empty"):
+        run_experiment([], "baseline", [0])
 
 
 def test_run_experiment_unknown_pipeline(tiny_setup):

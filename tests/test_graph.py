@@ -171,7 +171,7 @@ def test_split_deterministic():
     edges = [EdgeSample(i, i + 1, 1) for i in range(10)]
     a = split_train_test(edges, 0.8, seed=5)
     b = split_train_test(edges, 0.8, seed=5)
-    assert a.train == b.train and a.test == b.test
+    assert list(a.train) == list(b.train) and list(a.test) == list(b.test)
 
 
 @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.floats(0.1, 0.9))
@@ -179,7 +179,7 @@ def test_split_deterministic():
 def test_split_is_partition(n_edges, seed, ratio):
     edges = [EdgeSample(i, i + 1, 1 if i % 3 else -1) for i in range(n_edges)]
     split = split_train_test(edges, ratio, seed)
-    assert sorted(split.train + split.test) == sorted(edges)
+    assert sorted([*split.train, *split.test]) == sorted(edges)
     assert len(split.train) == math.ceil(ratio * n_edges)
 
 
@@ -472,11 +472,12 @@ def test_split_order_same_for_lists_and_columns(records, seed, ratio):
     n_train = math.ceil(ratio * len(edges))
     from_list = split_train_test(edges, ratio, seed)
     from_columns = split_train_test(columns, ratio, seed)
-    assert from_list.train == [edges[i] for i in perm[:n_train]]
-    assert from_list.test == [edges[i] for i in perm[n_train:]]
+    assert list(from_list.train) == [edges[i] for i in perm[:n_train]]
+    assert list(from_list.test) == [edges[i] for i in perm[n_train:]]
+    assert isinstance(from_list.train, EdgeColumns)
     assert isinstance(from_columns.train, EdgeColumns)
-    assert list(from_columns.train) == from_list.train
-    assert list(from_columns.test) == from_list.test
+    assert list(from_columns.train) == list(from_list.train)
+    assert list(from_columns.test) == list(from_list.test)
 
 
 def test_graph_from_samples_rejects_conflicting_signs():
