@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Manual benchmark driver for the large datasets (multi-hour desk runs).
 
-Runs baseline and augmented pipelines over every dataset found in datasets/,
-five seeds each, writing one output directory per (dataset, pipeline).  The
-small bitcoin graphs take minutes; epinions/slashdot-scale graphs take hours
+Runs baseline and augmented pipelines over the chosen datasets (names from
+``sigaug.config.KNOWN_DATASETS``), five seeds each, writing one output
+directory per (dataset, pipeline).  Like the ``sigaug`` command it starts,
+it needs sigaug importable (installed, or ``PYTHONPATH=src``).  The small
+bitcoin graphs take minutes; epinions/slashdot-scale graphs take hours
 on a laptop CPU, which is why these rows are not part of the acceptance gate.
 
 Usage:
@@ -17,8 +19,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sigaug.config import KNOWN_DATASETS
+
 REPO = Path(__file__).resolve().parent.parent
-ALL_DATASETS = ["bitcoin-alpha", "bitcoin-otc", "epinions", "slashdot", "wiki-elec", "wiki-rfa"]
 DEFAULT_PIPELINES = ["baseline", "sga", "sa-only", "tp-only"]
 
 
@@ -32,7 +35,7 @@ def main() -> int:
 
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
     pipelines = [p.strip() for p in args.pipelines.split(",") if p.strip()]
-    unknown = [d for d in datasets if d not in ALL_DATASETS]
+    unknown = [d for d in datasets if d not in KNOWN_DATASETS]
     if unknown:
         raise SystemExit(f"unknown datasets {unknown}")
 

@@ -35,15 +35,6 @@ def _apply_thread_cap() -> str | None:
     return cap
 
 
-def _data_dirs() -> list[Path]:
-    dirs = []
-    env = os.environ.get("SIGAUG_DATA_DIR")
-    if env:
-        dirs.append(Path(env))
-    dirs.append(Path("datasets"))
-    return dirs
-
-
 def _print(obj, as_json: bool) -> None:
     if as_json:
         print(json.dumps(obj, indent=2, sort_keys=True))
@@ -57,13 +48,21 @@ def _print(obj, as_json: bool) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
+def _cell(value: float | None, digits: int = 6) -> str:
+    return "" if value is None else f"{value:.{digits}f}"
+
+
 # -- argument plumbing ---------------------------------------------------------
+#
+# Every flag that sets a config field stores under that field's name, so
+# ``config_from_dict`` overlays the parsed flags on a config file by name.
 
 
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", required=True, help="dataset name or edge-file path")
+def _add_dataset_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--dataset", required=required, help="dataset name or edge-file path")
     p.add_argument(
         "--format",
+        dest="dataset_format",
         choices=["rating-csv", "sign-tsv"],
         help="edge file format (default: inferred from name/extension)",
     )
@@ -91,15 +90,18 @@ def _add_augment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-additions", type=int)
 
 
-def _add_pacing_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser, pipeline_help: str) -> None:
+    """The flags ``run`` and ``sweep`` share: a config file and what overrides it."""
+    p.add_argument("--config", help="TOML or JSON config file; flags override")
+    _add_dataset_args(p, required=False)
+    p.add_argument("--pipeline", help=pipeline_help)
+    p.add_argument("--seeds", help="count (e.g. 5) or comma list (e.g. 0,1,2)")
+    p.add_argument("--ratio", type=float, help="train fraction")
+    p.add_argument("--outdir", dest="output_dir", metavar="OUTDIR", help="output directory")
+    _add_encoder_args(p)
+    _add_augment_args(p)
     p.add_argument("--lambda0", type=float, help="initial fraction of easiest edges")
     p.add_argument("--big-t", type=int, help="epoch at which the pacing reaches 1")
-
-
-def _parse_seeds(raw: str) -> list[int]:
-    if "," in raw:
-        return [int(s) for s in raw.split(",") if s.strip()]
-    return list(range(int(raw)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,110 +128,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_encoder_args(p)
     _add_augment_args(p)
-    p.add_argument("--ratio", type=float, default=0.8, help="train fraction")
-    p.add_argument("--seed", type=int, default=0, help="experiment seed")
-    p.add_argument("--outdir", default="sigaug-out", help="output directory")
+    p.add_argument("--ratio", type=float, help="train fraction")
+    p.add_argument(
+        "--seed", dest="single_seed", metavar="SEED", type=int, default=0, help="experiment seed"
+    )
+    p.add_argument("--outdir", dest="output_dir", metavar="OUTDIR", help="output directory")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("run", help="multi-seed experiment for one pipeline")
-    p.add_argument("--config", help="TOML or JSON config file; flags override")
-    p.add_argument("--dataset", help="dataset name or edge-file path")
-    p.add_argument("--format", choices=["rating-csv", "sign-tsv"])
+    _add_run_args(p, "baseline | sga | sa-only | tp-only | random:<kind>,<ratio>")
     p.add_argument(
-        "--pipeline",
-        help="baseline | sga | sa-only | tp-only | random:<kind>,<ratio>",
+        "--seed", dest="single_seed", metavar="SEED", type=int, help="single seed shorthand"
     )
-    p.add_argument("--seeds", help="count (e.g. 5) or comma list (e.g. 0,1,2)")
-    p.add_argument("--ratio", type=float, help="train fraction")
-    p.add_argument("--outdir", help="output directory")
-    p.add_argument("--seed", type=int, help="single seed shorthand")
-    p.add_argument("--diagnostic", action="store_true", help="emit generalization-gap diagnostics")
-    p.add_argument("--save-encoders", action="store_true", help="write final encoder checkpoints")
-    _add_encoder_args(p)
-    _add_augment_args(p)
-    _add_pacing_args(p)
+    p.add_argument(
+        "--diagnostic", action="store_true", default=None,
+        help="emit generalization-gap diagnostics",
+    )
+    p.add_argument(
+        "--save-encoders", action="store_true", default=None,
+        help="write final encoder checkpoints",
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="sensitivity sweep over one parameter")
-    p.add_argument("--config", help="TOML or JSON config file; flags override")
-    p.add_argument("--dataset", help="dataset name or edge-file path")
-    p.add_argument("--format", choices=["rating-csv", "sign-tsv"])
-    p.add_argument("--pipeline", help="pipeline to sweep (default sga)")
-    p.add_argument("--seeds", help="count or comma list")
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--outdir", help="output directory")
+    _add_run_args(p, "pipeline to sweep (default sga)")
     p.add_argument("--param", required=True, help="parameter to vary")
     p.add_argument("--values", required=True, help="comma-separated values")
-    _add_encoder_args(p)
-    _add_augment_args(p)
-    _add_pacing_args(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace):
-    """Config file (if any) overlaid with the provided flags."""
-    from dataclasses import replace
+def _config_from_args(args: argparse.Namespace, defaults: dict | None = None):
+    """The config file, if any, overlaid with the flags given.
 
-    from .config import RunConfig, load_config
+    An empty flag value (``--outdir ""``) counts as not given.  ``--seed k``
+    stands for ``--seeds k,`` unless ``--seeds`` is given.
+    """
+    from .config import config_from_dict, read_config_file
 
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "dataset", None):
-        cfg.dataset = args.dataset
-    if getattr(args, "format", None):
-        cfg.dataset_format = args.format
-    if getattr(args, "pipeline", None):
-        cfg.pipeline = args.pipeline
-    if getattr(args, "ratio", None) is not None:
-        cfg.ratio = args.ratio
-    if getattr(args, "seeds", None):
-        cfg.seeds = _parse_seeds(args.seeds)
-    elif getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
-    if getattr(args, "outdir", None):
-        cfg.output_dir = args.outdir
-    if getattr(args, "diagnostic", False):
-        cfg.diagnostic = True
-    if getattr(args, "save_encoders", False):
-        cfg.save_encoders = True
-
-    enc_overrides = {
-        "embed_dim": args.embed_dim,
-        "layers": args.layers,
-        "learning_rate": args.learning_rate,
-        "epochs": args.epochs,
-        "optimizer": args.optimizer,
-        "input_features": args.input_features,
-    }
-    enc_overrides = {k: v for k, v in enc_overrides.items() if v is not None}
-    if enc_overrides:
-        cfg.encoder = replace(cfg.encoder, **enc_overrides)
-    aug_overrides = {
-        "eps_add_pos": args.eps_add_pos,
-        "eps_add_neg": args.eps_add_neg,
-        "eps_del_pos": args.eps_del_pos,
-        "eps_del_neg": args.eps_del_neg,
-        "candidate_scope": args.candidate_scope,
-        "max_additions": args.max_additions,
-    }
-    aug_overrides = {k: v for k, v in aug_overrides.items() if v is not None}
-    if aug_overrides:
-        cfg.augment = replace(cfg.augment, **aug_overrides)
-    pace_overrides = {}
-    if getattr(args, "lambda0", None) is not None:
-        pace_overrides["lambda0"] = args.lambda0
-    if getattr(args, "big_t", None) is not None:
-        pace_overrides["big_t"] = args.big_t
-    if pace_overrides:
-        base = cfg.resolved_pacing()
-        cfg.pacing = replace(base, **pace_overrides)
-    if not cfg.dataset:
-        raise ValueError("no dataset given (use --dataset or a config file)")
-    return cfg
+    data = read_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {name: value for name, value in vars(args).items() if value != ""}
+    if flags.get("seeds") is None and flags.get("single_seed") is not None:
+        flags["seeds"] = [flags["single_seed"]]
+    return config_from_dict(data, flags, defaults)
 
 
-def _environment(threads: str | None) -> dict:
+def _environment() -> dict:
     import numpy
     import scipy
 
@@ -239,8 +184,44 @@ def _environment(threads: str | None) -> dict:
         "sigaug_version": __version__,
         "numpy_version": numpy.__version__,
         "scipy_version": scipy.__version__,
-        "sigaug_threads": threads,
+        "sigaug_threads": os.environ.get("SIGAUG_THREADS"),
     }
+
+
+def _load_graph(args: argparse.Namespace):
+    """Config, dataset file, loaded records and built graph of a single-graph command."""
+    from .graph import build_graph, load_edge_list
+
+    cfg = _config_from_args(args)
+    path, fmt = cfg.resolve_dataset()
+    loaded = load_edge_list(path, format=fmt)
+    graph, build_stats = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
+    return cfg, path, loaded, graph, build_stats
+
+
+def _prepare_run(args: argparse.Namespace, defaults: dict | None = None):
+    """Config, output directory and ``run_experiment`` arguments of a run or sweep.
+
+    Creates the output directory and writes ``config.resolved.json`` into it.
+    """
+    from .config import write_resolved
+
+    cfg = _config_from_args(args, defaults)
+    path, fmt = cfg.resolve_dataset()
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_resolved(cfg, outdir / "config.resolved.json", _environment())
+    experiment = dict(
+        dataset=path,
+        pipeline=cfg.pipeline,
+        seeds=cfg.seeds,
+        enc_cfg=cfg.encoder,
+        aug_cfg=cfg.augment,
+        pace_cfg=cfg.pacing,
+        ratio=cfg.ratio,
+        dataset_format=fmt,
+    )
+    return cfg, outdir, experiment
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -248,14 +229,9 @@ def _environment(threads: str | None) -> dict:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from .balance import balance_report
-    from .config import RunConfig
-    from .graph import build_graph, density, load_edge_list, record_density, split_train_test
-    from .graph import graph_from_samples
+    from .graph import density, graph_from_samples, record_density, split_train_test
 
-    cfg = RunConfig(dataset=args.dataset, dataset_format=args.format)
-    path, fmt = cfg.resolve_dataset(_data_dirs())
-    loaded = load_edge_list(path, format=fmt)
-    graph, build_stats = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
+    _, path, loaded, graph, build_stats = _load_graph(args)
     report = balance_report(graph)
     bd = report.balance_degree
     out = {
@@ -293,13 +269,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_balance_report(args: argparse.Namespace) -> int:
     from .balance import balance_report
-    from .config import RunConfig
-    from .graph import build_graph, load_edge_list
 
-    cfg = RunConfig(dataset=args.dataset, dataset_format=args.format)
-    path, fmt = cfg.resolve_dataset(_data_dirs())
-    loaded = load_edge_list(path, format=fmt)
-    graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
+    _, _, _, graph, _ = _load_graph(args)
     report = balance_report(graph)
     bd = report.balance_degree
     print(
@@ -341,19 +312,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     from .augment import augment
     from .evalbench import _derive_seeds
-    from .graph import build_graph, graph_from_samples, load_edge_list, split_train_test
+    from .graph import graph_from_samples, split_train_test
 
-    cfg = _config_from_args(args)
-    path, fmt = cfg.resolve_dataset(_data_dirs())
-    loaded = load_edge_list(path, format=fmt)
-    graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
-    split_seed, pretrain_seed, _, _ = _derive_seeds(args.seed)
-    split = split_train_test(graph.edge_columns(), args.ratio, split_seed)
+    cfg, _, loaded, graph, _ = _load_graph(args)
+    (seed,) = cfg.seeds
+    split_seed, pretrain_seed, _, _ = _derive_seeds(seed)
+    split = split_train_test(graph.edge_columns(), cfg.ratio, split_seed)
     train_graph = graph_from_samples(split.train, graph.num_nodes)
     enc_cfg = replace(cfg.encoder, seed=pretrain_seed)
     augmented, logrec, _ = augment(train_graph, split.train, enc_cfg, cfg.augment)
 
-    outdir = Path(args.outdir)
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_sign_tsv(augmented, outdir / "augmented_train.tsv")
     (outdir / "id_map.json").write_text(
@@ -365,138 +334,67 @@ def cmd_augment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_report_files(report, outdir: Path, save_encoders: bool) -> None:
+def _write_report_files(report, outdir: Path) -> None:
     from .curriculum import schedule_to_csv
     from .encoder import save_checkpoint
-    from .evalbench import report_payload, report_timing
+    from .evalbench import METRIC_NAMES, report_payload, report_timing
 
     payload = report_payload(report)
     payload["timing"] = report_timing(report)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     with (outdir / "report.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "seed",
-                "auc",
-                "f1_binary",
-                "f1_micro",
-                "f1_macro",
-                "n_train",
-                "n_test",
-                "n_train_final",
-                "density_before",
-                "density_after",
-                "bd_before",
-                "bd_after",
-            ]
-        )
+        writer.writerow(["seed", *METRIC_NAMES, "n_train", "n_test", "n_train_final",
+                         "density_before", "density_after", "bd_before", "bd_after"])
         for r in report.results:
-            writer.writerow(
-                [
-                    r.seed,
-                    "" if r.metrics.auc is None else f"{r.metrics.auc:.6f}",
-                    f"{r.metrics.f1_binary:.6f}",
-                    f"{r.metrics.f1_micro:.6f}",
-                    f"{r.metrics.f1_macro:.6f}",
-                    r.n_train,
-                    r.n_test,
-                    r.n_train_final,
-                    f"{r.density_before:.8f}",
-                    f"{r.density_after:.8f}",
-                    "" if r.bd_before is None else f"{r.bd_before:.6f}",
-                    "" if r.bd_after is None else f"{r.bd_after:.6f}",
-                ]
-            )
-    pipeline_changes_edges = report.pipeline != "baseline" and report.pipeline != "tp-only"
+            writer.writerow([
+                r.seed, *(_cell(getattr(r.metrics, name)) for name in METRIC_NAMES),
+                r.n_train, r.n_test, r.n_train_final,
+                _cell(r.density_before, 8), _cell(r.density_after, 8),
+                _cell(r.bd_before), _cell(r.bd_after),
+            ])
+    pipeline_changes_edges = report.pipeline not in ("baseline", "tp-only")
     for r in report.results:
         if r.schedule is not None:
             schedule_to_csv(r.schedule, outdir / f"schedule_seed{r.seed}.csv")
         if pipeline_changes_edges:
             _write_sign_tsv(r.final_train, outdir / f"augmented_train_seed{r.seed}.tsv")
-        if save_encoders and r.encoder_state is not None:
+        if r.encoder_state is not None:
             save_checkpoint(r.encoder_state, outdir / f"encoder_seed{r.seed}.bin")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .config import write_resolved
     from .evalbench import run_experiment
 
-    cfg = _config_from_args(args)
-    path, fmt = cfg.resolve_dataset(_data_dirs())
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    threads = os.environ.get("SIGAUG_THREADS")
-    write_resolved(cfg, outdir / "config.resolved.json", _environment(threads))
+    cfg, outdir, experiment = _prepare_run(args)
     report = run_experiment(
-        path,
-        cfg.pipeline,
-        cfg.seeds,
-        enc_cfg=cfg.encoder,
-        aug_cfg=cfg.augment,
-        pace_cfg=cfg.resolved_pacing(),
-        ratio=cfg.ratio,
-        dataset_format=fmt,
-        diagnostic=cfg.diagnostic,
-        keep_states=cfg.save_encoders,
+        **experiment, diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders
     )
     report.dataset = cfg.dataset  # report the user-facing name, not the path
-    _write_report_files(report, outdir, cfg.save_encoders)
+    _write_report_files(report, outdir)
     print(report.summary_row())
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .config import write_resolved
-    from .evalbench import sensitivity_sweep
+    from .evalbench import METRIC_NAMES, sensitivity_sweep
 
-    cfg = _config_from_args(args)
-    if cfg.pipeline == "baseline":
-        cfg.pipeline = "sga"
-    path, fmt = cfg.resolve_dataset(_data_dirs())
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    threads = os.environ.get("SIGAUG_THREADS")
-    write_resolved(cfg, outdir / "config.resolved.json", _environment(threads))
-    rows = sensitivity_sweep(
-        path,
-        args.param,
-        values,
-        pipeline=cfg.pipeline,
-        seeds=cfg.seeds,
-        enc_cfg=cfg.encoder,
-        aug_cfg=cfg.augment,
-        pace_cfg=cfg.resolved_pacing(),
-        ratio=cfg.ratio,
-        dataset_format=fmt,
-    )
-    metric_names = ("auc", "f1_binary", "f1_micro", "f1_macro")
+    _, outdir, experiment = _prepare_run(args, defaults={"pipeline": "sga"})
+    rows = sensitivity_sweep(param=args.param, values=values, **experiment)
+    stats = [f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "std")]
     with (outdir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["param", "value"]
-        for name in metric_names:
-            header += [f"{name}_mean", f"{name}_std"]
-        writer.writerow(header)
+        writer.writerow(["param", "value", *stats])
         for row in rows:
-            record = [row["param"], row["value"]]
-            for name in metric_names:
-                mean = row[f"{name}_mean"]
-                std = row[f"{name}_std"]
-                record += [
-                    "" if mean is None else f"{mean:.6f}",
-                    "" if std is None else f"{std:.6f}",
-                ]
-            writer.writerow(record)
+            writer.writerow([row["param"], row["value"], *(_cell(row[c]) for c in stats)])
     # gnuplot-style "value mean std" data file per metric
-    for name in metric_names:
-        lines = []
-        for row in rows:
-            mean = row[f"{name}_mean"]
-            std = row[f"{name}_std"]
-            if mean is None:
-                continue
-            lines.append(f"{row['value']} {mean:.6f} {std:.6f}")
+    for name in METRIC_NAMES:
+        lines = [
+            f"{row['value']} {row[f'{name}_mean']:.6f} {row[f'{name}_std']:.6f}"
+            for row in rows
+            if row[f"{name}_mean"] is not None
+        ]
         (outdir / f"sweep_{name}.dat").write_text("\n".join(lines) + "\n")
     for row in rows:
         auc = row["auc_mean"]

@@ -1,9 +1,12 @@
 """Run configuration: file loading (TOML or JSON) plus flag overrides.
 
-Config files use four tables -- [dataset], [split], [encoder], [augment],
-[pacing], [run] -- whose keys mirror the dataclass fields.  Every run writes
-the fully resolved configuration as JSON next to its outputs; feeding that
-file back in reproduces the run.
+Config files use six tables: [dataset], [split] and [run], whose keys
+``FILE_KEYS`` maps to ``RunConfig`` fields, and [encoder], [augment] and
+[pacing], whose keys are the fields of those dataclasses.  Unknown tables
+and keys are errors.  Flags reach the same tables by field name, so a file
+and its flags resolve in one pass.  Every run writes the fully resolved
+configuration as JSON next to its outputs; feeding that file back in
+reproduces the run.
 
 TOML parsing uses the stdlib ``tomllib`` (Python >= 3.11) or ``tomli`` when
 installed.  When neither exists, a strict fallback reader covers the subset
@@ -13,7 +16,8 @@ these configs need: tables, strings, ints, floats, booleans, and flat arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentConfig
@@ -77,13 +81,25 @@ def _fallback_toml(text: str, path: str) -> dict:
     return data
 
 
-def _read_config_file(path: Path) -> dict:
-    text = path.read_text()
-    if path.suffix == ".json":
-        return json.loads(text)
-    if _toml is not None:
-        return _toml.loads(text)
-    return _fallback_toml(text, str(path))
+# [dataset], [split] and [run] keys as {file key: RunConfig field}; the keys of
+# [encoder], [augment] and [pacing] are the fields of those dataclasses
+FILE_KEYS = {
+    "dataset": {"path": "dataset", "format": "dataset_format"},
+    "split": {key: key for key in ("ratio", "seeds")},
+    "run": {key: key for key in ("pipeline", "output_dir", "diagnostic", "save_encoders")},
+}
+SECTIONS = {"encoder": EncoderConfig, "augment": AugmentConfig, "pacing": PacingConfig}
+# the table write_resolved records the software versions in; read back, it is ignored
+ENVIRONMENT = "environment"
+
+
+def _coerce_seeds(value) -> list[int]:
+    """Seeds from a count (5 -> 0..4) or a list, either one possibly as text ("5", "0,2,4")."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()] if "," in value else int(value)
+    if isinstance(value, int):
+        return list(range(value))
+    return [int(v) for v in value]
 
 
 @dataclass
@@ -100,17 +116,25 @@ class RunConfig:
     save_encoders: bool = False
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    pacing: PacingConfig | None = None
+    pacing: PacingConfig = field(default_factory=PacingConfig)
 
-    def resolved_pacing(self) -> PacingConfig:
-        if self.pacing is not None:
-            return self.pacing
-        return PacingConfig.for_epochs(self.encoder.epochs)
+    def __post_init__(self):
+        # as a file or flag may give them: ratio = 1, diagnostic = 1, seeds = 5 or "0,2"
+        self.ratio, self.seeds = float(self.ratio), _coerce_seeds(self.seeds)
+        self.diagnostic, self.save_encoders = bool(self.diagnostic), bool(self.save_encoders)
 
-    def resolve_dataset(self, data_dirs: list[Path]) -> tuple[Path, str]:
-        """Map a dataset name or path to (file path, format)."""
+    def resolve_dataset(self, root: Path = Path()) -> tuple[Path, str]:
+        """Map a dataset name or path to (file path, format).
+
+        A known name is looked up under ``$SIGAUG_DATA_DIR``, then under
+        ``root``/datasets.
+        """
+        if not self.dataset:
+            raise ValueError("no dataset given (use --dataset or a config file)")
         if self.dataset in KNOWN_DATASETS:
             filename, fmt = KNOWN_DATASETS[self.dataset]
+            env = os.environ.get("SIGAUG_DATA_DIR")
+            data_dirs = [Path(d) for d in (env, root / "datasets") if d]
             for base in data_dirs:
                 candidate = base / filename
                 if candidate.exists():
@@ -129,57 +153,74 @@ class RunConfig:
         return path, fmt
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": {"path": self.dataset, "format": self.dataset_format},
-            "split": {"ratio": self.ratio, "seeds": list(self.seeds)},
-            "encoder": asdict(self.encoder),
-            "augment": asdict(self.augment),
-            "pacing": asdict(self.resolved_pacing()),
-            "run": {
-                "pipeline": self.pipeline,
-                "output_dir": self.output_dir,
-                "diagnostic": self.diagnostic,
-                "save_encoders": self.save_encoders,
-            },
+        tables = {
+            table: {key: getattr(self, name) for key, name in keys.items()}
+            for table, keys in FILE_KEYS.items()
         }
+        return {**tables, **{table: asdict(getattr(self, table)) for table in SECTIONS}}
 
 
-def _coerce_seeds(value) -> list[int]:
-    if isinstance(value, int):
-        return list(range(value))
-    return [int(v) for v in value]
+# every config-file table as {file key: field name}
+_TABLES = {
+    **FILE_KEYS,
+    **{table: {f.name: f.name for f in fields(cls)} for table, cls in SECTIONS.items()},
+}
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    cfg = RunConfig()
-    ds = data.get("dataset", {})
-    cfg.dataset = ds.get("path", cfg.dataset)
-    cfg.dataset_format = ds.get("format", cfg.dataset_format)
-    split = data.get("split", {})
-    cfg.ratio = float(split.get("ratio", cfg.ratio))
-    if "seeds" in split:
-        cfg.seeds = _coerce_seeds(split["seeds"])
-    if "encoder" in data:
-        cfg.encoder = EncoderConfig(**data["encoder"])
-    if "augment" in data:
-        cfg.augment = AugmentConfig(**data["augment"])
-    if "pacing" in data:
-        pacing = dict(data["pacing"])
-        total = pacing.pop("total_epochs", cfg.encoder.epochs)
-        cfg.pacing = PacingConfig.for_epochs(total, **pacing)
-    run = data.get("run", {})
-    cfg.pipeline = run.get("pipeline", cfg.pipeline)
-    cfg.output_dir = run.get("output_dir", cfg.output_dir)
-    cfg.diagnostic = bool(run.get("diagnostic", cfg.diagnostic))
-    cfg.save_encoders = bool(run.get("save_encoders", cfg.save_encoders))
-    return cfg
+def config_from_dict(
+    data: dict, flags: dict | None = None, defaults: dict | None = None
+) -> RunConfig:
+    """RunConfig from config-file tables, overlaid with ``flags``.
+
+    ``flags`` and ``defaults`` map field names to values; a None value counts
+    as not given.  A field takes its flag, else its file value, else its
+    ``defaults`` entry, else the dataclass default.  Unknown tables and keys
+    are errors.  Pacing is resolved last, over the final epoch count: big_t
+    defaults to half of it, and a ``total_epochs`` that disagrees is an error.
+    """
+    flags, defaults = flags or {}, defaults or {}
+    unknown = sorted(set(data) - set(_TABLES) - {ENVIRONMENT})
+    if unknown:
+        raise ValueError(
+            f"unknown config table(s) {', '.join(f'[{t}]' for t in unknown)}; "
+            f"known tables: {', '.join(f'[{t}]' for t in _TABLES)}"
+        )
+    merged: dict[str, dict] = {}
+    for table, keys in _TABLES.items():
+        given = data.get(table, {})
+        unknown = sorted(set(given) - set(keys))
+        if unknown:
+            raise ValueError(
+                f"unknown key(s) {', '.join(unknown)} in config table [{table}]; "
+                f"known keys: {', '.join(keys)}"
+            )
+        merged[table] = {
+            name: value
+            for layer in (defaults, {keys[k]: v for k, v in given.items()}, flags)
+            for name, value in layer.items()
+            if name in keys.values() and value is not None
+        }
+    top = {name: value for table in FILE_KEYS for name, value in merged[table].items()}
+    encoder = EncoderConfig(**merged["encoder"])
+    return RunConfig(
+        **top,
+        encoder=encoder,
+        augment=AugmentConfig(**merged["augment"]),
+        pacing=PacingConfig.for_epochs(encoder.epochs, **merged["pacing"]),
+    )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return config_from_dict(_read_config_file(Path(path)))
+def read_config_file(path: str | Path) -> dict:
+    path = Path(path)
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    if _toml is not None:
+        return _toml.loads(text)
+    return _fallback_toml(text, str(path))
 
 
 def write_resolved(cfg: RunConfig, path: str | Path, environment: dict) -> None:
     payload = cfg.to_dict()
-    payload["environment"] = environment
+    payload[ENVIRONMENT] = environment
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -41,10 +41,20 @@ class PacingConfig:
             )
 
     @classmethod
-    def for_epochs(cls, total_epochs: int, **fields) -> "PacingConfig":
-        """Pacing over ``total_epochs``; unless given, big_t is half of it (at least 1)."""
-        fields.setdefault("big_t", max(1, total_epochs // 2))
-        return cls(total_epochs=total_epochs, **fields)
+    def for_epochs(cls, epochs: int, **fields) -> "PacingConfig":
+        """Pacing over ``epochs``; unless given, big_t is half of it (at least 1).
+
+        Training runs for the encoder's epochs, so a ``total_epochs`` among
+        ``fields`` that differs from ``epochs`` is an error.
+        """
+        total = fields.pop("total_epochs", epochs)
+        if total != epochs:
+            raise ValueError(
+                f"pacing total_epochs = {total} disagrees with the encoder's epochs = {epochs}; "
+                "drop it, it always equals the encoder's epochs"
+            )
+        fields.setdefault("big_t", max(1, epochs // 2))
+        return cls(total_epochs=epochs, **fields)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +68,8 @@ SWEEPABLE_PARAMS = (
     "big_t",
     "lambda0",
 )
+AUGMENTING = ("sga", "sa-only")  # pipelines whose edges pass the eps_* selection
+PACED = ("sga", "tp-only")  # pipelines trained on the lambda0/big_t curriculum
 
 
 # -- metrics -----------------------------------------------------------------
@@ -81,6 +83,9 @@ class MetricsSet:
     f1_binary: float
     f1_micro: float
     f1_macro: float
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricsSet))
 
 
 def auc_rank(scores: Sequence[float], labels: Sequence[int]) -> float | None:
@@ -385,7 +390,7 @@ class ExperimentReport:
 
     def aggregate(self) -> dict[str, dict[str, float | None]]:
         out: dict[str, dict[str, float | None]] = {}
-        for name in ("auc", "f1_binary", "f1_micro", "f1_macro"):
+        for name in METRIC_NAMES:
             vals = self.metric_values(name)
             if vals:
                 out[name] = {
@@ -477,6 +482,10 @@ def run_experiment(
     ``encoder_cache`` is given, pre-trained candidate scorers are reused per
     seed (valid while dataset, split, and encoder config are unchanged).
     """
+    if len(seeds) == 0:
+        raise ValueError(
+            "no seeds to run: give a seed count of at least 1 or a non-empty seed list"
+        )
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
@@ -500,7 +509,7 @@ def run_experiment(
             before_report = balance_report(train_graph)
             aug_log: AugmentationLog | None = None
 
-            if kind in ("sga", "sa-only"):
+            if kind in AUGMENTING:
                 stage = "augment"
                 pre_cfg = replace(enc_cfg, seed=pretrain_seed)
                 scorer = encoder_cache.get(seed) if encoder_cache is not None else None
@@ -523,7 +532,7 @@ def run_experiment(
             # the final graph's balance report is computed once, then memoised on it
             stage = "schedule"
             schedule = score_and_sort(final_graph, final_train)
-            pace = pace_cfg if kind in ("sga", "tp-only") else plain_pace
+            pace = pace_cfg if kind in PACED else plain_pace
 
             stage = "train"
             model_cfg = replace(enc_cfg, seed=final_seed)
@@ -620,13 +629,23 @@ def sensitivity_sweep(
 ) -> list[dict]:
     """One run_experiment per value of one augmentation/pacing parameter.
 
-    The pre-trained candidate scorer is cached per seed and shared across
-    values (none of the sweepable parameters affect it).
+    The pipeline must use the parameter: the eps_* thresholds act only in
+    ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
+    ``tp-only``.  big_t values must be whole numbers.  The pre-trained
+    candidate scorer is cached per seed and shared across values (none of
+    the sweepable parameters affect it).
     """
     if param not in SWEEPABLE_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    users = AUGMENTING if param.startswith("eps_") else PACED
+    if _parse_pipeline(pipeline)[0] not in users:
+        raise ValueError(
+            f"pipeline {pipeline!r} ignores {param}; sweep it with one of {', '.join(users)}"
+        )
+    if param == "big_t" and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"big_t counts epochs and takes whole numbers, got {list(values)}")
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
@@ -654,7 +673,7 @@ def sensitivity_sweep(
         )
         agg = rep.aggregate()
         row = {"param": param, "value": value}
-        for name in ("auc", "f1_binary", "f1_micro", "f1_macro"):
+        for name in METRIC_NAMES:
             row[f"{name}_mean"] = agg[name]["mean"]
             row[f"{name}_std"] = agg[name]["std"]
         row["pretrain_curves"] = [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from sigaug.augment import CandidateSets
+from sigaug.config import RunConfig
 from sigaug.graph import EdgeColumns, EdgeSample, _columns, graph_from_samples
 
 # CI selects this with --hypothesis-profile=ci: every run draws the same
@@ -18,24 +18,13 @@ settings.register_profile("ci", derandomize=True)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-DATASET_FILES = {
-    "bitcoin-alpha": "soc-sign-bitcoinalpha.csv",
-    "bitcoin-otc": "soc-sign-bitcoinotc.csv",
-}
-
 
 def dataset_file(name: str) -> Path | None:
-    """Locate a benchmark dataset under $SIGAUG_DATA_DIR or ./datasets."""
-    dirs = []
-    env = os.environ.get("SIGAUG_DATA_DIR")
-    if env:
-        dirs.append(Path(env))
-    dirs.append(REPO_ROOT / "datasets")
-    for base in dirs:
-        candidate = base / DATASET_FILES[name]
-        if candidate.exists():
-            return candidate
-    return None
+    """Locate a known benchmark dataset under $SIGAUG_DATA_DIR or the repo's datasets/."""
+    try:
+        return RunConfig(dataset=name).resolve_dataset(REPO_ROOT)[0]
+    except FileNotFoundError:
+        return None
 
 
 def community_records(

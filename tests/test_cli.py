@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -361,14 +362,14 @@ output_dir = "{tmp_path / 'from_toml'}"
         ({"encoder": {"epochs": 9}}, 4, 9),
         ({"encoder": {"epochs": 1}}, 1, 1),
         ({"pacing": {"lambda0": 0.5}, "encoder": {"epochs": 9}}, 4, 9),
-        ({"pacing": {"total_epochs": 7}, "encoder": {"epochs": 20}}, 3, 7),
+        ({"pacing": {"total_epochs": 20}, "encoder": {"epochs": 20}}, 10, 20),
         ({"pacing": {"big_t": 2}, "encoder": {"epochs": 20}}, 2, 20),
     ],
 )
 def test_default_pacing_saturates_halfway(data, big_t, total_epochs):
     from sigaug.config import config_from_dict
 
-    pacing = config_from_dict(data).resolved_pacing()
+    pacing = config_from_dict(data).pacing
     assert (pacing.big_t, pacing.total_epochs) == (big_t, total_epochs)
     assert pacing.lambda0 == data.get("pacing", {}).get("lambda0", 0.25)
 
@@ -395,3 +396,117 @@ diagnostic = true
 save_encoders = false
 """
     assert _fallback_toml(text, "run.toml") == _toml.loads(text)
+
+
+def _write_config(path, text: str):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("seeds_flag, split_table", [
+    (["--seeds", "0"], ""),
+    (["--seeds", "-3"], ""),
+    ([], "[split]\nseeds = 0\n"),
+    ([], "[split]\nseeds = []\n"),
+])
+def test_run_without_seeds_exits_2(dataset_file_path, tmp_path, capsys, seeds_flag, split_table):
+    config = _write_config(tmp_path / "run.toml", split_table)
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--outdir", str(outdir), *seeds_flag, *FAST])
+    assert rc == 2
+    assert "no seeds" in capsys.readouterr().err
+    assert not (outdir / "report.csv").exists()
+
+
+def test_run_experiment_rejects_an_empty_seed_list():
+    from sigaug.evalbench import run_experiment
+
+    edges = community_records(n=12, seed=1)
+    with pytest.raises(ValueError, match="no seeds"):
+        run_experiment(edges, "baseline", [])
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"run": {"pipline": "sga"}}, "pipline"),
+    ({"split": {"ratoi": 0.5}}, "ratoi"),
+    ({"pacng": {"lambda0": 0.5}}, "[pacng]"),
+    ({"encoder": {"epoch": 5}}, "epoch"),
+    ({"dataset": {"name": "bitcoin-alpha"}}, "name"),
+])
+def test_config_typos_are_errors(data, named):
+    from sigaug.config import config_from_dict
+
+    with pytest.raises(ValueError, match=re.escape(named)):
+        config_from_dict(data)
+
+
+def test_config_file_typo_exits_2(dataset_file_path, tmp_path, capsys):
+    config = _write_config(tmp_path / "run.toml", '[run]\npipline = "sga"\n')
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--outdir", str(tmp_path / "out"), *FAST])
+    assert rc == 2
+    assert "pipline" in capsys.readouterr().err
+
+
+def test_file_pacing_follows_the_epochs_flag(dataset_file_path, tmp_path, capsys):
+    config = _write_config(tmp_path / "run.toml", "[pacing]\nlambda0 = 0.5\n")
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path), "--pipeline",
+               "tp-only", "--seeds", "1", "--outdir", str(outdir), "--epochs", "4"])
+    assert rc == 0
+    capsys.readouterr()
+    pacing = json.loads((outdir / "config.resolved.json").read_text())["pacing"]
+    assert pacing == {"lambda0": 0.5, "big_t": 2, "total_epochs": 4}
+
+
+def test_pacing_total_epochs_must_match_encoder_epochs(dataset_file_path, tmp_path, capsys):
+    from sigaug.config import config_from_dict
+
+    with pytest.raises(ValueError, match="total_epochs"):
+        config_from_dict({"pacing": {"total_epochs": 7}, "encoder": {"epochs": 20}})
+    config = _write_config(
+        tmp_path / "run.toml", "[encoder]\nepochs = 6\n[pacing]\ntotal_epochs = 3\n"
+    )
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--seeds", "1", "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "total_epochs" in capsys.readouterr().err
+
+
+def _sweep(dataset_file_path, tmp_path, *extra):
+    return main(["sweep", "--dataset", str(dataset_file_path), "--seeds", "1",
+                 "--outdir", str(tmp_path / "sweep"), *FAST, *extra])
+
+
+def test_sweep_keeps_a_named_pipeline(dataset_file_path, tmp_path, capsys):
+    config = _write_config(tmp_path / "run.toml", '[run]\npipeline = "tp-only"\n')
+    assert _sweep(dataset_file_path, tmp_path, "--config", config,
+                  "--param", "lambda0", "--values", "0.5") == 0
+    resolved = json.loads((tmp_path / "sweep" / "config.resolved.json").read_text())
+    assert resolved["run"]["pipeline"] == "tp-only"
+    # a named baseline stays baseline, so a sweep of its unused lambda0 is refused
+    assert _sweep(dataset_file_path, tmp_path, "--pipeline", "baseline",
+                  "--param", "lambda0", "--values", "0.5") == 2
+    assert "'baseline' ignores lambda0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline, param", [
+    ("baseline", "eps_add_pos"),
+    ("random:drop-edge,0.1", "big_t"),
+    ("tp-only", "eps_del_neg"),
+    ("sa-only", "big_t"),
+    ("sa-only", "lambda0"),
+])
+def test_sweep_of_a_parameter_the_pipeline_ignores_exits_2(
+    dataset_file_path, tmp_path, capsys, pipeline, param
+):
+    assert _sweep(dataset_file_path, tmp_path, "--pipeline", pipeline,
+                  "--param", param, "--values", "0.5") == 2
+    assert f"ignores {param}" in capsys.readouterr().err
+
+
+def test_sweep_of_a_fractional_big_t_exits_2(dataset_file_path, tmp_path, capsys):
+    assert _sweep(dataset_file_path, tmp_path, "--param", "big_t", "--values", "2,1.7") == 2
+    assert "whole numbers" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()

@@ -2,10 +2,12 @@
 
 The digests lock the report payload, the curriculum schedule CSVs, the
 final training edges of every pipeline, the ``augment`` command's files and
-the per-edge balance CSV bit for bit on one fixed seeded graph, and the
-``stats`` and ``balance-report`` CLI outputs on a messy rating file built
-from the same graph.  A refactor must leave them unchanged; a change that
-moves them on purpose says why in CHANGES.md and pins the new digests here.
+the per-edge balance CSV bit for bit on one fixed seeded graph, the files
+of a ``run`` driven by a config file plus flags and of a ``sweep`` on that
+graph, and the ``stats`` and ``balance-report`` CLI outputs on a messy
+rating file built from the same graph.  A refactor must leave them
+unchanged; a change that moves them on purpose says why in CHANGES.md and
+pins the new digests here.
 """
 
 from __future__ import annotations
@@ -183,3 +185,93 @@ def test_messy_file_cli_outputs_are_golden(tmp_path, capsys):
         "stats": GOLDEN["messy/stats"],
         "balance-report": GOLDEN["messy/balance-report"],
     }
+
+
+RUN_CONFIG = """\
+[dataset]
+path = "graph.tsv"
+format = "sign-tsv"
+
+[split]
+ratio = 0.75
+seeds = [3, 5]
+
+[encoder]
+embed_dim = 8
+epochs = 20
+
+[augment]
+eps_add_pos = 0.6
+eps_del_pos = 0.2
+
+[pacing]
+lambda0 = 0.5
+"""
+
+GOLDEN_RUN = {
+    "stdout": "4e4a750fc89f0178dad28e1f608e5608b942ceaa016934ed048745a9c5b8e38e",
+    "report.json": "34ed2068d85d3a037c98b7a0bb40081b057e5098e1f3084609ba594f6e39de19",
+    "config.resolved.json": "003e934f269f1e88e2ba35a68c2164227c9e6c5a2521252f8e638fafa7e9a70b",
+    "report.csv": "8188a9a98a751b2b8002cb727e43a5d232661e47435d02c6b7ca0f9e72fcbf29",
+    "schedule_seed3.csv": "fa2040f663570e13d350562766041bfb10948a3983c84c9f250d989a2abd3061",
+    "schedule_seed5.csv": "dfe9d27c818b3eeb44250abbfc95c7cc8305d6d75354a285c28af9b59d08ec35",
+    "augmented_train_seed3.tsv": "e4fde61af66d893d25aca7eda8d1f1db9d8af5d24830347f0e88464ec68b69e0",
+    "augmented_train_seed5.tsv": "4fc227e235adce43c4395ebe8dfd1867115abd4d0ef95a366772a1e199580887",
+}
+
+GOLDEN_SWEEP = {
+    "stdout": "067454800a4fac5af186b1b94f01cb8d60920dace900a777ece9e072990c1773",
+    "config.resolved.json": "c7e7c9eb2de4c3b69d2f01c235a1fc97bc327d60a9a8637dddbb91e88fadc85a",
+    "sweep.csv": "e237590d2e8dfb6b8fb835378d615147a860432d3f75d07a94bbe55dd4a6d832",
+    "sweep_auc.dat": "db26b19dc8a92ab6bcd90f5f626165c9d114c0f04e5a30e64abdf2a4d92e028e",
+    "sweep_f1_binary.dat": "d557b143ccb66ce19f14883e97b907c19d016bb7f0d302451a1956552f97b2b9",
+    "sweep_f1_macro.dat": "778859ba3b2da3af39c615a9f42222a21eda892d6b196ccaa2bda5f1928efdec",
+    "sweep_f1_micro.dat": "af3bfca9889cd2d7c008aaa3145b58a608f6bca4bf7bd19a43ec008d0e1709cb",
+}
+
+
+def _pinned_files(outdir, pattern: str) -> dict[str, str]:
+    return {p.name: _sha256(p.read_bytes()) for p in sorted(outdir.glob(pattern))}
+
+
+def test_run_command_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    # relative paths, so report.json and config.resolved.json name no tmp directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.tsv").write_bytes(_rows(EDGES))
+    (tmp_path / "run.toml").write_text(RUN_CONFIG)
+    assert main(["--quiet", "run", "--config", "run.toml", "--pipeline", "sga", "--diagnostic",
+                 "--eps-add-neg", "0.6", "--eps-del-neg", "0.2", "--big-t", "6",
+                 "--outdir", "out"]) == 0
+    stdout = capsys.readouterr().out
+    outdir = tmp_path / "out"
+    report = json.loads((outdir / "report.json").read_text())
+    del report["timing"]
+    resolved = json.loads((outdir / "config.resolved.json").read_text())
+    del resolved["environment"]
+    assert {
+        "stdout": _sha256(stdout.encode()),
+        "report.json": _sha256(json.dumps(report, sort_keys=True).encode()),
+        "config.resolved.json": _sha256(json.dumps(resolved, sort_keys=True).encode()),
+        **_pinned_files(outdir, "report.csv"),
+        **_pinned_files(outdir, "schedule_seed*.csv"),
+        **_pinned_files(outdir, "augmented_train_seed*.tsv"),
+    } == GOLDEN_RUN
+
+
+def test_sweep_command_outputs_are_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.tsv").write_bytes(_rows(EDGES))
+    assert main(["--quiet", "sweep", "--dataset", "graph.tsv", "--seeds", "3,5",
+                 "--embed-dim", "8", "--epochs", "20", "--eps-add-pos", "0.6",
+                 "--eps-add-neg", "0.6", "--lambda0", "0.5", "--param", "big_t",
+                 "--values", "2,5,10", "--outdir", "out"]) == 0
+    stdout = capsys.readouterr().out
+    outdir = tmp_path / "out"
+    resolved = json.loads((outdir / "config.resolved.json").read_text())
+    del resolved["environment"]
+    assert {
+        "stdout": _sha256(stdout.encode()),
+        "config.resolved.json": _sha256(json.dumps(resolved, sort_keys=True).encode()),
+        **_pinned_files(outdir, "sweep.csv"),
+        **_pinned_files(outdir, "sweep_*.dat"),
+    } == GOLDEN_SWEEP
