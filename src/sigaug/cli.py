@@ -199,14 +199,23 @@ def _load_graph(args: argparse.Namespace):
     return cfg, path, loaded, graph, build_stats
 
 
-def _prepare_run(args: argparse.Namespace, defaults: dict | None = None):
+def _prepare_run(
+    args: argparse.Namespace,
+    defaults: dict | None = None,
+    param: str | None = None,
+    values: tuple | list = (),
+):
     """Config, output directory and ``run_experiment`` arguments of a run or sweep.
 
-    Creates the output directory and writes ``config.resolved.json`` into it.
+    Checks the run, and the swept ``param`` and ``values`` of a sweep, first:
+    only a run that can start creates the output directory and writes
+    ``config.resolved.json`` into it.
     """
     from .config import write_resolved
+    from .evalbench import check_experiment
 
     cfg = _config_from_args(args, defaults)
+    check_experiment(cfg.pipeline, cfg.seeds, param, values)
     path, fmt = cfg.resolve_dataset()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -283,28 +292,23 @@ def cmd_balance_report(args: argparse.Namespace) -> int:
         )
     )
     if args.per_edge_csv:
+        columns = (report.u, report.v, report.sign, report.balanced, report.unbalanced,
+                   report.difficulty)
         with Path(args.per_edge_csv).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "v", "sign", "b", "ub", "difficulty"])
-            writer.writerows(
-                zip(
-                    report.u.tolist(),
-                    report.v.tolist(),
-                    report.sign.tolist(),
-                    report.balanced.tolist(),
-                    report.unbalanced.tolist(),
-                    [f"{d:.6f}" for d in report.difficulty.tolist()],
-                )
-            )
+            # csv.writer's dialect: comma separated, \r\n line endings, nothing to quote
+            fh.write("u,v,sign,b,ub,difficulty\r\n")
+            fh.write("".join(map("{},{},{},{},{},{:.6f}\r\n".format,
+                                 *(c.tolist() for c in columns))))
         log.info("wrote per-edge balance profiles to %s", args.per_edge_csv)
     return 0
 
 
 def _write_sign_tsv(edges, path: Path) -> None:
+    from .graph import _columns
+
     with path.open("w") as fh:
         fh.write("# source target sign (dense node ids)\n")
-        for e in edges:
-            fh.write(f"{e.u}\t{e.v}\t{e.sign}\n")
+        fh.write("".join(map("{}\t{}\t{}\n".format, *(c.tolist() for c in _columns(edges)))))
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -380,7 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .evalbench import METRIC_NAMES, sensitivity_sweep
 
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    _, outdir, experiment = _prepare_run(args, defaults={"pipeline": "sga"})
+    _, outdir, experiment = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
     rows = sensitivity_sweep(param=args.param, values=values, **experiment)
     stats = [f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "std")]
     with (outdir / "sweep.csv").open("w", newline="") as fh:

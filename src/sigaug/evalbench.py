@@ -442,6 +442,40 @@ def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
     return pipeline, None, 0.0
 
 
+def check_experiment(
+    pipeline: str,
+    seeds: Sequence[int],
+    param: str | None = None,
+    values: Sequence[float] = (),
+) -> tuple[str, str | None, float]:
+    """Raise ``ValueError`` for a run or sweep that cannot start; parse the pipeline.
+
+    A run needs at least one seed and a known pipeline.  A sweep (``param``
+    given) needs a sweepable parameter that the pipeline uses and at least
+    one value, and big_t values must be whole numbers.  Returns the pipeline
+    kind, and the perturbation kind and ratio of a ``random:`` pipeline.
+    """
+    if len(seeds) == 0:
+        raise ValueError(
+            "no seeds to run: give a seed count of at least 1 or a non-empty seed list"
+        )
+    parsed = _parse_pipeline(pipeline)
+    if param is None:
+        return parsed
+    if param not in SWEEPABLE_PARAMS:
+        raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
+    if not values:
+        raise ValueError("sweep needs at least one value")
+    users = AUGMENTING if param.startswith("eps_") else PACED
+    if parsed[0] not in users:
+        raise ValueError(
+            f"pipeline {pipeline!r} ignores {param}; sweep it with one of {', '.join(users)}"
+        )
+    if param == "big_t" and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"big_t counts epochs and takes whole numbers, got {list(values)}")
+    return parsed
+
+
 def _node_count(edges: EdgeColumns) -> int:
     """One more than the largest node id of canonical (u < v) edges."""
     if len(edges) == 0:
@@ -482,16 +516,11 @@ def run_experiment(
     ``encoder_cache`` is given, pre-trained candidate scorers are reused per
     seed (valid while dataset, split, and encoder config are unchanged).
     """
-    if len(seeds) == 0:
-        raise ValueError(
-            "no seeds to run: give a seed count of at least 1 or a non-empty seed list"
-        )
+    kind, perturb_kind, perturb_ratio = check_experiment(pipeline, seeds)
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
-    pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
-    if pace_cfg.total_epochs != enc_cfg.epochs:
-        pace_cfg = replace(pace_cfg, total_epochs=enc_cfg.epochs)
-    kind, perturb_kind, perturb_ratio = _parse_pipeline(pipeline)
+    # training runs for the encoder's epochs; a pacing over other epochs is an error
+    pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
     edges, num_nodes, dataset_name = _load_edges(dataset, dataset_format)
 
     report = ExperimentReport(
@@ -635,17 +664,7 @@ def sensitivity_sweep(
     candidate scorer is cached per seed and shared across values (none of
     the sweepable parameters affect it).
     """
-    if param not in SWEEPABLE_PARAMS:
-        raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    users = AUGMENTING if param.startswith("eps_") else PACED
-    if _parse_pipeline(pipeline)[0] not in users:
-        raise ValueError(
-            f"pipeline {pipeline!r} ignores {param}; sweep it with one of {', '.join(users)}"
-        )
-    if param == "big_t" and not all(float(v).is_integer() for v in values):
-        raise ValueError(f"big_t counts epochs and takes whole numbers, got {list(values)}")
+    check_experiment(pipeline, seeds, param, values)
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)

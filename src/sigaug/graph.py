@@ -15,13 +15,24 @@ returns ``EdgeColumns`` too.  ``EdgeSample`` objects exist only at the API
 and file boundary: ``EdgeColumns`` is a read-only ``Sequence[EdgeSample]``
 over the columns that builds a sample when indexed or iterated, and plain
 lists of samples are accepted everywhere and converted to columns once.
+
+The loader reads a file once and parses its longest *regular prefix* with
+array operations: one precompiled regex per format matches the run of lines
+that are plainly well formed (canonical decimal ids, a ``1``/``-1`` sign or
+an integer rating, ``\\n`` endings), and numpy's text parser turns that run
+into int64 columns.  Everything from the first other line on goes through
+the row loop, which is the one implementation of irregular input: headers,
+comments after data, CRLF, quoting, padding, non-canonical or non-numeric
+ids, and every ``ParseError``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress
@@ -156,17 +167,62 @@ class LoadResult:
         return int(np.count_nonzero(_columns(self.samples)[2] == NEG))
 
 
-def _read_rows(fh, format: str) -> tuple[list[int], list, list, list, ParseError | None]:
+# A canonical decimal id: ASCII digits, no leading zero, at most 18 digits.  It
+# fits int64, and str(int(token)) == token, so ids compare equal as ints
+# exactly when they do as strings.
+_ID = r"(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_ID = re.compile(_ID)
+# The longest run of regular lines at the start of a file, per format.  A
+# regular line contains no '\r' (a lone '\r' ends a line under newline="").
+_REGULAR_PREFIX = {
+    "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*"),
+    "rating-csv": re.compile(rf"(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[0-9]{{1,18}})?\n)*"),
+}
+# Densify with a lookup table only while it is at most this many entries per id token.
+_TABLE_PER_TOKEN = 4
+
+
+def _regular_prefix(text: str, format: str) -> tuple[int, int, np.ndarray]:
+    """The longest regular prefix of ``text``, parsed with array operations.
+
+    Returns its length in characters, its line count, and its records as an
+    int64 ``(rows, 3)`` array of source id, target id and rating or sign.
+    """
+    end = _REGULAR_PREFIX[format].match(text).end()
+    if end == 0:
+        return 0, 0, np.empty((0, 3), dtype=np.int64)
+    prefix = text[:end]
+    if format == "sign-tsv":
+        # in a regular prefix, '#' only starts a comment line
+        data = re.sub("#[^\n]*\n", "", prefix) if "#" in prefix else prefix
+        if not data:  # comment lines only
+            return end, prefix.count("\n"), np.empty((0, 3), dtype=np.int64)
+        fields = np.fromstring(data[:-1], dtype=np.int64, sep=" ")
+        return end, prefix.count("\n"), fields.reshape(-1, 3)
+    # rating-csv rows have 3 or 4 fields: find where each row's fields start
+    fields = np.fromstring(prefix[:-1].replace("\n", ","), dtype=np.int64, sep=",")
+    chars = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    newlines = np.flatnonzero(chars == ord("\n"))
+    commas_before = np.searchsorted(np.flatnonzero(chars == ord(",")), newlines)
+    starts = np.arange(len(newlines))
+    starts[1:] += commas_before[:-1]
+    return end, len(newlines), fields[starts[:, None] + np.arange(3)]
+
+
+def _read_rows(
+    fh, format: str, start: int = 1
+) -> tuple[list[int], list, list, list, ParseError | None]:
     """Line numbers and the source, target and value fields of the data rows.
 
-    Reading stops at the first row with fewer than three fields; the last
-    item returned is a ``ParseError`` for it, or None when there is none.
+    Lines are numbered from ``start``.  Reading stops at the first row with
+    fewer than three fields; the last item returned is a ``ParseError`` for
+    it, or None when there is none.
     """
     tsv = format == "sign-tsv"
     if tsv:
-        rows = enumerate(map(str.split, fh), start=1)
+        rows = enumerate(map(str.split, fh), start=start)
     else:
-        rows = enumerate(csv.reader(fh), start=1)
+        rows = enumerate(csv.reader(fh), start=start)
     lines, src, dst, val = [], [], [], []
     for lineno, row in rows:
         if not row or (tsv and row[0].startswith("#")):
@@ -191,16 +247,37 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _first_seen_ids(tokens: list) -> tuple[np.ndarray, list]:
-    """Dense ids of tokens in first-seen order, and the token of each id."""
-    values = np.array(tokens)
-    if np.char.str_len(values).sum() != sum(map(len, tokens)):
-        values = np.array(tokens, dtype=object)  # numpy's str dtype drops trailing NULs
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of values in first-seen order, and the value of each id, by sorting."""
     unique, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()], unique[order].tolist()
+    return rank[inverse.ravel()], unique[order]
+
+
+def _first_seen_ids(tokens: list) -> tuple[np.ndarray, list]:
+    """Dense ids of string tokens in first-seen order, and the token of each id."""
+    values = np.array(tokens)
+    if np.char.str_len(values).sum() != sum(map(len, tokens)):
+        values = np.array(tokens, dtype=object)  # numpy's str dtype drops trailing NULs
+    dense, unique = _first_seen(values)
+    return dense, unique.tolist()
+
+
+def _first_seen_ints(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_seen`` for non-negative int64 ids, through a lookup table when it is small."""
+    n = len(ids)
+    top = int(ids.max()) + 1
+    if top > _TABLE_PER_TOKEN * n:
+        return _first_seen(ids)
+    table = np.full(top, n, dtype=np.int64)
+    np.minimum.at(table, ids, np.arange(n))  # the first position of each id
+    is_first = np.zeros(n, dtype=bool)
+    is_first[table[table < n]] = True
+    unique = ids[is_first]
+    table[unique] = np.arange(len(unique))  # now the dense id of each id
+    return table[ids], unique
 
 
 def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
@@ -215,12 +292,28 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     rating-csv file, which is then taken as a header.  Node ids of the kept
     records are densified to 0..n-1 in first-seen order; the original ids
     are kept in ``original_ids``.
+
+    The file is read once.  Its longest regular prefix is parsed with array
+    operations: lines ``ID<tab or space>ID<tab or space>(1|-1)`` and
+    ``#`` comments for ``sign-tsv``, lines ``ID,ID,-?INT[,INT]`` for
+    ``rating-csv``, each ending in ``\\n``, where an ``ID`` is a canonical
+    decimal (``0`` or up to 18 digits without a leading zero).  The row loop
+    parses the rest, numbering lines on from the prefix, so the rules above
+    hold for irregular lines exactly as they did.  When every kept id is
+    canonical, ids are densified as int64 without sorting strings: through a
+    lookup table when the largest id is at most 4 per id token, by an int
+    sort otherwise.  If any kept id is not canonical, all are densified as
+    strings.
     """
     if format not in ("rating-csv", "sign-tsv"):
         raise ValueError(f"unknown format {format!r}")
     path = Path(path)
     with path.open(newline="") as fh:
-        lines, src, dst, val, short_row = _read_rows(fh, format)
+        content = fh.read()
+    end, prefix_lines, head = _regular_prefix(content, format)
+    lines, src, dst, val, short_row = _read_rows(
+        io.StringIO(content[end:], newline=""), format, start=prefix_lines + 1
+    )
     try:
         values = np.fromiter(map(float, val), dtype=np.float64, count=len(val))
     except ValueError:
@@ -243,17 +336,28 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     if short_row is not None:
         raise short_row
 
-    zero = truncated == 0
-    loop = np.fromiter(map(operator.eq, src, dst), dtype=bool, count=len(src)) & ~zero
+    head_src, head_dst, head_value = head.T
+    zero = np.concatenate((head_value == 0, truncated == 0))
+    loop = np.concatenate(
+        (head_src == head_dst, np.fromiter(map(operator.eq, src, dst), dtype=bool, count=len(src)))
+    ) & ~zero
     keep = ~(zero | loop)
     if not keep.any():
         raise ValueError(f"no usable edge records in {path}")
-    tokens = [None] * (2 * int(keep.sum()))
-    tokens[0::2] = compress(src, keep)
-    tokens[1::2] = compress(dst, keep)
-    dense, original_ids = _first_seen_ids(tokens)
+    head_keep, tail_keep = keep[: len(head)], keep[len(head) :]
+    tokens = [None] * (2 * int(tail_keep.sum()))
+    tokens[0::2] = compress(src, tail_keep)
+    tokens[1::2] = compress(dst, tail_keep)
+    head_ids = head[head_keep, :2].ravel()
+    if all(map(_CANONICAL_ID.fullmatch, tokens)):
+        ids = np.concatenate((head_ids, np.fromiter(map(int, tokens), np.int64, len(tokens))))
+        dense, unique = _first_seen_ints(ids)
+        original_ids = list(map(str, unique.tolist()))
+    else:
+        dense, original_ids = _first_seen_ids(list(map(str, head_ids.tolist())) + tokens)
+    signs = np.concatenate((head_value, truncated))[keep] > 0
     return LoadResult(
-        samples=EdgeColumns(dense[0::2], dense[1::2], np.where(values[keep] > 0, POS, NEG)),
+        samples=EdgeColumns(dense[0::2], dense[1::2], np.where(signs, POS, NEG)),
         num_nodes=len(original_ids),
         original_ids=original_ids,
         zero_rating_dropped=int(zero.sum()),

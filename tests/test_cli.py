@@ -510,3 +510,17 @@ def test_sweep_of_a_fractional_big_t_exits_2(dataset_file_path, tmp_path, capsys
     assert _sweep(dataset_file_path, tmp_path, "--param", "big_t", "--values", "2,1.7") == 2
     assert "whole numbers" in capsys.readouterr().err
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--pipeline", "bogus"],
+    ["run", "--seeds", "0"],
+    ["sweep", "--param", "embed_dim", "--values", "4,8"],
+    ["sweep", "--pipeline", "baseline", "--param", "lambda0", "--values", "0.5"],
+])
+def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, capsys, command):
+    outdir = tmp_path / "out"
+    rc = main([*command, "--dataset", str(dataset_file_path), "--outdir", str(outdir), *FAST])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not outdir.exists()

@@ -614,6 +614,13 @@ def test_run_experiment_unknown_pipeline(tiny_setup):
         run_experiment(edges, "random:drop-edge", [0], enc_cfg=enc)
 
 
+def test_run_experiment_rejects_pacing_over_other_epochs(tiny_setup):
+    edges, _ = tiny_setup
+    pace = PacingConfig(lambda0=0.5, big_t=5, total_epochs=300)
+    with pytest.raises(ValueError, match="total_epochs = 300 disagrees with .* epochs = 10"):
+        run_experiment(edges, "tp-only", [0], enc_cfg=EncoderConfig(epochs=10), pace_cfg=pace)
+
+
 def test_sweep_single_value_matches_run(tiny_setup):
     edges, enc = tiny_setup
     pace = PacingConfig(lambda0=0.25, big_t=15, total_epochs=30)

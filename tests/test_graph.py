@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from sigaug.graph import (
     EdgeSample,
     ParseError,
     SignedGraph,
+    _regular_prefix,
     build_graph,
     density,
     graph_from_samples,
@@ -367,18 +369,17 @@ def record_files(draw, format):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("format", ["rating-csv", "sign-tsv"])
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_columnar_load_and_build_match_dict_oracle(tmp_path_factory, format, data):
-    text = data.draw(record_files(format))
-    path = tmp_path_factory.mktemp("records") / "edges.txt"
-    path.write_text(text)
+def assert_load_matches_dict_oracle(path, format):
+    """Load ``path`` both ways and compare; the loaded result and the oracle's samples.
+
+    Returns ``(None, None)`` when both loaders fail the same way.
+    """
     expected = outcome(dict_load_edge_list, path, format)
     loaded = outcome(load_edge_list, path, format)
     if expected[0] != "ok":
         assert loaded == expected
-        return
+        return None, None
+    assert loaded[0] == "ok", loaded
     samples, original_ids, zero_dropped, loops_dropped = expected[1]
     loaded = loaded[1]
     assert isinstance(loaded.samples, EdgeColumns)
@@ -388,12 +389,131 @@ def test_columnar_load_and_build_match_dict_oracle(tmp_path_factory, format, dat
     assert (loaded.zero_rating_dropped, loaded.self_loops_dropped) == (zero_dropped, loops_dropped)
     assert loaded.positive_count == sum(s.sign == 1 for s in samples)
     assert loaded.negative_count == sum(s.sign == -1 for s in samples)
+    return loaded, samples
+
+
+@pytest.mark.parametrize("format", ["rating-csv", "sign-tsv"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_columnar_load_and_build_match_dict_oracle(tmp_path_factory, format, data):
+    text = data.draw(record_files(format))
+    path = tmp_path_factory.mktemp("records") / "edges.txt"
+    path.write_text(text)
+    loaded, samples = assert_load_matches_dict_oracle(path, format)
+    if loaded is None:
+        return
 
     n, pair_signs, stats = dict_build(samples, loaded.num_nodes)
     for edges in (loaded.samples, samples):
         graph, build_stats = build_graph(edges, num_nodes=loaded.num_nodes)
         assert build_stats == stats
         assert_csr_equal(graph, n, pair_signs)
+
+
+# Lines of the regular prefix that the loader parses with array operations.  The
+# ids overlap the canonical ids of _IDS; the 18-digit one moves densification
+# off the lookup table onto np.unique.
+_PREFIX_IDS = ["0", "1", "2", "3", "7", "12", "999999999999999999"]
+_PREFIX_RATINGS = ["1", "-1", "5", "-10", "0", "-0", "007", "123456789012345678"]
+
+
+comment_text = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\r\n"))
+
+
+@st.composite
+def regular_lines(draw, format):
+    ids = st.sampled_from(_PREFIX_IDS[: draw(st.sampled_from([-1, None]))])
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        src, dst = draw(ids), draw(ids)
+        if format == "rating-csv":
+            time = draw(st.sampled_from(["", ",0", ",1289000797"]))
+            lines.append(f"{src},{dst},{draw(st.sampled_from(_PREFIX_RATINGS))}{time}\n")
+        elif draw(st.integers(0, 5)) == 0:
+            lines.append(f"#{draw(comment_text)}\n")
+        else:
+            sep1, sep2 = draw(st.sampled_from(["\t", " "])), draw(st.sampled_from(["\t", " "]))
+            lines.append(f"{src}{sep1}{dst}{sep2}{draw(st.sampled_from(['1', '-1']))}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("format", ["rating-csv", "sign-tsv"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_regular_prefix_then_any_tail_matches_dict_oracle(tmp_path_factory, format, data):
+    prefix = data.draw(regular_lines(format))
+    tail = data.draw(record_files(format))
+    tail = data.draw(st.sampled_from([tail, tail.rstrip("\n"), tail.replace("\n", "\r\n")]))
+    text = prefix + tail
+    # the array-parsed prefix covers at least the drawn regular lines
+    assert _regular_prefix(text, format)[0] >= len(prefix)
+    path = tmp_path_factory.mktemp("records") / "edges.txt"
+    path.write_text(text)
+    assert_load_matches_dict_oracle(path, format)
+
+
+_NEAR_REGULAR = {
+    "sign-tsv": [
+        "7 1 1\n07 1 -1\n",  # a leading zero names another node
+        "1 2 1\n1234567890123456789 2 1\n",  # 19 digits
+        "1 2 1\n9223372036854775808 2 1\n",  # past int64
+        "1 2 1\n2 3 +1\n3 4 1.0\n",
+        "3 2 1\n\u0663 2 1\n",  # ARABIC-INDIC DIGIT THREE: int() reads it as 3
+        "1 2 1\n1_0 2 1\n10 2 -1\n",  # int() reads 1_0 as 10
+        "1 2 1\r\n2 3 -1\r\n",
+        "1 2 1\n2 3 -1\r3 4 1\n",  # a lone \r ends a line
+        "# a\rb 3 1\n1 2 1\n",  # ... also inside a comment
+        "1 2 1\n# note\n2 3 -1\n",  # a comment after data rows
+        "1 2 1\n2 3 -1",  # no trailing newline
+        "1 2 1\n2 3",  # a short last row without a newline
+        "1\x00 2 1\n1 2 1\n",  # a NUL in an id
+        "4 4 1\n1 2 1\n",  # a self loop inside the prefix
+        "1  2 1\n2\t\t3 -1\n 3 4 1\n",  # doubled and leading separators
+        "1 2 1\n2 3 1 99\n3 4 -1\n",  # a fourth field
+        "1 2 1\n\n2 3 -1\n",  # a blank line
+    ],
+    "rating-csv": [
+        "7,1,5\n07,1,5\n",
+        "1,2,5\n1234567890123456789,2,5\n",
+        "1,2,5\n2,3,+1\n3,4,1.0\n",
+        "3,2,5\n\u0663,2,5\n",
+        "1,2,5\r\n2,3,-1\r\n",
+        "1,2,5\n2,3,-1\r3,4,1\n",
+        "1,2,5\n2,3,-1",
+        "1,2,5\n1\x00,3,5\n",
+        "1,2,5\n 1,3,5\n1 ,4,5\n",  # space-padded ids are stripped, and equal to 1
+        '1,2,5\n"3",4,5\n',  # a quoted field
+        '1,2,5\n"3\n",4,5\n5,6,1\n',  # a quoted field across lines
+        "1,2,0\n3,3,5\n1,2,-0\n2,1,5\n",  # zero ratings and a self loop inside the prefix
+        "1,2,5\nsrc,dst,rating\n",  # a header on line 2 is an error
+        "src,dst,rating\n1,2,5\n",  # on line 1 it is a header
+        "1,2,5,1289000797\n2,3,-1,12.5\n3,4,1\n",  # a fractional time
+        "1,2,5\n2,3,1e400\n",
+        "1,2,99999999999999999999\n",  # a rating too long for the prefix
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "format, text", [(f, t) for f, texts in _NEAR_REGULAR.items() for t in texts]
+)
+def test_near_regular_inputs_match_dict_oracle(tmp_path, format, text):
+    assert_load_matches_dict_oracle(write(tmp_path, "edges.txt", text), format)
+
+
+def test_sparse_large_ids_load_without_an_id_sized_table(tmp_path):
+    ids = [10**17 + k * 10**13 for k in range(6)]
+    rows = [f"{ids[i]}\t{ids[(i + 1) % 6]}\t{1 - 2 * (i % 2)}\n" for i in range(6)]
+    path = write(tmp_path, "e.tsv", "".join(rows))
+    tracemalloc.start()
+    try:
+        loaded = load_edge_list(path, format="sign-tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert loaded.original_ids == [str(i) for i in ids]
+    assert list(loaded.samples) == [EdgeSample(i, (i + 1) % 6, 1 - 2 * (i % 2)) for i in range(6)]
 
 
 def test_parse_error_lines_match_dict_oracle(tmp_path):
