@@ -19,11 +19,12 @@ lists of samples are accepted everywhere and converted to columns once.
 The loader reads a file once and parses its longest *regular prefix* with
 array operations: one precompiled regex per format matches the run of lines
 that are plainly well formed (canonical decimal ids, a ``1``/``-1`` sign or
-an integer rating, ``\\n`` endings), and numpy's text parser turns that run
-into int64 columns.  Everything from the first other line on goes through
-the row loop, which is the one implementation of irregular input: headers,
-comments after data, CRLF, quoting, padding, non-canonical or non-numeric
-ids, and every ``ParseError``.
+an integer rating, any unquoted rating-csv time field, ``\\n`` endings), and
+numpy's text parser turns that run into int64 columns.  Everything from the
+first other line on goes through the row loop, which is the one
+implementation of irregular input: headers, comments after data, CRLF,
+quoting, padding, non-canonical or non-numeric ids, and every
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -176,10 +177,10 @@ _CANONICAL_ID = re.compile(_ID)
 # regular line contains no '\r' (a lone '\r' ends a line under newline="").
 _REGULAR_PREFIX = {
     "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*"),
-    "rating-csv": re.compile(rf"(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[0-9]{{1,18}})?\n)*"),
+    # the time field and any after it are ignored, so they may hold anything the
+    # csv reader reads as plain unquoted text
+    "rating-csv": re.compile(rf'(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[^\r\n"\x00]*)?\n)*'),
 }
-# Densify with a lookup table only while it is at most this many entries per id token.
-_TABLE_PER_TOKEN = 4
 
 
 def _regular_prefix(text: str, format: str) -> tuple[int, int, np.ndarray]:
@@ -199,14 +200,20 @@ def _regular_prefix(text: str, format: str) -> tuple[int, int, np.ndarray]:
             return end, prefix.count("\n"), np.empty((0, 3), dtype=np.int64)
         fields = np.fromstring(data[:-1], dtype=np.int64, sep=" ")
         return end, prefix.count("\n"), fields.reshape(-1, 3)
-    # rating-csv rows have 3 or 4 fields: find where each row's fields start
-    fields = np.fromstring(prefix[:-1].replace("\n", ","), dtype=np.int64, sep=",")
-    chars = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    # rating-csv: cut each line at its third comma, where the ignored fields start
+    chars = np.frombuffer(prefix.encode(), dtype=np.uint8)
     newlines = np.flatnonzero(chars == ord("\n"))
-    commas_before = np.searchsorted(np.flatnonzero(chars == ord(",")), newlines)
-    starts = np.arange(len(newlines))
-    starts[1:] += commas_before[:-1]
-    return end, len(newlines), fields[starts[:, None] + np.arange(3)]
+    commas = np.append(np.flatnonzero(chars == ord(",")), len(chars))
+    line_starts = np.concatenate(([0], newlines[:-1] + 1))
+    cuts = np.minimum(commas[np.searchsorted(commas, line_starts) + 2], newlines)
+    inside = np.zeros(len(chars) + 1, dtype=np.int8)  # +1 at a cut, -1 at its newline
+    inside[cuts] += 1
+    inside[newlines] -= 1
+    # each line up to its cut, and its newline
+    kept = chars[np.cumsum(inside[:-1], dtype=np.int8) == 0]
+    kept[kept == ord("\n")] = ord(",")
+    fields = np.fromstring(kept[:-1].tobytes().decode("ascii"), dtype=np.int64, sep=",")
+    return end, len(newlines), fields.reshape(-1, 3)
 
 
 def _read_rows(
@@ -265,21 +272,6 @@ def _first_seen_ids(tokens: list) -> tuple[np.ndarray, list]:
     return dense, unique.tolist()
 
 
-def _first_seen_ints(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_first_seen`` for non-negative int64 ids, through a lookup table when it is small."""
-    n = len(ids)
-    top = int(ids.max()) + 1
-    if top > _TABLE_PER_TOKEN * n:
-        return _first_seen(ids)
-    table = np.full(top, n, dtype=np.int64)
-    np.minimum.at(table, ids, np.arange(n))  # the first position of each id
-    is_first = np.zeros(n, dtype=bool)
-    is_first[table[table < n]] = True
-    unique = ids[is_first]
-    table[unique] = np.arange(len(unique))  # now the dense id of each id
-    return table[ids], unique
-
-
 def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     """Read a signed edge file into directed (u, v, sign) columns.
 
@@ -295,14 +287,16 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
 
     The file is read once.  Its longest regular prefix is parsed with array
     operations: lines ``ID<tab or space>ID<tab or space>(1|-1)`` and
-    ``#`` comments for ``sign-tsv``, lines ``ID,ID,-?INT[,INT]`` for
+    ``#`` comments for ``sign-tsv``, lines ``ID,ID,-?INT[,time...]`` for
     ``rating-csv``, each ending in ``\\n``, where an ``ID`` is a canonical
-    decimal (``0`` or up to 18 digits without a leading zero).  The row loop
-    parses the rest, numbering lines on from the prefix, so the rules above
-    hold for irregular lines exactly as they did.  When every kept id is
-    canonical, ids are densified as int64 without sorting strings: through a
-    lookup table when the largest id is at most 4 per id token, by an int
-    sort otherwise.  If any kept id is not canonical, all are densified as
+    decimal (``0`` or up to 18 digits without a leading zero) and the ignored
+    time fields hold no quote, NUL or ``\\r``.  The row loop parses the rest,
+    numbering lines on from the prefix, so the rules above hold for irregular
+    lines exactly as they did, except that the whole file is decoded first:
+    bytes that are not valid text raise ``UnicodeDecodeError`` (a
+    ``ValueError``) even when a short row comes before them.  When every
+    kept id is canonical, ids are densified by sorting them as int64 rather
+    than as strings.  If any kept id is not canonical, all are densified as
     strings.
     """
     if format not in ("rating-csv", "sign-tsv"):
@@ -351,7 +345,7 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     head_ids = head[head_keep, :2].ravel()
     if all(map(_CANONICAL_ID.fullmatch, tokens)):
         ids = np.concatenate((head_ids, np.fromiter(map(int, tokens), np.int64, len(tokens))))
-        dense, unique = _first_seen_ints(ids)
+        dense, unique = _first_seen(ids)
         original_ids = list(map(str, unique.tolist()))
     else:
         dense, original_ids = _first_seen_ids(list(map(str, head_ids.tolist())) + tokens)

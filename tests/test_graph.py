@@ -1,4 +1,5 @@
 import csv
+import locale
 import math
 import tracemalloc
 from pathlib import Path
@@ -411,10 +412,15 @@ def test_columnar_load_and_build_match_dict_oracle(tmp_path_factory, format, dat
 
 
 # Lines of the regular prefix that the loader parses with array operations.  The
-# ids overlap the canonical ids of _IDS; the 18-digit one moves densification
-# off the lookup table onto np.unique.
+# ids overlap the canonical ids of _IDS; the 18-digit one is the longest a
+# prefix id can be.
 _PREFIX_IDS = ["0", "1", "2", "3", "7", "12", "999999999999999999"]
 _PREFIX_RATINGS = ["1", "-1", "5", "-10", "0", "-0", "007", "123456789012345678"]
+# rating-csv time fields, which the loader ignores: integer and fractional
+# epochs, an empty one, more fields after it, text, and padding
+_PREFIX_TIMES = [
+    "", ",0", ",1289000797", ",1289241911.72836", ",", ",1,x", ",\u00e9t\u00e9", ", 12 ", ",1e3\t",
+]
 
 
 comment_text = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\r\n"))
@@ -427,7 +433,7 @@ def regular_lines(draw, format):
     for _ in range(draw(st.integers(0, 10))):
         src, dst = draw(ids), draw(ids)
         if format == "rating-csv":
-            time = draw(st.sampled_from(["", ",0", ",1289000797"]))
+            time = draw(st.sampled_from(_PREFIX_TIMES))
             lines.append(f"{src},{dst},{draw(st.sampled_from(_PREFIX_RATINGS))}{time}\n")
         elif draw(st.integers(0, 5)) == 0:
             lines.append(f"#{draw(comment_text)}\n")
@@ -488,6 +494,11 @@ _NEAR_REGULAR = {
         "1,2,5\nsrc,dst,rating\n",  # a header on line 2 is an error
         "src,dst,rating\n1,2,5\n",  # on line 1 it is a header
         "1,2,5,1289000797\n2,3,-1,12.5\n3,4,1\n",  # a fractional time
+        '1,2,5,"12"\n3,4,1\n',  # a quoted time
+        '1,2,5,"1\n2",3\n3,4,1\n',  # a quoted time across lines
+        "1,2,5,1\x002\n3,4,1\n",  # a NUL in the time
+        "1,2,5,12\r\n3,4,1\n",  # a CRLF after the time
+        "1,2,5,12\r3,4,1\n",  # a lone \r after the time ends a line
         "1,2,5\n2,3,1e400\n",
         "1,2,99999999999999999999\n",  # a rating too long for the prefix
     ],
@@ -514,6 +525,46 @@ def test_sparse_large_ids_load_without_an_id_sized_table(tmp_path):
     assert peak < 1 << 20
     assert loaded.original_ids == [str(i) for i in ids]
     assert list(loaded.samples) == [EdgeSample(i, (i + 1) % 6, 1 - 2 * (i % 2)) for i in range(6)]
+
+
+# Openings in the shapes of the SNAP files the experiments use (as published by
+# SNAP, not copied from them): the whole of each is one regular prefix.
+_SNAP_SHAPED = {
+    "rating-csv": [
+        "7188,1,10,1407470400\n430,1,10,1376539200\n3134,1,10,1369713600\n",  # bitcoin-alpha
+        "6,2,4,1289241911.72836\n6,5,2,1289241941.53378\n1,15,1,1289243140.39049\n",  # -otc
+    ],
+    "sign-tsv": [
+        "# Directed graph (each unordered pair of nodes is saved once): soc-sign-Slashdot090221.txt"
+        " \n# Slashdot Zoo signed social network from February 21 2009\n"
+        "# Nodes: 82144 Edges: 549202\n# FromNodeId\tToNodeId\tSign\n0\t1\t1\n0\t2\t1\n"
+        "0\t3\t-1\n",
+        "# Directed graph: soc-sign-epinions\n# Epinions signed social network\n"
+        "# Nodes: 131828 Edges: 841372\n# FromNodeId\tToNodeId\tSign\n0\t1\t-1\n1\t128552\t-1\n",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "format, text", [(f, t) for f, texts in _SNAP_SHAPED.items() for t in texts]
+)
+def test_snap_shaped_files_are_one_regular_prefix(tmp_path, format, text):
+    assert _regular_prefix(text, format)[:2] == (len(text), text.count("\n"))
+    loaded, _ = assert_load_matches_dict_oracle(write(tmp_path, "edges.txt", text), format)
+    assert loaded is not None
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="the file is decoded with the locale's encoding",
+)
+def test_bytes_that_are_not_text_fail_even_after_a_short_row(tmp_path):
+    # The whole file is decoded before any row is parsed, so the decode error
+    # wins over the short row on line 2, however far past it the bytes are.
+    path = tmp_path / "e.csv"
+    path.write_bytes(b"1,2,5\n3\n" + b"4,5,1\n" * 2000 + b"\xff,6,1\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_edge_list(path, format="rating-csv")
 
 
 def test_parse_error_lines_match_dict_oracle(tmp_path):
