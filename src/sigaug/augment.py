@@ -98,7 +98,7 @@ class AugmentationLog:
 
 def _two_hop_pairs(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """All (i < j) pairs sharing at least one neighbor, existing edges included."""
-    adj = graph.adjacency(POS, normalized=False) + graph.adjacency(NEG, normalized=False)
+    adj = abs(graph.signed_adjacency())
     reach = (adj @ adj).tocoo()
     mask = reach.row < reach.col
     return reach.row[mask].astype(np.int64), reach.col[mask].astype(np.int64)
@@ -119,8 +119,9 @@ def generate_candidates(
 
     A scanned pair becomes an addition candidate when its positive (negative)
     probability exceeds the matching add threshold; if both fire the higher
-    probability wins, positive on a tie.  Pairs already in the training set
-    with the same sign are excluded.  Additions come back sorted by
+    probability wins, positive on a tie.  ``graph`` holds the training
+    pairs, as ``augment`` requires; pairs it already holds with the same
+    sign are excluded.  Additions come back sorted by
     confidence (descending, then pair) and truncated to ``max_additions``.
     Deletions are the training edges, canonical and in training order,
     whose own-sign probability is below the matching delete threshold.
@@ -154,14 +155,14 @@ def generate_candidates(
         parts.append((cu[picked], cv[picked], np.where(pick_neg, NEG, POS), conf))
     au, av, sign, conf = (np.concatenate(column) for column in zip(*parts))
 
-    # drop pairs the training set holds with the same sign (a repeated pair: its last record's)
-    edges = _canonical(train)
-    width = max(graph.num_nodes, int(edges.v.max(initial=0)) + 1)
-    keys, last = np.unique((edges.u * width + edges.v)[::-1], return_index=True)
-    held = 2 * keys + (edges.sign[::-1][last] == POS)
-    fresh = np.flatnonzero(~np.isin(2 * (au * width + av) + (sign == POS), held))
+    # drop pairs the graph (the training set) holds with the same sign
+    at = graph.edge_index(au, av)
+    held = at >= 0
+    held[held] = graph.edge_columns().sign[at[held]] == sign[held]
+    fresh = np.flatnonzero(~held)
     order = fresh[np.lexsort((av[fresh], au[fresh], -conf[fresh]))][: config.max_additions]
 
+    edges = _canonical(train)
     probs = pair_class_probabilities(state, edges.u, edges.v)
     own = np.where(edges.sign == POS, probs[:, CLASS_POS], probs[:, CLASS_NEG])
     threshold = np.where(edges.sign == POS, config.eps_del_pos, config.eps_del_neg)

@@ -165,14 +165,13 @@ def global_balance_degree(stats: TriangleStats) -> float | None:
 def local_balance_degree(graph: SignedGraph, edge: EdgeSample) -> EdgeBalanceProfile:
     """Balance profile of one existing edge, read from the graph's report."""
     edge = edge.canonical()
-    stored = graph.sign_of(edge.u, edge.v)
-    if stored == 0:
+    i = int(graph.edge_index(edge.u, edge.v))
+    if i < 0:
         raise ValueError(f"edge ({edge.u}, {edge.v}) not in graph")
+    stored = int(graph.edge_columns().sign[i])
     if stored != edge.sign:
         raise ValueError(f"edge ({edge.u}, {edge.v}) has sign {stored}, not {edge.sign}")
     report = balance_report(graph)
-    lo, hi = np.searchsorted(report.u, (edge.u, edge.u + 1))
-    i = lo + int(np.searchsorted(report.v[lo:hi], edge.v))
     row = slice(i, i + 1)
     return _profiles(
         report.u[row], report.v[row], report.sign[row],

@@ -2,9 +2,10 @@
 experiment runs, and parameter sweeps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-``SIGAUG_THREADS`` caps the numeric libraries' internal thread pools (set
-before anything numeric is imported); the effective value is recorded in
-every run's ``config.resolved.json``.
+The BLAS and OpenMP thread pools follow the usual ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` variables, which those
+libraries read when numpy is first imported; every run records their values
+in its ``config.resolved.json``.
 """
 
 from __future__ import annotations
@@ -18,21 +19,6 @@ import sys
 from pathlib import Path
 
 log = logging.getLogger("sigaug")
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> str | None:
-    cap = os.environ.get("SIGAUG_THREADS")
-    if cap:
-        for var in _THREAD_ENV_VARS:
-            os.environ.setdefault(var, cap)
-    return cap
 
 
 def _print(obj, as_json: bool) -> None:
@@ -184,7 +170,8 @@ def _environment() -> dict:
         "sigaug_version": __version__,
         "numpy_version": numpy.__version__,
         "scipy_version": scipy.__version__,
-        "sigaug_threads": os.environ.get("SIGAUG_THREADS"),
+        **{var: os.environ.get(var)
+           for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
 
 
@@ -207,15 +194,17 @@ def _prepare_run(
 ):
     """Config, output directory and ``run_experiment`` arguments of a run or sweep.
 
-    Checks the run, and the swept ``param`` and ``values`` of a sweep, first:
-    only a run that can start creates the output directory and writes
-    ``config.resolved.json`` into it.
+    Checks the run, and the swept ``param`` and every one of its ``values``
+    of a sweep, first: only a run that can start creates the output
+    directory and writes ``config.resolved.json`` into it.
     """
     from .config import write_resolved
-    from .evalbench import check_experiment
+    from .evalbench import _swept_configs, check_experiment
 
     cfg = _config_from_args(args, defaults)
     check_experiment(cfg.pipeline, cfg.seeds, param, values)
+    if param is not None:
+        _swept_configs(param, values, cfg.augment, cfg.pacing)  # range-checks every value
     path, fmt = cfg.resolve_dataset()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -411,15 +400,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    threads = _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if threads:
-        log.info("thread cap from SIGAUG_THREADS: %s", threads)
     try:
         return args.func(args)
     except (

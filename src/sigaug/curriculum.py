@@ -81,21 +81,14 @@ def score_and_sort(graph: SignedGraph, train: Sequence[EdgeSample]) -> Curriculu
     canonical (u, v) pair, so the order is a deterministic function of the
     edge multiset.
     """
-    report = balance_report(graph)
     edges = _canonical(train)
     u, v = edges.u, edges.v
-    # the report lists edges in (u, v) order, so its pair keys are sorted
-    n = graph.num_nodes
-    keys = report.u * n + report.v
-    wanted = u * n + v
-    at = np.searchsorted(keys, wanted)
-    inside = (at < len(keys)) & (v < n)
-    present = np.zeros(len(edges), dtype=bool)
-    present[inside] = keys[at[inside]] == wanted[inside]
-    if not present.all():
-        i = int(np.argmin(present))
+    at = graph.edge_index(u, v)
+    if (at < 0).any():
+        i = int(np.argmin(at))
         raise ValueError(f"train edge ({u[i]}, {v[i]}) not in scoring graph")
-    difficulty = report.difficulty[at]
+    # the report lists the edges as edge_columns() does
+    difficulty = balance_report(graph).difficulty[at]
     order = np.lexsort((v, u, difficulty))
     return CurriculumSchedule(ordered_edges=edges[order], difficulties=difficulty[order].tolist())
 

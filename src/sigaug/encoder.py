@@ -337,12 +337,7 @@ def mlg_loss(
     Accepts EdgeSample (label = sign) or (u, v, label) tuples with label in
     {+1, -1, 0}; 0 means "no edge".
     """
-    u, v, cls = _as_index_arrays(samples)
-    logits = _pair_logits(z, theta, u, v)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    nll = log_norm - shifted[np.arange(len(u)), cls]
-    return float(nll.mean())
+    return _loss_and_mlg_grads(z, theta, *_as_index_arrays(samples))[0]
 
 
 def _loss_and_mlg_grads(
@@ -405,16 +400,10 @@ class _Optimizer:
 _ABSENT_PAIR_ROUNDS = 50
 
 
-def _edge_keys(graph: SignedGraph) -> np.ndarray:
-    """Sorted ``u * n + v`` keys of the edges (u < v), for absent-pair lookups."""
-    edges = graph.edge_columns()  # in (u, v) order, so the keys come out sorted
-    return edges.u * graph.num_nodes + edges.v
-
-
 def _sample_absent_pairs(
-    rng: np.random.Generator, num_nodes: int, edge_keys: np.ndarray, count: int
+    rng: np.random.Generator, graph: SignedGraph, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform non-adjacent (u < v) pairs, with replacement, rejection-sampled.
+    """Uniform non-adjacent (u < v) pairs of ``graph``, with replacement, rejection-sampled.
 
     Gives up after ``_ABSENT_PAIR_ROUNDS`` rounds and warns with the
     shortfall; that happens only on graphs that are nearly complete.
@@ -426,19 +415,11 @@ def _sample_absent_pairs(
         if need <= 0:
             break
         k = max(64, 2 * need)
-        a = rng.integers(0, num_nodes, size=k)
-        b = rng.integers(0, num_nodes, size=k)
+        a = rng.integers(0, graph.num_nodes, size=k)
+        b = rng.integers(0, graph.num_nodes, size=k)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        keys = lo * num_nodes + hi
-        pos = np.searchsorted(edge_keys, keys)
-        pos_clipped = np.minimum(pos, len(edge_keys) - 1) if len(edge_keys) else pos
-        present = (
-            (pos < len(edge_keys)) & (edge_keys[pos_clipped] == keys)
-            if len(edge_keys)
-            else np.zeros(k, dtype=bool)
-        )
-        valid = (lo != hi) & ~present
+        valid = (lo != hi) & (graph.edge_index(lo, hi) < 0)
         take = min(int(valid.sum()), need)
         if take:
             idx = np.flatnonzero(valid)[:take]
@@ -475,7 +456,6 @@ def _train_loop(
     a_pos, a_neg = _adjacency_pair(graph)
     a_pos_t = a_pos.T.tocsr()
     a_neg_t = a_neg.T.tocsr()
-    edge_keys = _edge_keys(graph)
     rng = _rng(config.seed, stream=1)
     params = state.parameters()
     opt = _Optimizer(config.optimizer, config.learning_rate, params)
@@ -485,7 +465,7 @@ def _train_loop(
     for epoch in range(config.epochs):
         k = min(size_for_epoch(epoch), len(u_all))
         u, v, cls = u_all[:k], v_all[:k], cls_all[:k]
-        qu, qv = _sample_absent_pairs(rng, graph.num_nodes, edge_keys, k)
+        qu, qv = _sample_absent_pairs(rng, graph, k)
         if len(qu):
             u = np.concatenate([u, qu])
             v = np.concatenate([v, qv])

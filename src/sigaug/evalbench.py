@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .augment import AugmentConfig, AugmentationLog, augment
 from .balance import balance_report
@@ -90,6 +89,8 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricsSet))
 
 def auc_rank(scores: Sequence[float], labels: Sequence[int]) -> float | None:
     """Rank-statistic AUC with half credit for tied scores."""
+    from scipy.stats import rankdata  # imported here: scipy.stats dominates import time
+
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     pos_mask = labels == POS
@@ -639,6 +640,21 @@ def report_payload(report: ExperimentReport) -> dict:
     }
 
 
+def _swept_configs(
+    param: str, values: Sequence[float], aug_cfg: AugmentConfig, pace_cfg: PacingConfig
+) -> list[tuple[AugmentConfig, PacingConfig]]:
+    """The augmentation and pacing configs of each swept value, in order.
+
+    Builds them all at once, so a value out of range raises ``ValueError``
+    before any of them runs.
+    """
+    if param.startswith("eps_"):
+        return [(replace(aug_cfg, **{param: float(value)}), pace_cfg) for value in values]
+    if param == "lambda0":
+        return [(aug_cfg, replace(pace_cfg, lambda0=float(value))) for value in values]
+    return [(aug_cfg, replace(pace_cfg, big_t=int(value))) for value in values]
+
+
 def report_timing(report: ExperimentReport) -> dict:
     per_seed = [round(r.runtime_sec, 3) for r in report.results]
     return {"per_seed_sec": per_seed, "total_sec": round(sum(per_seed), 3)}
@@ -660,7 +676,8 @@ def sensitivity_sweep(
 
     The pipeline must use the parameter: the eps_* thresholds act only in
     ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
-    ``tp-only``.  big_t values must be whole numbers.  The pre-trained
+    ``tp-only``.  big_t values must be whole numbers, and every value is
+    range-checked before the first one runs.  The pre-trained
     candidate scorer is cached per seed and shared across values (none of
     the sweepable parameters affect it).
     """
@@ -668,17 +685,10 @@ def sensitivity_sweep(
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
+    configs = _swept_configs(param, values, aug_cfg, pace_cfg)
     cache: dict = {}
     rows: list[dict] = []
-    for value in values:
-        aug = aug_cfg
-        pace = pace_cfg
-        if param.startswith("eps_"):
-            aug = replace(aug_cfg, **{param: float(value)})
-        elif param == "lambda0":
-            pace = replace(pace_cfg, lambda0=float(value))
-        else:
-            pace = replace(pace_cfg, big_t=int(value))
+    for value, (aug, pace) in zip(values, configs):
         rep = run_experiment(
             dataset,
             pipeline,

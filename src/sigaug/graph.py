@@ -9,12 +9,18 @@ Edges travel as columns: three int64 arrays ``(u, v, sign)``.  The loader
 parses straight into them, ``build_graph``, ``graph_from_samples`` and
 ``split_train_test`` work on them with sorts and bincounts, and
 ``SignedGraph`` keeps a CSR layout plus its upper-triangle columns in
-(u, v) order.  The rest of the pipeline (candidate scan, selection,
-perturbation, curriculum, encoder training and the sign head) reads and
-returns ``EdgeColumns`` too.  ``EdgeSample`` objects exist only at the API
-and file boundary: ``EdgeColumns`` is a read-only ``Sequence[EdgeSample]``
-over the columns that builds a sample when indexed or iterated, and plain
-lists of samples are accepted everywhere and converted to columns once.
+(u, v) order, with their sorted pair keys ``u * num_nodes + v``.  The rest
+of the pipeline (candidate scan, selection, perturbation, curriculum,
+encoder training and the sign head) reads and returns ``EdgeColumns`` too.
+``EdgeSample`` objects exist only at the API and file boundary:
+``EdgeColumns`` is a read-only ``Sequence[EdgeSample]`` over the columns
+that builds a sample when indexed or iterated, and plain lists of samples
+are accepted everywhere and converted to columns once.
+
+``SignedGraph.edge_index`` is the one lookup of node pairs in a graph.  The
+candidate scan, no-edge sampling, curriculum scoring and per-edge balance
+profiles all ask it where a pair sits in ``edge_columns()``, or whether the
+pair is there at all, and none of them builds pair keys of its own.
 
 The loader reads a file once and parses its longest *regular prefix* with
 array operations: one precompiled regex per format matches the run of lines
@@ -380,7 +386,8 @@ class SignedGraph:
     """
 
     __slots__ = (
-        "num_nodes", "edge_count", "_indptr", "_indices", "_signs", "_edges", "_balance_report",
+        "num_nodes", "edge_count", "_indptr", "_indices", "_signs", "_edges", "_keys",
+        "_balance_report",
     )
 
     def __init__(self, num_nodes: int, u, v, sign):
@@ -407,12 +414,14 @@ class SignedGraph:
         both_signs = np.concatenate((sign, sign))[order]
         upper = indices > rows  # each edge once, as u < v, in (u, v) order
         self._edges = EdgeColumns(rows[upper], indices[upper], both_signs[upper])
+        keys = self._edges.u * num_nodes + self._edges.v  # sorted: the edges are in (u, v) order
         signs = both_signs.astype(np.int8)
-        for arr in (indptr, indices, signs):
+        for arr in (indptr, indices, signs, keys):
             arr.flags.writeable = False
         self._indptr = indptr
         self._indices = indices
         self._signs = signs
+        self._keys = keys
         # filled by balance.balance_report; the graph never changes, so it never goes stale
         self._balance_report = None
 
@@ -433,13 +442,27 @@ class SignedGraph:
     def degree(self, i: int) -> int:
         return int(self._indptr[i + 1] - self._indptr[i])
 
+    def edge_index(self, u, v) -> np.ndarray:
+        """Position of each pair ``(u, v)`` in ``edge_columns()``, in either order.
+
+        ``u`` and ``v`` are ids, or id arrays of one shape.  A pair that is
+        not an edge gets -1: an absent pair, a self pair, or one with an id
+        outside ``[0, num_nodes)``.
+        """
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if self.edge_count == 0:
+            return np.full(lo.shape, -1)
+        wanted = lo * self.num_nodes + hi
+        at = np.minimum(np.searchsorted(self._keys, wanted), self.edge_count - 1)
+        # an id out of range could alias another pair's key
+        hit = (lo >= 0) & (hi < self.num_nodes) & (self._keys[at] == wanted)
+        return np.where(hit, at, -1)
+
     def sign_of(self, u: int, v: int) -> int:
         """Sign of edge (u, v), or 0 if absent."""
-        ids, signs = self.neighbors(u)
-        k = np.searchsorted(ids, v)
-        if k < len(ids) and ids[k] == v:
-            return int(signs[k])
-        return 0
+        i = int(self.edge_index(u, v))
+        return int(self._edges.sign[i]) if i >= 0 else 0
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.sign_of(u, v) != 0
@@ -462,7 +485,7 @@ class SignedGraph:
         return int(np.count_nonzero(self._signs == NEG)) // 2
 
     # -- matrix views ----------------------------------------------------
-    def adjacency(self, sign: int, normalized: bool = True) -> sparse.csr_matrix:
+    def adjacency(self, sign: int) -> sparse.csr_matrix:
         """Row-normalized adjacency of one sign; zero-degree rows stay zero."""
         mask = self._signs == sign
         rows = np.repeat(np.arange(self.num_nodes), np.diff(self._indptr))
@@ -470,11 +493,9 @@ class SignedGraph:
             (np.ones(int(mask.sum())), (rows[mask], self._indices[mask])),
             shape=(self.num_nodes, self.num_nodes),
         )
-        if normalized:
-            deg = np.asarray(mat.sum(axis=1)).ravel()
-            inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-            mat = sparse.diags(inv) @ mat
-        return mat.tocsr()
+        deg = np.asarray(mat.sum(axis=1)).ravel()
+        inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+        return (sparse.diags(inv) @ mat).tocsr()
 
     def signed_adjacency(self) -> sparse.csr_matrix:
         """Symmetric adjacency with +1/-1 entries (unnormalized)."""
@@ -485,18 +506,14 @@ class SignedGraph:
 
 
 def build_graph(
-    edges: Sequence[EdgeSample],
-    num_nodes: int | None = None,
-    conflict_policy: str = "sum-sign",
+    edges: Sequence[EdgeSample], num_nodes: int | None = None
 ) -> tuple[SignedGraph, BuildStats]:
     """Symmetrize directed records into a SignedGraph.
 
-    Duplicate records between the same unordered pair are collapsed; under
-    ``sum-sign`` the retained sign is the sign of the summed record signs and
-    pairs that sum to zero are dropped (counted in the stats).
+    Duplicate records between the same unordered pair are collapsed: the
+    retained sign is the sign of the summed record signs, and pairs that sum
+    to zero are dropped (counted in the stats).
     """
-    if conflict_policy != "sum-sign":
-        raise ValueError(f"unknown conflict policy {conflict_policy!r}")
     u, v, sign = _columns(edges)
     keys, width = _pair_keys(u, v)
     if num_nodes is None:

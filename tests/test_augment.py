@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -385,6 +385,8 @@ def test_selection_matches_list_oracle(train, additions, deletions, columns):
        st.floats(0.2, 0.9), st.floats(0.2, 0.9), st.floats(0.0, 0.6), st.floats(0.0, 0.6),
        st.one_of(st.none(), st.integers(0, 6)), st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
+@example(seed=0, train=[], scope="all-pairs", add_pos=0.2, add_neg=0.2, del_pos=0.0,
+         del_neg=0.0, cap=None, columns=True, flat=True)  # an edgeless graph, every pair fires
 def test_candidates_match_list_oracle(seed, train, scope, add_pos, add_neg, del_pos, del_neg,
                                       cap, columns, flat):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -517,6 +518,8 @@ def test_sweep_of_a_fractional_big_t_exits_2(dataset_file_path, tmp_path, capsys
     ["run", "--seeds", "0"],
     ["sweep", "--param", "embed_dim", "--values", "4,8"],
     ["sweep", "--pipeline", "baseline", "--param", "lambda0", "--values", "0.5"],
+    ["sweep", "--param", "big_t", "--values", "2,40"],  # 40 > --epochs 15
+    ["sweep", "--param", "eps_add_pos", "--values", "0.95,1.5"],
 ])
 def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, capsys, command):
     outdir = tmp_path / "out"
@@ -524,3 +527,20 @@ def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, ca
     assert rc == 2
     assert "error" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_run_records_the_thread_variables_and_sets_none(dataset_file_path, tmp_path, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("SIGAUG_THREADS", "2")  # not read by sigaug
+    outdir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset_file_path), "--pipeline", "baseline",
+                 "--seeds", "1", "--outdir", str(outdir), *FAST]) == 0
+    env = json.loads((outdir / "config.resolved.json").read_text())["environment"]
+    assert {var: env[var] for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS")} == {
+        "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+    }
+    assert "sigaug_threads" not in env
+    assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ

@@ -13,7 +13,6 @@ from sigaug.encoder import (
     _adjacency_pair,
     _as_index_arrays,
     _backward,
-    _edge_keys,
     _forward,
     _loss_and_mlg_grads,
     _pair_logits,
@@ -452,41 +451,18 @@ def test_json_export(tmp_path):
     assert np.asarray(payload["embeddings"]).shape == (6, 8)
 
 
-def python_edge_keys(g):
-    """_edge_keys as first written: one EdgeSample per edge."""
-    keys = [u * g.num_nodes + v for u, v in (e.pair for e in g.edges())]
-    return np.sort(np.asarray(keys, dtype=np.int64))
-
-
-@pytest.mark.parametrize(
-    "edges, n",
-    [
-        (community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08), 40),
-        (community_records(n=30, seed=3, p_intra=0.3, p_inter=0.15, flip=0.06), 33),
-        (random_signed_records(np.random.default_rng(9), 25, edge_prob=0.3), 25),
-        ([], 5),
-    ],
-    ids=["golden-community", "community-isolated-tail", "random", "edgeless"],
-)
-def test_edge_keys_match_edge_walk(edges, n):
-    g = graph_from_samples(edges, n)
-    keys = _edge_keys(g)
-    assert keys.dtype == np.int64
-    assert np.array_equal(keys, python_edge_keys(g))
-
-
 def test_absent_pair_sampling_warns_when_short(caplog):
     # complete graph on 6 nodes minus (0, 1): one absent pair, drawn with p = 1/18
     edges = [EdgeSample(u, v, 1) for u in range(6) for v in range(u + 1, 6) if (u, v) != (0, 1)]
     g = graph_from_samples(edges, 6)
     rng = np.random.default_rng(0)
     with caplog.at_level("WARNING", logger="sigaug.encoder"):
-        qu, qv = _sample_absent_pairs(rng, 6, _edge_keys(g), 10_000)
+        qu, qv = _sample_absent_pairs(rng, g, 10_000)
     assert 0 < len(qu) < 10_000
     assert set(zip(qu.tolist(), qv.tolist())) == {(0, 1)}
     assert f"short by {10_000 - len(qu)} of 10000 pairs" in caplog.text
 
     caplog.clear()
     with caplog.at_level("WARNING", logger="sigaug.encoder"):
-        qu, _ = _sample_absent_pairs(rng, 6, _edge_keys(g), 3)
+        qu, _ = _sample_absent_pairs(rng, g, 3)
     assert len(qu) == 3 and not caplog.records

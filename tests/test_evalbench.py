@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,9 +653,29 @@ def test_sweep_reuses_pretrained_encoder(tiny_setup):
     assert len(curves[0]) == enc.epochs
 
 
-def test_sweep_validation(tiny_setup):
+def test_sweep_validation(tiny_setup, monkeypatch):
     edges, enc = tiny_setup
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a value ran before every value was checked")
+
+    monkeypatch.setattr(evalbench, "run_experiment", no_run)
     with pytest.raises(ValueError):
         sensitivity_sweep(edges, "embed_dim", [8], enc_cfg=enc)
     with pytest.raises(ValueError):
         sensitivity_sweep(edges, "lambda0", [], enc_cfg=enc)
+    # enc has 30 epochs, so big_t = 40 is out of range
+    with pytest.raises(ValueError, match="big_t must be in"):
+        sensitivity_sweep(edges, "big_t", [2, 40], seeds=[0], enc_cfg=enc)
+    with pytest.raises(ValueError, match="eps_del_neg must be in"):
+        sensitivity_sweep(edges, "eps_del_neg", [0.1, 1.5], seeds=[0], enc_cfg=enc)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of sigaug's import time; only auc_rank needs it
+    src = str(Path(evalbench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sigaug; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import community_records, random_signed_records
 from sigaug.graph import (
     BuildStats,
     EdgeColumns,
@@ -671,6 +672,30 @@ def test_graph_from_samples_rejects_conflicting_signs():
 def test_signed_graph_rejects_bad_pairs(u, v):
     with pytest.raises(ValueError):
         SignedGraph(4, u, v, [1] * len(u))
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        (community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08), 40),
+        (community_records(n=30, seed=3, p_intra=0.3, p_inter=0.15, flip=0.06), 33),
+        (random_signed_records(np.random.default_rng(9), 25, edge_prob=0.3), 25),
+        ([], 5),
+    ],
+    ids=["golden-community", "community-isolated-tail", "random", "edgeless"],
+)
+def test_edge_index_matches_brute_force(edges, n):
+    g = graph_from_samples(edges, n)
+    position = {e.pair: i for i, e in enumerate(g.edges())}
+    # every ordered pair of ids in [0, n + 2): both orders, self pairs, ids past the graph
+    a, b = (ids.ravel() for ids in np.meshgrid(np.arange(n + 2), np.arange(n + 2)))
+    expected = [position.get((min(x, y), max(x, y)), -1) for x, y in zip(a.tolist(), b.tolist())]
+    got = g.edge_index(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+    assert [g.sign_of(x, y) for x, y in zip(a.tolist(), b.tolist())] == [
+        g.edge_columns().sign[i] if i >= 0 else 0 for i in expected
+    ]
 
 
 def test_signed_graph_rejects_bad_sign_and_empty_node_set():
