@@ -175,15 +175,14 @@ def _environment() -> dict:
     }
 
 
-def _load_graph(args: argparse.Namespace):
-    """Config, dataset file, loaded records and built graph of a single-graph command."""
+def _load_graph(cfg):
+    """Dataset file, loaded records and built graph of a config's dataset."""
     from .graph import build_graph, load_edge_list
 
-    cfg = _config_from_args(args)
     path, fmt = cfg.resolve_dataset()
     loaded = load_edge_list(path, format=fmt)
     graph, build_stats = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
-    return cfg, path, loaded, graph, build_stats
+    return path, loaded, graph, build_stats
 
 
 def _prepare_run(
@@ -192,34 +191,30 @@ def _prepare_run(
     param: str | None = None,
     values: tuple | list = (),
 ):
-    """Config, output directory and ``run_experiment`` arguments of a run or sweep.
+    """Config, output directory, experiment arguments and swept configs of a run or sweep.
 
     Checks the run, and the swept ``param`` and every one of its ``values``
-    of a sweep, first: only a run that can start creates the output
-    directory and writes ``config.resolved.json`` into it.
+    of a sweep, then loads the dataset: only a run that can start creates
+    the output directory and writes ``config.resolved.json`` into it.  The
+    ``run_experiment`` arguments hold the loaded graph; the swept configs
+    are the augmentation and pacing configs of each value, or the run's own.
     """
     from .config import write_resolved
     from .evalbench import _swept_configs, check_experiment
 
     cfg = _config_from_args(args, defaults)
-    check_experiment(cfg.pipeline, cfg.seeds, param, values)
+    check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
+    configs = [(cfg.augment, cfg.pacing)]
     if param is not None:
-        _swept_configs(param, values, cfg.augment, cfg.pacing)  # range-checks every value
-    path, fmt = cfg.resolve_dataset()
+        configs = _swept_configs(param, values, cfg.augment, cfg.pacing)
+    _, _, graph, _ = _load_graph(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, outdir / "config.resolved.json", _environment())
     experiment = dict(
-        dataset=path,
-        pipeline=cfg.pipeline,
-        seeds=cfg.seeds,
-        enc_cfg=cfg.encoder,
-        aug_cfg=cfg.augment,
-        pace_cfg=cfg.pacing,
-        ratio=cfg.ratio,
-        dataset_format=fmt,
+        dataset=graph, pipeline=cfg.pipeline, seeds=cfg.seeds, enc_cfg=cfg.encoder, ratio=cfg.ratio
     )
-    return cfg, outdir, experiment
+    return cfg, outdir, experiment, configs
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -229,7 +224,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .balance import balance_report
     from .graph import density, graph_from_samples, record_density, split_train_test
 
-    _, path, loaded, graph, build_stats = _load_graph(args)
+    path, loaded, graph, build_stats = _load_graph(_config_from_args(args))
     report = balance_report(graph)
     bd = report.balance_degree
     out = {
@@ -268,7 +263,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_balance_report(args: argparse.Namespace) -> int:
     from .balance import balance_report
 
-    _, _, _, graph, _ = _load_graph(args)
+    _, _, graph, _ = _load_graph(_config_from_args(args))
     report = balance_report(graph)
     bd = report.balance_degree
     print(
@@ -307,7 +302,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from .evalbench import _derive_seeds
     from .graph import graph_from_samples, split_train_test
 
-    cfg, _, loaded, graph, _ = _load_graph(args)
+    cfg = _config_from_args(args)
+    _, loaded, graph, _ = _load_graph(cfg)
     (seed,) = cfg.seeds
     split_seed, pretrain_seed, _, _ = _derive_seeds(seed)
     split = split_train_test(graph.edge_columns(), cfg.ratio, split_seed)
@@ -359,9 +355,10 @@ def _write_report_files(report, outdir: Path) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     from .evalbench import run_experiment
 
-    cfg, outdir, experiment = _prepare_run(args)
+    cfg, outdir, experiment, [(aug_cfg, pace_cfg)] = _prepare_run(args)
     report = run_experiment(
-        **experiment, diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders
+        **experiment, aug_cfg=aug_cfg, pace_cfg=pace_cfg,
+        diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders,
     )
     report.dataset = cfg.dataset  # report the user-facing name, not the path
     _write_report_files(report, outdir)
@@ -370,11 +367,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evalbench import METRIC_NAMES, sensitivity_sweep
+    from .evalbench import METRIC_NAMES, _sweep
 
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    _, outdir, experiment = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
-    rows = sensitivity_sweep(param=args.param, values=values, **experiment)
+    _, outdir, experiment, configs = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
+    rows = _sweep(args.param, values, configs, **experiment)
     stats = [f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "std")]
     with (outdir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -113,17 +113,18 @@ def train_with_curriculum(
     """Train on growing easiest-first prefixes of the schedule.
 
     Epoch t trains on ``subset_at_epoch(schedule, t)`` plus an equal number
-    of resampled no-edge pairs, for ``pace_cfg.total_epochs`` epochs.  With
+    of resampled no-edge pairs, for the encoder's epochs; a pacing whose
+    ``total_epochs`` differs from them raises ``ValueError``.  With
     lambda0 = 1 this reduces exactly to plain full-set training on the
     schedule order.
     """
     if not schedule.ordered_edges:
         raise ValueError("schedule is empty")
-    cfg = replace(enc_cfg, epochs=pace_cfg.total_epochs)
-    state = init_state(graph, cfg)
+    PacingConfig.for_epochs(enc_cfg.epochs, **asdict(pace_cfg))  # raises on other epochs
+    state = init_state(graph, enc_cfg)
     edges = schedule.ordered_edges
     n = len(edges)
-    return _train_loop(graph, state, cfg, edges, lambda t: subset_size(n, t, pace_cfg))
+    return _train_loop(graph, state, enc_cfg, edges, lambda t: subset_size(n, t, pace_cfg))
 
 
 def schedule_to_csv(schedule: CurriculumSchedule, path: str | Path) -> None:

@@ -2,6 +2,9 @@
 random-perturbation baselines, sensitivity sweeps, and a generalization-gap
 diagnostic.
 
+Experiments and sweeps take a built ``SignedGraph`` or edge samples; loading
+a dataset file is the caller's step.
+
 Test-edge signs are predicted by a binary logistic head on concatenated pair
 embeddings [z_u, z_v] of the training edges, fit and scored in node space:
 the embedding is projected once per step and gathered per pair, so the pair
@@ -22,7 +25,6 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,10 +50,9 @@ from .graph import (
     POS,
     EdgeColumns,
     EdgeSample,
-    build_graph,
+    SignedGraph,
     density,
     graph_from_samples,
-    load_edge_list,
     split_train_test,
 )
 from .graph import _canonical, _columns, _concat
@@ -88,9 +89,7 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricsSet))
 
 
 def auc_rank(scores: Sequence[float], labels: Sequence[int]) -> float | None:
-    """Rank-statistic AUC with half credit for tied scores."""
-    from scipy.stats import rankdata  # imported here: scipy.stats dominates import time
-
+    """Rank-statistic AUC with half credit for tied scores (which must not be NaN)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     pos_mask = labels == POS
@@ -98,7 +97,9 @@ def auc_rank(scores: Sequence[float], labels: Sequence[int]) -> float | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)
+    # midranks: a run of tied scores shares the mean of the ranks it spans
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse.ravel()]
     return float((ranks[pos_mask].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
@@ -115,6 +116,8 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[int]) -> MetricsSe
         raise ValueError("scores and labels must be equal-length and non-empty")
     if not np.isin(labels, (POS, NEG)).all():
         raise ValueError("labels must be +1 or -1")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
     preds = np.where(scores >= 0.5, POS, NEG)
     tp = int(((preds == POS) & (labels == POS)).sum())
     fp = int(((preds == POS) & (labels == NEG)).sum())
@@ -446,12 +449,14 @@ def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
 def check_experiment(
     pipeline: str,
     seeds: Sequence[int],
+    ratio: float,
     param: str | None = None,
     values: Sequence[float] = (),
 ) -> tuple[str, str | None, float]:
     """Raise ``ValueError`` for a run or sweep that cannot start; parse the pipeline.
 
-    A run needs at least one seed and a known pipeline.  A sweep (``param``
+    A run needs at least one seed, a known pipeline and a train ``ratio`` in
+    (0, 1).  A sweep (``param``
     given) needs a sweepable parameter that the pipeline uses and at least
     one value, and big_t values must be whole numbers.  Returns the pipeline
     kind, and the perturbation kind and ratio of a ``random:`` pipeline.
@@ -461,6 +466,8 @@ def check_experiment(
             "no seeds to run: give a seed count of at least 1 or a non-empty seed list"
         )
     parsed = _parse_pipeline(pipeline)
+    if not 0 < ratio < 1:
+        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     if param is None:
         return parsed
     if param not in SWEEPABLE_PARAMS:
@@ -484,48 +491,49 @@ def _node_count(edges: EdgeColumns) -> int:
     return int(edges.v.max()) + 1
 
 
-def _load_edges(dataset, dataset_format: str) -> tuple[EdgeColumns, int, str]:
-    if isinstance(dataset, (str, Path)):
-        loaded = load_edge_list(dataset, format=dataset_format)
-        graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
-        return graph.edge_columns(), graph.num_nodes, str(dataset)
-    edges = _canonical(dataset)
-    num_nodes = _node_count(edges)
-    return graph_from_samples(edges, num_nodes).edge_columns(), num_nodes, "<in-memory>"
+def _edges_and_nodes(dataset: SignedGraph | Sequence[EdgeSample]) -> tuple[EdgeColumns, int]:
+    """The ``edge_columns()`` and node count of a graph, or of the graph of edge samples."""
+    if not isinstance(dataset, SignedGraph):
+        edges = _canonical(dataset)
+        dataset = graph_from_samples(edges, _node_count(edges))
+    return dataset.edge_columns(), dataset.num_nodes
 
 
 def run_experiment(
-    dataset,
+    dataset: SignedGraph | Sequence[EdgeSample],
     pipeline: str,
     seeds: Sequence[int],
     enc_cfg: EncoderConfig | None = None,
     aug_cfg: AugmentConfig | None = None,
     pace_cfg: PacingConfig | None = None,
     ratio: float = 0.8,
-    dataset_format: str = "rating-csv",
     diagnostic: bool = False,
-    gap_constants: GapConstants | None = None,
     encoder_cache: dict | None = None,
     keep_states: bool = False,
 ) -> ExperimentReport:
     """Split / augment / train / evaluate over every seed and aggregate.
 
+    ``dataset`` is a built ``SignedGraph`` (as ``build_graph`` makes from a
+    loaded file) or in-memory edge samples, which are deduplicated into one.
     Pipelines: ``baseline`` (plain training), ``sga`` (structure augmentation
     plus curriculum), ``sa-only``, ``tp-only``, and ``random:<kind>,<ratio>``.
     Plain training is realized as the lambda0 = 1 degenerate curriculum so a
-    no-op-threshold ``sga`` run is bit-identical to ``baseline``.  When
-    ``encoder_cache`` is given, pre-trained candidate scorers are reused per
-    seed (valid while dataset, split, and encoder config are unchanged).
+    no-op-threshold ``sga`` run is bit-identical to ``baseline``.  A run that
+    cannot start (see ``check_experiment``) raises ``ValueError`` before any
+    seed runs.  When ``encoder_cache`` is given, pre-trained candidate
+    scorers are reused per seed (valid while dataset, split, and encoder
+    config are unchanged).  The gap diagnostic uses ``GapConstants`` with
+    the encoder's learning rate and epochs.
     """
-    kind, perturb_kind, perturb_ratio = check_experiment(pipeline, seeds)
+    kind, perturb_kind, perturb_ratio = check_experiment(pipeline, seeds, ratio)
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     # training runs for the encoder's epochs; a pacing over other epochs is an error
     pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
-    edges, num_nodes, dataset_name = _load_edges(dataset, dataset_format)
+    edges, num_nodes = _edges_and_nodes(dataset)
 
     report = ExperimentReport(
-        dataset=dataset_name, pipeline=pipeline, ratio=ratio, seeds=list(seeds)
+        dataset="<in-memory>", pipeline=pipeline, ratio=ratio, seeds=list(seeds)
     )
     plain_pace = PacingConfig(lambda0=1.0, big_t=1, total_epochs=enc_cfg.epochs)
     for seed in seeds:
@@ -577,9 +585,7 @@ def run_experiment(
             after_report = balance_report(final_graph)
             diag = None
             if diagnostic:
-                constants = gap_constants or GapConstants(
-                    eta=enc_cfg.learning_rate, t=enc_cfg.epochs
-                )
+                constants = GapConstants(eta=enc_cfg.learning_rate, t=enc_cfg.epochs)
                 diag = _gap_diagnostic(state, scores, labels, n_fit, constants)
         except Exception as exc:
             raise RuntimeError(f"seed {seed}: stage {stage!r} failed: {exc}") from exc
@@ -661,7 +667,7 @@ def report_timing(report: ExperimentReport) -> dict:
 
 
 def sensitivity_sweep(
-    dataset,
+    dataset: SignedGraph | Sequence[EdgeSample],
     param: str,
     values: Sequence[float],
     pipeline: str = "sga",
@@ -670,36 +676,39 @@ def sensitivity_sweep(
     aug_cfg: AugmentConfig | None = None,
     pace_cfg: PacingConfig | None = None,
     ratio: float = 0.8,
-    dataset_format: str = "rating-csv",
 ) -> list[dict]:
     """One run_experiment per value of one augmentation/pacing parameter.
 
     The pipeline must use the parameter: the eps_* thresholds act only in
     ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
     ``tp-only``.  big_t values must be whole numbers, and every value is
-    range-checked before the first one runs.  The pre-trained
+    range-checked before the first one runs.  Every value runs on the one
+    ``dataset``, as ``run_experiment`` takes it.  The pre-trained
     candidate scorer is cached per seed and shared across values (none of
     the sweepable parameters affect it).
     """
-    check_experiment(pipeline, seeds, param, values)
+    check_experiment(pipeline, seeds, ratio, param, values)
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
     configs = _swept_configs(param, values, aug_cfg, pace_cfg)
+    return _sweep(
+        param, values, configs,
+        dataset=dataset, pipeline=pipeline, seeds=seeds, enc_cfg=enc_cfg, ratio=ratio,
+    )
+
+
+def _sweep(
+    param: str,
+    values: Sequence[float],
+    configs: Sequence[tuple[AugmentConfig, PacingConfig]],
+    **experiment,
+) -> list[dict]:
+    """The rows of a checked sweep: one ``run_experiment`` per value on its configs."""
     cache: dict = {}
     rows: list[dict] = []
     for value, (aug, pace) in zip(values, configs):
-        rep = run_experiment(
-            dataset,
-            pipeline,
-            seeds,
-            enc_cfg=enc_cfg,
-            aug_cfg=aug,
-            pace_cfg=pace,
-            ratio=ratio,
-            dataset_format=dataset_format,
-            encoder_cache=cache,
-        )
+        rep = run_experiment(**experiment, aug_cfg=aug, pace_cfg=pace, encoder_cache=cache)
         agg = rep.aggregate()
         row = {"param": param, "value": value}
         for name in METRIC_NAMES:

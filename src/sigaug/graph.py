@@ -184,8 +184,11 @@ _CANONICAL_ID = re.compile(_ID)
 _REGULAR_PREFIX = {
     "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*"),
     # the time field and any after it are ignored, so they may hold anything the
-    # csv reader reads as plain unquoted text
-    "rating-csv": re.compile(rf'(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[^\r\n"\x00]*)?\n)*'),
+    # csv reader reads as plain unquoted text, in no more characters than it
+    # reads in one field
+    "rating-csv": re.compile(
+        rf'(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[^\r\n"\x00]{{0,{csv.field_size_limit()}}})?\n)*'
+    ),
 }
 
 
@@ -228,29 +231,31 @@ def _read_rows(
     """Line numbers and the source, target and value fields of the data rows.
 
     Lines are numbered from ``start``.  Reading stops at the first row with
-    fewer than three fields; the last item returned is a ``ParseError`` for
-    it, or None when there is none.
+    fewer than three fields or that the csv reader rejects (a field over
+    ``csv.field_size_limit()``; before Python 3.11 also a NUL); the last item
+    returned is a ``ParseError`` for it, or None when there is none.
     """
     tsv = format == "sign-tsv"
-    if tsv:
-        rows = enumerate(map(str.split, fh), start=start)
-    else:
-        rows = enumerate(csv.reader(fh), start=start)
+    rows = map(str.split, fh) if tsv else csv.reader(fh)
     lines, src, dst, val = [], [], [], []
-    for lineno, row in rows:
-        if not row or (tsv and row[0].startswith("#")):
-            continue
-        if len(row) < 3:
-            short = ParseError(f"expected at least 3 fields, got {len(row)}", lineno)
-            return lines, src, dst, val, short
-        lines.append(lineno)
-        src.append(row[0])
-        dst.append(row[1])
-        val.append(row[2])
+    lineno, stop = start - 1, None
+    try:
+        for lineno, row in enumerate(rows, start=start):
+            if not row or (tsv and row[0].startswith("#")):
+                continue
+            if len(row) < 3:
+                stop = ParseError(f"expected at least 3 fields, got {len(row)}", lineno)
+                break
+            lines.append(lineno)
+            src.append(row[0])
+            dst.append(row[1])
+            val.append(row[2])
+    except csv.Error as exc:  # raised for the row after the last one read
+        stop = ParseError(str(exc), lineno + 1)
     if not tsv:
         src = [s.strip() for s in src]
         dst = [s.strip() for s in dst]
-    return lines, src, dst, val, None
+    return lines, src, dst, val, stop
 
 
 def _float_or_nan(text: str) -> float:
@@ -287,7 +292,8 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     ``sign-tsv`` rows are whitespace-separated ``src dst sign`` with sign in
     {1, -1}; lines starting with '#' are skipped.  A rating or sign that is
     not a finite number raises ``ParseError``, except on line 1 of a
-    rating-csv file, which is then taken as a header.  Node ids of the kept
+    rating-csv file, which is then taken as a header; so does a short row,
+    or a rating-csv row the csv reader rejects.  Node ids of the kept
     records are densified to 0..n-1 in first-seen order; the original ids
     are kept in ``original_ids``.
 
@@ -296,7 +302,8 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     ``#`` comments for ``sign-tsv``, lines ``ID,ID,-?INT[,time...]`` for
     ``rating-csv``, each ending in ``\\n``, where an ``ID`` is a canonical
     decimal (``0`` or up to 18 digits without a leading zero) and the ignored
-    time fields hold no quote, NUL or ``\\r``.  The row loop parses the rest,
+    time fields hold no quote, NUL or ``\\r`` and at most
+    ``csv.field_size_limit()`` characters.  The row loop parses the rest,
     numbering lines on from the prefix, so the rules above hold for irregular
     lines exactly as they did, except that the whole file is decoded first:
     bytes that are not valid text raise ``UnicodeDecodeError`` (a
@@ -311,7 +318,7 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     with path.open(newline="") as fh:
         content = fh.read()
     end, prefix_lines, head = _regular_prefix(content, format)
-    lines, src, dst, val, short_row = _read_rows(
+    lines, src, dst, val, stop = _read_rows(
         io.StringIO(content[end:], newline=""), format, start=prefix_lines + 1
     )
     try:
@@ -333,8 +340,8 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
             raise ParseError(f"sign must be 1 or -1, got {int(values[i])}", lines[i])
         kind = "non-numeric" if math.isnan(values[i]) else "non-finite"
         raise ParseError(f"{kind} rating/sign {text!r}", lines[i])
-    if short_row is not None:
-        raise short_row
+    if stop is not None:
+        raise stop
 
     head_src, head_dst, head_value = head.T
     zero = np.concatenate((head_value == 0, truncated == 0))

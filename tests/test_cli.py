@@ -520,6 +520,8 @@ def test_sweep_of_a_fractional_big_t_exits_2(dataset_file_path, tmp_path, capsys
     ["sweep", "--pipeline", "baseline", "--param", "lambda0", "--values", "0.5"],
     ["sweep", "--param", "big_t", "--values", "2,40"],  # 40 > --epochs 15
     ["sweep", "--param", "eps_add_pos", "--values", "0.95,1.5"],
+    ["run", "--ratio", "1.5"],
+    ["sweep", "--param", "lambda0", "--values", "0.5", "--ratio", "1.5"],
 ])
 def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, capsys, command):
     outdir = tmp_path / "out"
@@ -527,6 +529,42 @@ def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, ca
     assert rc == 2
     assert "error" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda0", "--values", "0.5"]])
+def test_a_dataset_that_fails_to_parse_writes_no_files(tmp_path, capsys, command):
+    data = tmp_path / "ratings.csv"
+    data.write_text("1,2,5\n2,3,abc\n3,4,-2\n")
+    outdir = tmp_path / "out"
+    rc = main([*command, "--dataset", str(data), "--format", "rating-csv",
+               "--outdir", str(outdir), *FAST])
+    assert rc == 2
+    assert "line 2: non-numeric rating/sign 'abc'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_a_sweep_parses_its_dataset_once(dataset_file_path, tmp_path, monkeypatch):
+    from sigaug import graph
+
+    calls = []
+    parse = graph._regular_prefix
+    monkeypatch.setattr(graph, "_regular_prefix", lambda *args: calls.append(1) or parse(*args))
+    assert _sweep(dataset_file_path, tmp_path, "--pipeline", "tp-only",
+                  "--param", "lambda0", "--values", "0.25,0.5,1.0") == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--pipeline", "sga", "--seeds", "1", "--eps-add-pos", "0.4"],
+    ["sweep", "--seeds", "1", "--param", "eps_add_pos", "--values", "0.4"],
+    ["augment", "--eps-add-pos", "0.4"],
+])
+def test_a_low_add_threshold_is_logged_once(dataset_file_path, tmp_path, caplog, command):
+    with caplog.at_level("WARNING", logger="sigaug.augment"):
+        assert main([*command, "--dataset", str(dataset_file_path),
+                     "--outdir", str(tmp_path / "out"), *FAST]) == 0
+    low = [r.getMessage() for r in caplog.records if "<= 0.5" in r.getMessage()]
+    assert low == ["eps_add_pos=0.400 is <= 0.5; expect many addition candidates"]
 
 
 def test_run_records_the_thread_variables_and_sets_none(dataset_file_path, tmp_path, monkeypatch):

@@ -139,6 +139,16 @@ def test_lambda0_one_equals_plain_training(small_community):
         assert np.array_equal(a, b)
 
 
+def test_curriculum_trains_the_encoders_epochs_or_refuses(small_community):
+    edges, g = small_community
+    schedule = score_and_sort(g, edges)
+    pace = PacingConfig(lambda0=0.5, big_t=2, total_epochs=5)
+    with pytest.raises(ValueError, match="total_epochs = 5 disagrees with .* epochs = 3"):
+        train_with_curriculum(g, schedule, EncoderConfig(embed_dim=4, epochs=3), pace)
+    state = train_with_curriculum(g, schedule, EncoderConfig(embed_dim=4, epochs=5), pace)
+    assert len(state.loss_history) == 5
+
+
 def test_curriculum_deterministic(small_community):
     edges, g = small_community
     enc = EncoderConfig(embed_dim=8, epochs=20, seed=2)

@@ -65,6 +65,30 @@ def test_auc_single_class_is_undefined():
     assert auc_rank([0.1, 0.9], [1, 1]) is None
 
 
+@given(st.lists(st.tuples(st.integers(0, 8), st.sampled_from([1, -1])), min_size=2, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_auc_midranks_match_rankdata_bit_for_bit(rows):
+    from scipy.stats import rankdata
+
+    scores = np.array([s for s, _ in rows]) / 8.0
+    labels = np.array([l for _, l in rows])
+    pos = labels == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    if n_pos == 0 or n_neg == 0:
+        assert auc_rank(scores, labels) is None
+        return
+    ranks = rankdata(scores)
+    assert auc_rank(scores, labels) == float(
+        (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="scores must be finite"):
+        compute_metrics([0.9, bad, 0.2], [1, 1, -1])
+
+
 def test_auc_matches_pairwise_oracle():
     rng = np.random.default_rng(17)
     for _ in range(100):
@@ -618,6 +642,28 @@ def test_run_experiment_unknown_pipeline(tiny_setup):
         run_experiment(edges, "random:drop-edge", [0], enc_cfg=enc)
 
 
+def test_run_experiment_takes_a_built_graph(tiny_setup):
+    edges, enc = tiny_setup
+    graph = graph_from_samples(edges, 26)
+    on_samples = run_experiment(edges, "sga", [0], enc_cfg=enc)
+    on_graph = run_experiment(graph, "sga", [0], enc_cfg=enc)
+    assert evalbench.report_payload(on_graph) == evalbench.report_payload(on_samples)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, math.nan])
+def test_run_experiment_rejects_a_ratio_outside_the_unit_interval(tiny_setup, monkeypatch, ratio):
+    edges, enc = tiny_setup
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evalbench, "split_train_test", no_split)
+    with pytest.raises(ValueError, match="ratio must be in"):
+        run_experiment(edges, "baseline", [0], enc_cfg=enc, ratio=ratio)
+    with pytest.raises(ValueError, match="ratio must be in"):
+        sensitivity_sweep(edges, "lambda0", [0.5], seeds=[0], enc_cfg=enc, ratio=ratio)
+
+
 def test_run_experiment_rejects_pacing_over_other_epochs(tiny_setup):
     edges, _ = tiny_setup
     pace = PacingConfig(lambda0=0.5, big_t=5, total_epochs=300)
@@ -671,11 +717,27 @@ def test_sweep_validation(tiny_setup, monkeypatch):
         sensitivity_sweep(edges, "eps_del_neg", [0.1, 1.5], seeds=[0], enc_cfg=enc)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of sigaug's import time; only auc_rank needs it
+def _leaves_scipy_stats_unloaded(code: str) -> bool:
+    """Whether a fresh interpreter that runs ``code`` has not imported scipy.stats."""
     src = str(Path(evalbench.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, sigaug; print('scipy.stats' in sys.modules)"
+    code += "\nimport sys; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would cost most of sigaug's import time, and nothing needs it
+    assert _leaves_scipy_stats_unloaded("import sigaug")
+
+
+def test_an_experiment_leaves_scipy_stats_unloaded():
+    # AUC midranks come from numpy, so a whole run never imports scipy.stats
+    assert _leaves_scipy_stats_unloaded(
+        "from sigaug import EdgeSample, EncoderConfig, run_experiment\n"
+        "edges = [EdgeSample(u, v, 1 if (u < 4) == (v < 4) else -1)\n"
+        "         for u in range(8) for v in range(u + 1, 8)]\n"
+        "report = run_experiment(edges, 'sga', [0], enc_cfg=EncoderConfig(embed_dim=4, epochs=4))\n"
+        "assert report.results[0].metrics.auc is not None"
+    )

@@ -229,8 +229,9 @@ def dict_load_edge_list(path, format="rating-csv"):
     """The row-at-a-time loader: one dict lookup and one EdgeSample per record.
 
     Returns ``(samples, original_ids, zero_rating_dropped, self_loops_dropped)``.
-    It differs from the loader it was in one place only: a rating that
-    overflows ``int`` raises ParseError, as the columnar loader does.
+    It differs from the loader it was in two places only: a rating that
+    overflows ``int``, and a row the csv reader rejects, raise ParseError, as
+    the columnar loader does.
     """
     id_map: dict = {}
     original_ids: list = []
@@ -250,27 +251,31 @@ def dict_load_edge_list(path, format="rating-csv"):
             rows = ((i, row) for i, row in enumerate(csv.reader(fh), start=1))
         else:
             rows = ((i, line.split()) for i, line in enumerate(fh, start=1))
-        for lineno, row in rows:
-            if not row or (row[0].startswith("#") and format == "sign-tsv"):
-                continue
-            if len(row) < 3:
-                raise ParseError(f"expected at least 3 fields, got {len(row)}", lineno)
-            src_s, dst_s, val_s = row[0].strip(), row[1].strip(), row[2].strip()
-            try:
-                value = int(float(val_s))
-            except (ValueError, OverflowError):
-                if lineno == 1 and format == "rating-csv":
-                    continue  # optional header row
-                raise ParseError(f"non-numeric rating/sign {val_s!r}", lineno) from None
-            if format == "sign-tsv" and value not in (1, -1):
-                raise ParseError(f"sign must be 1 or -1, got {value}", lineno)
-            if value == 0:
-                zero_dropped += 1
-                continue
-            if src_s == dst_s:
-                loops_dropped += 1
-                continue
-            samples.append(EdgeSample(dense(src_s), dense(dst_s), 1 if value > 0 else -1))
+        lineno = 0
+        try:
+            for lineno, row in rows:
+                if not row or (row[0].startswith("#") and format == "sign-tsv"):
+                    continue
+                if len(row) < 3:
+                    raise ParseError(f"expected at least 3 fields, got {len(row)}", lineno)
+                src_s, dst_s, val_s = row[0].strip(), row[1].strip(), row[2].strip()
+                try:
+                    value = int(float(val_s))
+                except (ValueError, OverflowError):
+                    if lineno == 1 and format == "rating-csv":
+                        continue  # optional header row
+                    raise ParseError(f"non-numeric rating/sign {val_s!r}", lineno) from None
+                if format == "sign-tsv" and value not in (1, -1):
+                    raise ParseError(f"sign must be 1 or -1, got {value}", lineno)
+                if value == 0:
+                    zero_dropped += 1
+                    continue
+                if src_s == dst_s:
+                    loops_dropped += 1
+                    continue
+                samples.append(EdgeSample(dense(src_s), dense(dst_s), 1 if value > 0 else -1))
+        except csv.Error as exc:  # raised for the row after the last one read
+            raise ParseError(str(exc), lineno + 1) from None
     if not samples:
         raise ValueError(f"no usable edge records in {path}")
     return samples, original_ids, zero_dropped, loops_dropped
@@ -502,12 +507,18 @@ _NEAR_REGULAR = {
         "1,2,5,12\r3,4,1\n",  # a lone \r after the time ends a line
         "1,2,5\n2,3,1e400\n",
         "1,2,99999999999999999999\n",  # a rating too long for the prefix
+        # fields longer than the csv reader's limit, in an id and in the ignored time
+        "1,2,5\n1,2,5\n" + "1" * 131073 + ",3,5\n",
+        "1,2,5\n1,2,5," + "7" * 131072 + "\n3,4,1," + "7" * 131073 + "\n",
     ],
 }
 
 
 @pytest.mark.parametrize(
-    "format, text", [(f, t) for f, texts in _NEAR_REGULAR.items() for t in texts]
+    "format, text",
+    [(f, t) for f, texts in _NEAR_REGULAR.items() for t in texts],
+    # pytest's own id for all but the over-long texts, which it would repeat whole
+    ids=lambda param: f"{len(param)}-chars" if len(param) > 1000 else None,
 )
 def test_near_regular_inputs_match_dict_oracle(tmp_path, format, text):
     assert_load_matches_dict_oracle(write(tmp_path, "edges.txt", text), format)
