@@ -23,6 +23,7 @@ from .encoder import (
     CLASS_POS,
     EncoderConfig,
     EncoderState,
+    _require_ints,
     pair_class_probabilities,
     train_encoder,
 )
@@ -63,8 +64,10 @@ class AugmentConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
         if self.candidate_scope not in ("two-hop", "all-pairs"):
             raise ValueError(f"unknown candidate_scope {self.candidate_scope!r}")
-        if self.max_additions is not None and self.max_additions < 0:
-            raise ValueError("max_additions must be >= 0")
+        if self.max_additions is not None:
+            _require_ints(self, "max_additions")
+            if self.max_additions < 0:
+                raise ValueError("max_additions must be >= 0")
 
 
 @dataclass

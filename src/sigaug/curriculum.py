@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .balance import balance_report
-from .encoder import EncoderConfig, EncoderState, _train_loop, init_state
+from .encoder import EncoderConfig, EncoderState, _require_ints, _train_loop, init_state
 from .graph import EdgeColumns, EdgeSample, SignedGraph, _canonical
 
 
@@ -31,6 +31,7 @@ class PacingConfig:
     total_epochs: int = 300
 
     def __post_init__(self):
+        _require_ints(self, "big_t", "total_epochs")
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError(f"lambda0 must be in (0, 1], got {self.lambda0}")
         if self.total_epochs < 1:

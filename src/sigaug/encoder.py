@@ -57,6 +57,14 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
+def _require_ints(config, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``config`` is an int (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass
 class EncoderConfig:
     """Architecture and optimization knobs.
@@ -77,12 +85,13 @@ class EncoderConfig:
     input_features: str = "spectral"
 
     def __post_init__(self):
+        _require_ints(self, "embed_dim", "layers", "epochs")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
         if self.embed_dim < 2:
             raise ValueError("embed_dim must be >= 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -253,8 +262,8 @@ def forward(graph: SignedGraph, state: EncoderState) -> np.ndarray:
 
 
 def _backward(
-    a_pos_t: sparse.csr_matrix,
-    a_neg_t: sparse.csr_matrix,
+    a_pos_t: sparse.spmatrix,
+    a_neg_t: sparse.spmatrix,
     state: EncoderState,
     caches,
     d_hpos: np.ndarray,
@@ -454,8 +463,6 @@ def _train_loop(
     length every epoch.
     """
     a_pos, a_neg = _adjacency_pair(graph)
-    a_pos_t = a_pos.T.tocsr()
-    a_neg_t = a_neg.T.tocsr()
     rng = _rng(config.seed, stream=1)
     params = state.parameters()
     opt = _Optimizer(config.optimizer, config.learning_rate, params)
@@ -477,7 +484,7 @@ def _train_loop(
             raise TrainingDivergedError(epoch) from exc
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
-        g_pos, g_neg = _backward(a_pos_t, a_neg_t, state, caches, dz[:, :d], dz[:, d:])
+        g_pos, g_neg = _backward(a_pos.T, a_neg.T, state, caches, dz[:, :d], dz[:, d:])
         opt.step([*g_pos, *g_neg, g_theta])
         state.loss_history.append(loss)
     state.epochs_trained += config.epochs

@@ -440,6 +440,8 @@ def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
             ) from None
         if kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {kind!r}")
+        if not 0 <= ratio <= 1:  # NaN included
+            raise ValueError(f"random perturbation ratio must be in [0, 1], got {ratio}")
         return "random", kind, ratio
     if pipeline not in ("baseline", "sga", "sa-only", "tp-only"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -455,16 +457,19 @@ def check_experiment(
 ) -> tuple[str, str | None, float]:
     """Raise ``ValueError`` for a run or sweep that cannot start; parse the pipeline.
 
-    A run needs at least one seed, a known pipeline and a train ``ratio`` in
-    (0, 1).  A sweep (``param``
-    given) needs a sweepable parameter that the pipeline uses and at least
-    one value, and big_t values must be whole numbers.  Returns the pipeline
-    kind, and the perturbation kind and ratio of a ``random:`` pipeline.
+    A run needs at least one seed, no seed twice, a known pipeline (with a
+    ``random:`` ratio in [0, 1]) and a train ``ratio`` in (0, 1).  A sweep
+    (``param`` given) needs a sweepable parameter that the pipeline uses and
+    at least one value, and big_t values must be whole numbers.  Returns the
+    pipeline kind, and the perturbation kind and ratio of a ``random:``
+    pipeline.
     """
     if len(seeds) == 0:
         raise ValueError(
             "no seeds to run: give a seed count of at least 1 or a non-empty seed list"
         )
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds {list(seeds)} repeat a seed; give each seed once")
     parsed = _parse_pipeline(pipeline)
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")

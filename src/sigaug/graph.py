@@ -8,10 +8,13 @@ sum-of-signs policy.
 Edges travel as columns: three int64 arrays ``(u, v, sign)``.  The loader
 parses straight into them, ``build_graph``, ``graph_from_samples`` and
 ``split_train_test`` work on them with sorts and bincounts, and
-``SignedGraph`` keeps a CSR layout plus its upper-triangle columns in
-(u, v) order, with their sorted pair keys ``u * num_nodes + v``.  The rest
-of the pipeline (candidate scan, selection, perturbation, curriculum,
-encoder training and the sign head) reads and returns ``EdgeColumns`` too.
+``SignedGraph`` keeps its upper-triangle columns in (u, v) order, their
+sorted pair keys ``u * num_nodes + v``, and one symmetric scipy CSR matrix
+with a +1.0/-1.0 entry per edge direction.  That matrix is
+``signed_adjacency()``; the neighbor lookups and the row-normalized
+``adjacency(sign)`` views are read from it.  The rest of the pipeline
+(candidate scan, selection, perturbation, curriculum, encoder training and
+the sign head) reads and returns ``EdgeColumns`` too.
 ``EdgeSample`` objects exist only at the API and file boundary:
 ``EdgeColumns`` is a read-only ``Sequence[EdgeSample]`` over the columns
 that builds a sample when indexed or iterated, and plain lists of samples
@@ -379,23 +382,22 @@ class BuildStats:
     input_records: int = 0
     merged_pairs: int = 0
     conflicts_dropped: int = 0
-    self_loops_dropped: int = 0
 
 
 class SignedGraph:
-    """Immutable undirected signed graph with per-node sorted neighbor sets.
+    """Immutable undirected signed graph stored as one signed CSR matrix.
 
-    Neighbors of node i are split into positive and negative sets; the two
-    sets are disjoint and symmetric (j in N_i^+ iff i in N_j^+).  Backed by a
-    CSR layout so neighbor lookups are O(log deg) and row slices are numpy
-    views.  Built from canonical columns: ``0 <= u < v < num_nodes`` and one
-    sign in {+1, -1} per distinct pair, in any order.
+    The matrix is the symmetric adjacency with a +1.0 or -1.0 entry per
+    edge direction, in canonical CSR format (sorted row indices, no
+    duplicates, read-only arrays).  ``signed_adjacency`` returns it, and the
+    neighbor lookups and ``adjacency`` views read it.  Next to it the graph
+    keeps each edge once as u < v (``edge_columns``) and the sorted pair keys
+    ``u * num_nodes + v`` behind ``edge_index``.  Built from canonical
+    columns: ``0 <= u < v < num_nodes`` and one sign in {+1, -1} per distinct
+    pair, in any order.
     """
 
-    __slots__ = (
-        "num_nodes", "edge_count", "_indptr", "_indices", "_signs", "_edges", "_keys",
-        "_balance_report",
-    )
+    __slots__ = ("num_nodes", "edge_count", "_adjacency", "_edges", "_keys", "_balance_report")
 
     def __init__(self, num_nodes: int, u, v, sign):
         if num_nodes < 1:
@@ -407,36 +409,36 @@ class SignedGraph:
             raise ValueError(f"bad canonical pair ({u[i]}, {v[i]}) for n={num_nodes}")
         self.num_nodes = num_nodes
         self.edge_count = len(u)
-        # both directions of every edge, sorted by (row, neighbor) in one pass
-        rows = np.concatenate((u, v))
-        cols = np.concatenate((v, u))
-        order = np.argsort(rows * num_nodes + cols)
-        rows, indices = rows[order], cols[order]
-        repeated = (rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])
+        keys = u * num_nodes + v
+        order = np.argsort(keys)
+        keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
         if repeated.any():
             i = int(np.argmax(repeated))
-            raise ValueError(f"duplicate pair ({rows[i]}, {indices[i]})")
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-        both_signs = np.concatenate((sign, sign))[order]
-        upper = indices > rows  # each edge once, as u < v, in (u, v) order
-        self._edges = EdgeColumns(rows[upper], indices[upper], both_signs[upper])
-        keys = self._edges.u * num_nodes + self._edges.v  # sorted: the edges are in (u, v) order
-        signs = both_signs.astype(np.int8)
-        for arr in (indptr, indices, signs, keys):
+            raise ValueError(f"duplicate pair ({keys[i] // num_nodes}, {keys[i] % num_nodes})")
+        self._edges = EdgeColumns(u[order], v[order], sign[order])
+        upper = sparse.csr_matrix(
+            (self._edges.sign.astype(np.float64), (self._edges.u, self._edges.v)),
+            shape=(num_nodes, num_nodes),
+        )
+        adjacency = upper + upper.T
+        for arr in (keys, adjacency.data, adjacency.indices, adjacency.indptr):
             arr.flags.writeable = False
-        self._indptr = indptr
-        self._indices = indices
-        self._signs = signs
         self._keys = keys
+        self._adjacency = adjacency
         # filled by balance.balance_report; the graph never changes, so it never goes stale
         self._balance_report = None
 
     # -- neighbor access -------------------------------------------------
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted neighbor ids of i and their parallel signs (views)."""
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return self._indices[lo:hi], self._signs[lo:hi]
+        """Sorted neighbor ids of i and their parallel signs, as read-only views.
+
+        The ids have the matrix's index dtype (int32 unless the graph needs
+        int64); the signs are float64 +1.0 or -1.0.
+        """
+        adj = self._adjacency
+        lo, hi = adj.indptr[i], adj.indptr[i + 1]
+        return adj.indices[lo:hi], adj.data[lo:hi]
 
     def pos_neighbors(self, i: int) -> np.ndarray:
         ids, signs = self.neighbors(i)
@@ -447,7 +449,8 @@ class SignedGraph:
         return ids[signs == NEG]
 
     def degree(self, i: int) -> int:
-        return int(self._indptr[i + 1] - self._indptr[i])
+        indptr = self._adjacency.indptr
+        return int(indptr[i + 1] - indptr[i])
 
     def edge_index(self, u, v) -> np.ndarray:
         """Position of each pair ``(u, v)`` in ``edge_columns()``, in either order.
@@ -486,30 +489,22 @@ class SignedGraph:
         return list(self._edges)
 
     def positive_edge_count(self) -> int:
-        return int(np.count_nonzero(self._signs == POS)) // 2
+        return int(np.count_nonzero(self._edges.sign == POS))
 
     def negative_edge_count(self) -> int:
-        return int(np.count_nonzero(self._signs == NEG)) // 2
+        return int(np.count_nonzero(self._edges.sign == NEG))
 
     # -- matrix views ----------------------------------------------------
     def adjacency(self, sign: int) -> sparse.csr_matrix:
         """Row-normalized adjacency of one sign; zero-degree rows stay zero."""
-        mask = self._signs == sign
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self._indptr))
-        mat = sparse.csr_matrix(
-            (np.ones(int(mask.sum())), (rows[mask], self._indices[mask])),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-        deg = np.asarray(mat.sum(axis=1)).ravel()
-        inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+        mat = (self._adjacency == sign).astype(np.float64)
+        deg = np.diff(mat.indptr)
+        inv = np.divide(1.0, deg, out=np.zeros(len(deg)), where=deg > 0)
         return (sparse.diags(inv) @ mat).tocsr()
 
     def signed_adjacency(self) -> sparse.csr_matrix:
-        """Symmetric adjacency with +1/-1 entries (unnormalized)."""
-        return sparse.csr_matrix(
-            (self._signs.astype(np.float64), self._indices.copy(), self._indptr.copy()),
-            shape=(self.num_nodes, self.num_nodes),
-        )
+        """Symmetric adjacency with +1.0/-1.0 entries (unnormalized); read-only."""
+        return self._adjacency
 
 
 def build_graph(

@@ -522,12 +522,40 @@ def test_sweep_of_a_fractional_big_t_exits_2(dataset_file_path, tmp_path, capsys
     ["sweep", "--param", "eps_add_pos", "--values", "0.95,1.5"],
     ["run", "--ratio", "1.5"],
     ["sweep", "--param", "lambda0", "--values", "0.5", "--ratio", "1.5"],
+    ["run", "--pipeline", "random:drop-edge,1.5"],
+    ["run", "--pipeline", "random:flip-sign,nan"],
+    ["run", "--seeds", "3,3,5"],
+    ["sweep", "--seeds", "3,3", "--param", "lambda0", "--values", "0.5"],
+    ["run", "--learning-rate", "nan"],
+    ["run", "--learning-rate", "inf"],
 ])
 def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, capsys, command):
     outdir = tmp_path / "out"
     rc = main([*command, "--dataset", str(dataset_file_path), "--outdir", str(outdir), *FAST])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[encoder]\nembed_dim = 6\nepochs = 2.5\n", "epochs must be a whole number"),
+    ("[encoder]\nembed_dim = 4.5\nepochs = 15\n", "embed_dim must be a whole number"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\nlayers = true\n", "layers must be a whole number"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\nlearning_rate = nan\n", "learning_rate must be"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\n[pacing]\nbig_t = 2.5\n",
+     "big_t must be a whole number"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\n[augment]\nmax_additions = 2.5\n",
+     "max_additions must be a whole number"),
+])
+def test_a_config_with_a_fractional_count_writes_no_files(
+    dataset_file_path, tmp_path, capsys, text, message
+):
+    config = _write_config(tmp_path / "run.toml", text)
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--seeds", "1", "--outdir", str(outdir)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import community_records, random_signed_records
 from sigaug import encoder
+from sigaug.augment import AugmentConfig
+from sigaug.curriculum import PacingConfig
 from sigaug.encoder import (
     EncoderConfig,
     EncoderState,
@@ -361,6 +363,21 @@ def test_training_loss_non_increasing_first_epochs():
     state = train_encoder(g, edges, EncoderConfig(embed_dim=6, epochs=10, seed=0, learning_rate=1e-3))
     diffs = np.diff(state.loss_history)
     assert (diffs <= 1e-12).all(), state.loss_history
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: EncoderConfig(embed_dim=4.5), "embed_dim"),
+    (lambda: EncoderConfig(epochs=2.0), "epochs"),
+    (lambda: EncoderConfig(layers=True), "layers"),
+    (lambda: EncoderConfig(learning_rate=math.nan), "learning_rate"),
+    (lambda: EncoderConfig(learning_rate=math.inf), "learning_rate"),
+    (lambda: PacingConfig(big_t=2.5, total_epochs=10), "big_t"),
+    (lambda: PacingConfig(big_t=2, total_epochs=10.0), "total_epochs"),
+    (lambda: AugmentConfig(max_additions=2.5), "max_additions"),
+])
+def test_configs_take_whole_counts_and_a_finite_learning_rate(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_training_empty_train_errors():

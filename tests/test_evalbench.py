@@ -277,6 +277,23 @@ def test_node_space_logistic_matches_dense_fit_on_trained_embeddings():
     )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the sign head is linear in [z_u, z_v] and cannot express sign = c_u * c_v; "
+    "on community-ordered ids the u < v orientation alone separates the signs",
+)
+def test_sign_head_beats_chance_on_a_planted_graph_with_shuffled_ids():
+    # Ids are permuted because the generator numbers each community contiguously:
+    # with u < v, a cross-community pair then always has u in the first community,
+    # and a linear head separates the signs from that (AUC about 0.95 here)
+    edges = community_records(n=200, seed=0, p_intra=0.1, p_inter=0.05, flip=0.05)
+    perm = np.random.default_rng(1).permutation(200)
+    shuffled = [EdgeSample(int(perm[e.u]), int(perm[e.v]), e.sign) for e in edges]
+    report = run_experiment(shuffled, "baseline", [0, 1, 2],
+                            enc_cfg=EncoderConfig(embed_dim=16, epochs=30))
+    assert np.mean(report.metric_values("auc")) >= 0.6
+
+
 def test_logistic_matches_grid_search_oracle():
     feats = np.asarray(
         [
@@ -662,6 +679,26 @@ def test_run_experiment_rejects_a_ratio_outside_the_unit_interval(tiny_setup, mo
         run_experiment(edges, "baseline", [0], enc_cfg=enc, ratio=ratio)
     with pytest.raises(ValueError, match="ratio must be in"):
         sensitivity_sweep(edges, "lambda0", [0.5], seeds=[0], enc_cfg=enc, ratio=ratio)
+
+
+@pytest.mark.parametrize("pipeline, seeds, message", [
+    ("baseline", [3, 3, 5], "repeat a seed"),
+    ("random:drop-edge,1.5", [0], r"ratio must be in \[0, 1\]"),
+    ("random:add-pos,nan", [0], r"ratio must be in \[0, 1\]"),
+])
+def test_run_experiment_rejects_repeated_seeds_and_random_ratios(
+    tiny_setup, monkeypatch, pipeline, seeds, message
+):
+    edges, enc = tiny_setup
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evalbench, "split_train_test", no_split)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(edges, pipeline, seeds, enc_cfg=enc)
+    with pytest.raises(ValueError, match=message):
+        sensitivity_sweep(edges, "eps_add_pos", [0.9], pipeline, seeds=seeds, enc_cfg=enc)
 
 
 def test_run_experiment_rejects_pacing_over_other_epochs(tiny_setup):

@@ -310,7 +310,7 @@ def dict_csr(num_nodes, pair_signs):
         deg[v + 1] += 1
     indptr = np.cumsum(deg)
     indices = np.empty(indptr[-1], dtype=np.int64)
-    signs = np.empty(indptr[-1], dtype=np.int8)
+    signs = np.empty(indptr[-1], dtype=np.float64)
     cursor = indptr[:-1].copy()
     for (u, v), s in pair_signs.items():
         indices[cursor[u]], signs[cursor[u]] = v, s
@@ -326,10 +326,34 @@ def dict_csr(num_nodes, pair_signs):
 
 
 def assert_csr_equal(graph, num_nodes, pair_signs):
+    """``signed_adjacency()`` holds the oracle's CSR arrays, in canonical format, read-only."""
     indptr, indices, signs = dict_csr(num_nodes, pair_signs)
-    assert graph._indptr.dtype == indptr.dtype and np.array_equal(graph._indptr, indptr)
-    assert graph._indices.dtype == indices.dtype and np.array_equal(graph._indices, indices)
-    assert graph._signs.dtype == signs.dtype and np.array_equal(graph._signs, signs)
+    adj = graph.signed_adjacency()
+    assert adj.format == "csr" and adj.shape == (num_nodes, num_nodes)
+    assert adj.has_canonical_format
+    assert adj.data.dtype == np.float64
+    assert np.array_equal(adj.indptr, indptr)
+    assert np.array_equal(adj.indices, indices)
+    assert np.array_equal(adj.data, signs)
+    assert not any(a.flags.writeable for a in (adj.data, adj.indices, adj.indptr))
+
+
+def assert_adjacency_matches_oracle(graph, num_nodes, pair_signs):
+    """Each ``adjacency(sign)`` row holds that sign's neighbours, each at 1/degree."""
+    for sign in (1, -1):
+        rows = [set() for _ in range(num_nodes)]
+        for (u, v), s in pair_signs.items():
+            if s == sign:
+                rows[u].add(v)
+                rows[v].add(u)
+        mat = graph.adjacency(sign)
+        assert mat.format == "csr" and mat.shape == (num_nodes, num_nodes)
+        assert mat.data.dtype == np.float64
+        for i, nbrs in enumerate(rows):
+            lo, hi = mat.indptr[i], mat.indptr[i + 1]
+            got = dict(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist()))
+            assert hi - lo == len(got)  # no repeated column
+            assert got == {j: 1.0 / len(nbrs) for j in nbrs}  # empty when the degree is 0
 
 
 def outcome(load, path, format):
@@ -415,6 +439,7 @@ def test_columnar_load_and_build_match_dict_oracle(tmp_path_factory, format, dat
         graph, build_stats = build_graph(edges, num_nodes=loaded.num_nodes)
         assert build_stats == stats
         assert_csr_equal(graph, n, pair_signs)
+        assert_adjacency_matches_oracle(graph, n, pair_signs)
 
 
 # Lines of the regular prefix that the loader parses with array operations.  The
@@ -640,6 +665,7 @@ def test_graph_from_samples_matches_dict_oracle(records):
     for edges in (samples, columns):
         graph = graph_from_samples(edges, 10)
         assert_csr_equal(graph, 10, signs)
+        assert_adjacency_matches_oracle(graph, 10, signs)
         upper = sorted(EdgeSample(u, v, s) for (u, v), s in signs.items())
         assert list(graph.edge_columns()) == upper == graph.to_samples() == list(graph.edges())
 
@@ -707,6 +733,34 @@ def test_edge_index_matches_brute_force(edges, n):
     assert [g.sign_of(x, y) for x, y in zip(a.tolist(), b.tolist())] == [
         g.edge_columns().sign[i] if i >= 0 else 0 for i in expected
     ]
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        (community_records(n=30, seed=3, p_intra=0.3, p_inter=0.15, flip=0.06), 33),
+        (random_signed_records(np.random.default_rng(9), 25, edge_prob=0.3), 25),
+        ([], 5),
+    ],
+    ids=["community-isolated-tail", "random", "edgeless"],
+)
+def test_matrix_views_match_dict_oracle(edges, n):
+    g = graph_from_samples(edges, n)
+    signs = {e.pair: e.sign for e in edges}
+    assert_csr_equal(g, n, signs)
+    assert_adjacency_matches_oracle(g, n, signs)
+    adj = g.signed_adjacency()
+    for i in range(n):
+        ids, nbr_signs = g.neighbors(i)
+        assert ids.dtype.kind == "i" and nbr_signs.dtype == np.float64
+        assert np.shares_memory(ids, adj.indices) or len(ids) == 0
+        assert sorted(ids.tolist()) == ids.tolist() == sorted(
+            v if u == i else u for u, v in signs if i in (u, v)
+        )
+        assert nbr_signs.tolist() == [signs[min(i, j), max(i, j)] for j in ids.tolist()]
+        assert g.degree(i) == len(ids)
+    assert g.positive_edge_count() == sum(s == 1 for s in signs.values())
+    assert g.negative_edge_count() == sum(s == -1 for s in signs.values())
 
 
 def test_signed_graph_rejects_bad_sign_and_empty_node_set():
