@@ -56,8 +56,6 @@ class AugmentConfig:
             val = getattr(self, name)
             if not 0.0 < val <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {val}")
-            if val <= 0.5:
-                log.warning("%s=%.3f is <= 0.5; expect many addition candidates", name, val)
         for name in ("eps_del_pos", "eps_del_neg"):
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
@@ -68,6 +66,13 @@ class AugmentConfig:
             _require_ints(self, "max_additions")
             if self.max_additions < 0:
                 raise ValueError("max_additions must be >= 0")
+
+    def log_low_add_thresholds(self) -> None:
+        """Warn of each add threshold <= 0.5; a run that augments calls this once."""
+        for name in ("eps_add_pos", "eps_add_neg"):
+            val = getattr(self, name)
+            if val <= 0.5:
+                log.warning("%s=%.3f is <= 0.5; expect many addition candidates", name, val)
 
 
 @dataclass

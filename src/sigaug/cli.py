@@ -191,30 +191,32 @@ def _prepare_run(
     param: str | None = None,
     values: tuple | list = (),
 ):
-    """Config, output directory, experiment arguments and swept configs of a run or sweep.
+    """Config, output directory and experiment arguments of a run or sweep.
 
     Checks the run, and the swept ``param`` and every one of its ``values``
     of a sweep, then loads the dataset: only a run that can start creates
     the output directory and writes ``config.resolved.json`` into it.  The
-    ``run_experiment`` arguments hold the loaded graph; the swept configs
-    are the augmentation and pacing configs of each value, or the run's own.
+    arguments are those ``run_experiment`` and ``sensitivity_sweep`` share,
+    with the loaded graph as the dataset.
     """
     from .config import write_resolved
     from .evalbench import _swept_configs, check_experiment
 
     cfg = _config_from_args(args, defaults)
     check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
-    configs = [(cfg.augment, cfg.pacing)]
     if param is not None:
-        configs = _swept_configs(param, values, cfg.augment, cfg.pacing)
+        # range-checks every swept value; building a config logs nothing, so
+        # sensitivity_sweep building these again later shows no trace of this one
+        _swept_configs(param, values, cfg.augment, cfg.pacing)
     _, _, graph, _ = _load_graph(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, outdir / "config.resolved.json", _environment())
     experiment = dict(
-        dataset=graph, pipeline=cfg.pipeline, seeds=cfg.seeds, enc_cfg=cfg.encoder, ratio=cfg.ratio
+        dataset=graph, pipeline=cfg.pipeline, seeds=cfg.seeds, enc_cfg=cfg.encoder,
+        aug_cfg=cfg.augment, pace_cfg=cfg.pacing, ratio=cfg.ratio,
     )
-    return cfg, outdir, experiment, configs
+    return cfg, outdir, experiment
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -303,6 +305,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from .graph import graph_from_samples, split_train_test
 
     cfg = _config_from_args(args)
+    cfg.augment.log_low_add_thresholds()
     _, loaded, graph, _ = _load_graph(cfg)
     (seed,) = cfg.seeds
     split_seed, pretrain_seed, _, _ = _derive_seeds(seed)
@@ -355,11 +358,8 @@ def _write_report_files(report, outdir: Path) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     from .evalbench import run_experiment
 
-    cfg, outdir, experiment, [(aug_cfg, pace_cfg)] = _prepare_run(args)
-    report = run_experiment(
-        **experiment, aug_cfg=aug_cfg, pace_cfg=pace_cfg,
-        diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders,
-    )
+    cfg, outdir, experiment = _prepare_run(args)
+    report = run_experiment(**experiment, diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders)
     report.dataset = cfg.dataset  # report the user-facing name, not the path
     _write_report_files(report, outdir)
     print(report.summary_row())
@@ -367,11 +367,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evalbench import METRIC_NAMES, _sweep
+    from .evalbench import METRIC_NAMES, sensitivity_sweep
 
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    _, outdir, experiment, configs = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
-    rows = _sweep(args.param, values, configs, **experiment)
+    _, outdir, experiment = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
+    rows = sensitivity_sweep(param=args.param, values=values, **experiment)
     stats = [f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "std")]
     with (outdir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -175,8 +175,9 @@ def config_from_dict(
     ``flags`` and ``defaults`` map field names to values; a None value counts
     as not given.  A field takes its flag, else its file value, else its
     ``defaults`` entry, else the dataclass default.  Unknown tables and keys
-    are errors.  Pacing is resolved last, over the final epoch count: big_t
-    defaults to half of it, and a ``total_epochs`` that disagrees is an error.
+    are errors, and so is an ``[encoder] seed`` other than 0.  Pacing is
+    resolved last, over the final epoch count: big_t defaults to half of it,
+    and a ``total_epochs`` that disagrees is an error.
     """
     flags, defaults = flags or {}, defaults or {}
     unknown = sorted(set(data) - set(_TABLES) - {ENVIRONMENT})
@@ -200,6 +201,12 @@ def config_from_dict(
             for name, value in layer.items()
             if name in keys.values() and value is not None
         }
+    # each run seed derives its own encoder seeds, so any other value would go unused
+    if merged["encoder"].get("seed", 0) != 0:
+        raise ValueError(
+            f"[encoder] seed = {merged['encoder']['seed']} is not used: encoder seeds are "
+            "derived from each of the [split] seeds; leave it out or set it to 0"
+        )
     top = {name: value for table in FILE_KEYS for name, value in merged[table].items()}
     encoder = EncoderConfig(**merged["encoder"])
     return RunConfig(

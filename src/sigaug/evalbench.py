@@ -55,7 +55,7 @@ from .graph import (
     graph_from_samples,
     split_train_test,
 )
-from .graph import _canonical, _columns, _concat
+from .graph import _canonical, _concat
 
 log = logging.getLogger(__name__)
 
@@ -172,27 +172,20 @@ def fit_logistic(
     return w, float(b[0])
 
 
-def _sign_head_scores(
-    state: EncoderState, train: Sequence[EdgeSample], edges: Sequence[EdgeSample]
-) -> np.ndarray:
-    """P(positive) per edge from one logistic head fit on the train edges."""
-    if state.embeddings is None:
-        raise ValueError("state has no embeddings; train or run forward first")
-    # canonical (u < v) pairs, so [z_u, z_v] does not depend on how an edge was written
-    fit, edges = _canonical(train), _canonical(edges)
-    w, b = fit_logistic(state.embeddings, fit.u, fit.v, (fit.sign == POS).astype(np.float64))
-    return _sigmoid(_pair_logits(state.embeddings, w, edges.u, edges.v) + b)
-
-
 def predict_test_signs(
     state: EncoderState,
     train: Sequence[EdgeSample],
     test: Sequence[EdgeSample],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """P(positive) per test edge from a logistic head fit on the train edges."""
-    if len(np.unique(_columns(train)[2])) < 2:
+    """P(positive) and the sign per test edge, from a logistic head fit on the train edges."""
+    if state.embeddings is None:
+        raise ValueError("state has no embeddings; train or run forward first")
+    # canonical (u < v) pairs, so [z_u, z_v] does not depend on how an edge was written
+    fit, test = _canonical(train), _canonical(test)
+    if len(np.unique(fit.sign)) < 2:
         raise ValueError("training set must contain both signs")
-    return _sign_head_scores(state, train, test), np.array(_columns(test)[2])
+    w, b = fit_logistic(state.embeddings, fit.u, fit.v, (fit.sign == POS).astype(np.float64))
+    return _sigmoid(_pair_logits(state.embeddings, w, test.u, test.v) + b), np.array(test.sign)
 
 
 # -- random perturbation baselines ---------------------------------------------
@@ -316,11 +309,12 @@ def generalization_diagnostic(
     """Empirical train/test gap of the downstream classifier plus the bound.
 
     Train/test error is the mean binary cross-entropy of the logistic sign
-    classifier; beta is max|Z| and theta the recorded initial weight norm.
+    classifier, so the training set must hold both signs, as for
+    ``predict_test_signs``; beta is max|Z| and theta the recorded initial
+    weight norm.
     """
-    edges = _concat(train, test)
-    scores = _sign_head_scores(state, train, edges)
-    return _gap_diagnostic(state, scores, edges.sign, len(train), constants)
+    scores, labels = predict_test_signs(state, train, _concat(train, test))
+    return _gap_diagnostic(state, scores, labels, len(train), constants)
 
 
 def _gap_diagnostic(
@@ -525,14 +519,17 @@ def run_experiment(
     Plain training is realized as the lambda0 = 1 degenerate curriculum so a
     no-op-threshold ``sga`` run is bit-identical to ``baseline``.  A run that
     cannot start (see ``check_experiment``) raises ``ValueError`` before any
-    seed runs.  When ``encoder_cache`` is given, pre-trained candidate
-    scorers are reused per seed (valid while dataset, split, and encoder
-    config are unchanged).  The gap diagnostic uses ``GapConstants`` with
-    the encoder's learning rate and epochs.
+    seed runs; a ``sga`` or ``sa-only`` run logs an add threshold <= 0.5
+    once, before its first seed.  When ``encoder_cache`` is given,
+    pre-trained candidate scorers are reused per seed (valid while dataset,
+    split, and encoder config are unchanged).  The gap diagnostic uses
+    ``GapConstants`` with the encoder's learning rate and epochs.
     """
     kind, perturb_kind, perturb_ratio = check_experiment(pipeline, seeds, ratio)
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
+    if kind in AUGMENTING:
+        aug_cfg.log_low_add_thresholds()
     # training runs for the encoder's epochs; a pacing over other epochs is an error
     pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
     edges, num_nodes = _edges_and_nodes(dataset)
@@ -690,30 +687,18 @@ def sensitivity_sweep(
     range-checked before the first one runs.  Every value runs on the one
     ``dataset``, as ``run_experiment`` takes it.  The pre-trained
     candidate scorer is cached per seed and shared across values (none of
-    the sweepable parameters affect it).
+    the sweepable parameters affect it).  Each value is one run, so an add
+    threshold <= 0.5 in its augmentation config is logged once per value.
     """
     check_experiment(pipeline, seeds, ratio, param, values)
     enc_cfg = enc_cfg or EncoderConfig()
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
-    configs = _swept_configs(param, values, aug_cfg, pace_cfg)
-    return _sweep(
-        param, values, configs,
-        dataset=dataset, pipeline=pipeline, seeds=seeds, enc_cfg=enc_cfg, ratio=ratio,
-    )
-
-
-def _sweep(
-    param: str,
-    values: Sequence[float],
-    configs: Sequence[tuple[AugmentConfig, PacingConfig]],
-    **experiment,
-) -> list[dict]:
-    """The rows of a checked sweep: one ``run_experiment`` per value on its configs."""
     cache: dict = {}
     rows: list[dict] = []
-    for value, (aug, pace) in zip(values, configs):
-        rep = run_experiment(**experiment, aug_cfg=aug, pace_cfg=pace, encoder_cache=cache)
+    for value, (aug, pace) in zip(values, _swept_configs(param, values, aug_cfg, pace_cfg)):
+        rep = run_experiment(dataset, pipeline, seeds, enc_cfg, aug, pace, ratio,
+                             encoder_cache=cache)
         agg = rep.aggregate()
         row = {"param": param, "value": value}
         for name in METRIC_NAMES:

@@ -52,6 +52,18 @@ def community_records(
     return edges
 
 
+def shuffled_planted_records() -> list[EdgeSample]:
+    """A 200-node ``community_records`` graph with its ids shuffled.
+
+    The generator numbers each community contiguously, so with u < v every
+    cross-community pair has u in the first community; shuffling hides that
+    (see README "Known limitations").
+    """
+    edges = community_records(n=200, seed=0, p_intra=0.1, p_inter=0.05, flip=0.05)
+    perm = np.random.default_rng(1).permutation(200)
+    return [EdgeSample(int(perm[e.u]), int(perm[e.v]), e.sign) for e in edges]
+
+
 def candidate_sets(additions=(), deletions=()) -> CandidateSets:
     """``CandidateSets`` from ``(EdgeSample, confidence)`` pairs and deletion samples."""
     return CandidateSets(

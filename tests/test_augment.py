@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,9 +67,14 @@ def test_config_validation():
 
 
 def test_config_warns_on_low_add_threshold(caplog):
+    # building or replacing a config logs nothing; a run asks for the notice once
     with caplog.at_level(logging.WARNING):
-        AugmentConfig(eps_add_pos=0.4)
-    assert any("0.5" in rec.message for rec in caplog.records)
+        cfg = replace(AugmentConfig(eps_add_pos=0.4), eps_del_pos=0.1)
+        assert caplog.records == []
+        cfg.log_low_add_thresholds()
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "eps_add_pos=0.400 is <= 0.5; expect many addition candidates"
+    ]
 
 
 # -- candidate generation ------------------------------------------------------

@@ -559,6 +559,17 @@ def test_a_config_with_a_fractional_count_writes_no_files(
     assert not outdir.exists()
 
 
+def test_a_config_with_an_encoder_seed_writes_no_files(dataset_file_path, tmp_path, capsys):
+    # run_experiment derives every encoder seed from the run seed, so seed = 7 would be ignored
+    config = _write_config(tmp_path / "run.toml", "[encoder]\nseed = 7\n")
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--seeds", "1", "--outdir", str(outdir), *FAST])
+    assert rc == 2
+    assert "encoder seeds are derived from each of the [split] seeds" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lambda0", "--values", "0.5"]])
 def test_a_dataset_that_fails_to_parse_writes_no_files(tmp_path, capsys, command):
     data = tmp_path / "ratings.csv"
@@ -593,6 +604,19 @@ def test_a_low_add_threshold_is_logged_once(dataset_file_path, tmp_path, caplog,
                      "--outdir", str(tmp_path / "out"), *FAST]) == 0
     low = [r.getMessage() for r in caplog.records if "<= 0.5" in r.getMessage()]
     assert low == ["eps_add_pos=0.400 is <= 0.5; expect many addition candidates"]
+
+
+@pytest.mark.parametrize("command", [
+    ["--param", "eps_add_pos", "--values", "0.4,0.45"],
+    ["--eps-add-pos", "0.4", "--param", "lambda0", "--values", "0.5,1.0"],
+])
+def test_a_sweep_logs_a_low_add_threshold_once_per_value(
+    dataset_file_path, tmp_path, caplog, command
+):
+    with caplog.at_level("WARNING", logger="sigaug.augment"):
+        assert _sweep(dataset_file_path, tmp_path, *command) == 0
+    low = [r.getMessage() for r in caplog.records if "<= 0.5" in r.getMessage()]
+    assert len(low) == 2
 
 
 def test_run_records_the_thread_variables_and_sets_none(dataset_file_path, tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import community_records
+from conftest import community_records, shuffled_planted_records
 from sigaug import evalbench
 from sigaug.augment import AugmentConfig
 from sigaug.curriculum import PacingConfig
@@ -283,13 +283,8 @@ def test_node_space_logistic_matches_dense_fit_on_trained_embeddings():
     "on community-ordered ids the u < v orientation alone separates the signs",
 )
 def test_sign_head_beats_chance_on_a_planted_graph_with_shuffled_ids():
-    # Ids are permuted because the generator numbers each community contiguously:
-    # with u < v, a cross-community pair then always has u in the first community,
-    # and a linear head separates the signs from that (AUC about 0.95 here)
-    edges = community_records(n=200, seed=0, p_intra=0.1, p_inter=0.05, flip=0.05)
-    perm = np.random.default_rng(1).permutation(200)
-    shuffled = [EdgeSample(int(perm[e.u]), int(perm[e.v]), e.sign) for e in edges]
-    report = run_experiment(shuffled, "baseline", [0, 1, 2],
+    # with ids left in community order, the head reads the sign off u < v (AUC about 0.95)
+    report = run_experiment(shuffled_planted_records(), "baseline", [0, 1, 2],
                             enc_cfg=EncoderConfig(embed_dim=16, epochs=30))
     assert np.mean(report.metric_values("auc")) >= 0.6
 
@@ -397,6 +392,14 @@ def test_predict_test_signs_single_class_errors():
     train = [EdgeSample(0, 1, 1), EdgeSample(1, 2, 1)]
     with pytest.raises(ValueError):
         predict_test_signs(state, train, [EdgeSample(0, 2, 1)])
+
+
+def test_gap_diagnostic_refuses_a_one_sign_training_set():
+    # the diagnostic scores through the same head, so it refuses what predict_test_signs does
+    state = separable_state()
+    train = [EdgeSample(0, 1, 1), EdgeSample(1, 2, 1)]
+    with pytest.raises(ValueError, match="both signs"):
+        generalization_diagnostic(state, train, [EdgeSample(0, 2, 1), EdgeSample(2, 4, -1)])
 
 
 def test_sign_head_needs_embeddings():

@@ -5,7 +5,8 @@ final training edges of every pipeline, the ``augment`` command's files and
 the per-edge balance CSV bit for bit on one fixed seeded graph, the files
 of a ``run`` driven by a config file plus flags and of a ``sweep`` on that
 graph, and the ``stats`` and ``balance-report`` CLI outputs on a messy
-rating file built from the same graph.  A refactor must leave them
+rating file built from the same graph.  On that graph, ``augment --seed k``
+must also write the augmented edges of ``run --pipeline sa-only --seed k``.  A refactor must leave them
 unchanged; a change that moves them on purpose says why in CHANGES.md and
 pins the new digests here.
 """
@@ -121,6 +122,21 @@ def test_augment_command_outputs_are_golden(tmp_path, capsys):
         "augmented-train": GOLDEN["augment/augmented-train"],
         "log": GOLDEN["augment/log"],
     }
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_augment_command_matches_an_sa_only_run(seed, tmp_path, capsys):
+    # both commands derive the split and pre-train seeds from the one seed in the same way
+    data = tmp_path / "graph.tsv"
+    data.write_bytes(_rows(EDGES))
+    common = ["--dataset", str(data), "--embed-dim", "8", "--epochs", "20",
+              "--eps-add-pos", "0.6", "--eps-add-neg", "0.6", "--seed", str(seed)]
+    assert main(["--quiet", "augment", *common, "--outdir", str(tmp_path / "augment")]) == 0
+    assert main(["--quiet", "run", "--pipeline", "sa-only", *common,
+                 "--outdir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    augmented = (tmp_path / "augment" / "augmented_train.tsv").read_bytes()
+    assert augmented == (tmp_path / "run" / f"augmented_train_seed{seed}.tsv").read_bytes()
 
 
 def test_per_edge_csv_is_golden(tmp_path, capsys):
