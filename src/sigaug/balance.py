@@ -18,8 +18,9 @@ and both are read off the row-gathered Hadamard product S[u] * S[v]: its
 row sum is <S_u, S_v> and its count of stored entries is <|S_u|, |S_v|>.
 Each triangle touches three edges, so the global totals are sum(b) / 3 and
 sum(ub) / 3.  This is the matrix form of triangle counting (Azad, Buluc &
-Gilbert, IPDPSW 2015), evaluated in fixed-size edge chunks so the product's
-memory stays bounded.
+Gilbert, IPDPSW 2015), evaluated in chunks of edges whose gathered rows hold
+at most ``_CHUNK_WORK`` stored entries in all (deg(u) + deg(v) per edge), so
+the product's memory stays bounded however large the hub degrees are.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from scipy import sparse
 
 from .graph import EdgeSample, SignedGraph
 
-# edges per row gather; bounds the Hadamard product held at once
-_CHUNK_EDGES = 8192
+# gathered row entries per chunk; bounds the Hadamard product held at once
+_CHUNK_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,20 @@ def _incident_triangles(
     """Per-edge (balanced, unbalanced) triangle counts from the signed adjacency."""
     balanced = np.empty(len(u), dtype=np.int64)
     unbalanced = np.empty(len(u), dtype=np.int64)
-    for lo in range(0, len(u), _CHUNK_EDGES):
-        hi = lo + _CHUNK_EDGES
+    degree = np.diff(adj.indptr)
+    # row entries gathered for the edges up to and including each one
+    gathered = np.cumsum(degree[u] + degree[v], dtype=np.int64)
+    lo = 0
+    while lo < len(u):
+        start = gathered[lo - 1] if lo else 0
+        # the longest run within budget; an edge over budget on its own is a chunk alone
+        hi = max(int(np.searchsorted(gathered, start + _CHUNK_WORK, side="right")), lo + 1)
         common = adj[u[lo:hi]].multiply(adj[v[lo:hi]]).tocsr()
         both = np.diff(common.indptr)  # b + ub
         agree = sign[lo:hi] * np.asarray(common.sum(axis=1)).ravel().astype(np.int64)  # b - ub
         balanced[lo:hi] = (both + agree) // 2
         unbalanced[lo:hi] = (both - agree) // 2
+        lo = hi
     return balanced, unbalanced
 
 

@@ -269,16 +269,23 @@ def _backward(
     d_hpos: np.ndarray,
     d_hneg: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight gradients of every layer, from the gradients of the last layer's outputs.
+
+    Consumes ``caches``: each layer's activations are popped off the list and
+    released once that layer's weight gradients are computed, so the
+    backward pass holds one layer's cache at a time.
+    """
     d = state.embed_dim
     n_layers = state.num_layers
     g_pos: list[np.ndarray] = [np.empty(0)] * n_layers
     g_neg: list[np.ndarray] = [np.empty(0)] * n_layers
     for layer in reversed(range(n_layers)):
-        x_pos, pre_pos, x_neg, pre_neg = caches[layer]
+        x_pos, pre_pos, x_neg, pre_neg = caches.pop()
         dpre_pos = d_hpos * (pre_pos > 0)
         dpre_neg = d_hneg * (pre_neg > 0)
         g_pos[layer] = dpre_pos.T @ x_pos
         g_neg[layer] = dpre_neg.T @ x_neg
+        del x_pos, pre_pos, x_neg, pre_neg
         if layer == 0:
             break  # input features are fixed
         dx_pos = dpre_pos @ state.pos_weights[layer]
@@ -482,9 +489,11 @@ def _train_loop(
             loss, g_theta, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls)
         except FloatingPointError as exc:
             raise TrainingDivergedError(epoch) from exc
+        del z  # the loss has taken what it needs; free Z before the backward
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
         g_pos, g_neg = _backward(a_pos.T, a_neg.T, state, caches, dz[:, :d], dz[:, d:])
+        del caches, dz  # so the next epoch's forward does not run beside them
         opt.step([*g_pos, *g_neg, g_theta])
         state.loss_history.append(loss)
     state.epochs_trained += config.epochs

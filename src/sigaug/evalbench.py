@@ -520,13 +520,22 @@ def run_experiment(
     no-op-threshold ``sga`` run is bit-identical to ``baseline``.  A run that
     cannot start (see ``check_experiment``) raises ``ValueError`` before any
     seed runs; a ``sga`` or ``sa-only`` run logs an add threshold <= 0.5
-    once, before its first seed.  When ``encoder_cache`` is given,
-    pre-trained candidate scorers are reused per seed (valid while dataset,
-    split, and encoder config are unchanged).  The gap diagnostic uses
-    ``GapConstants`` with the encoder's learning rate and epochs.
+    once, before its first seed.  Each run seed derives the seeds of its
+    pre-trained scorer and of its final model, so ``enc_cfg.seed`` must be
+    0; any other value raises ``ValueError`` before any seed runs.  The
+    pre-trained scorer is released once ``augment`` has used it, before
+    the final model trains.  When ``encoder_cache`` is given, the cache
+    keeps each seed's scorer and later calls reuse it (valid while
+    dataset, split, and encoder config are unchanged).  The gap diagnostic
+    uses ``GapConstants`` with the encoder's learning rate and epochs.
     """
     kind, perturb_kind, perturb_ratio = check_experiment(pipeline, seeds, ratio)
     enc_cfg = enc_cfg or EncoderConfig()
+    if enc_cfg.seed != 0:
+        raise ValueError(
+            f"EncoderConfig.seed = {enc_cfg.seed} is not used: encoder seeds are derived "
+            "from each run seed; leave it at 0"
+        )
     aug_cfg = aug_cfg or AugmentConfig()
     if kind in AUGMENTING:
         aug_cfg.log_low_add_thresholds()
@@ -560,6 +569,7 @@ def run_experiment(
                 final_train, aug_log, final_graph = augment(
                     train_graph, train, pre_cfg, aug_cfg, pretrained=scorer
                 )
+                del scorer  # an encoder_cache keeps its own reference
             elif kind == "random":
                 stage = "perturb"
                 final_train = random_perturbation(
@@ -689,6 +699,9 @@ def sensitivity_sweep(
     candidate scorer is cached per seed and shared across values (none of
     the sweepable parameters affect it).  Each value is one run, so an add
     threshold <= 0.5 in its augmentation config is logged once per value.
+    As in ``run_experiment``, encoder seeds are derived from each run seed,
+    so ``enc_cfg.seed`` must be 0; any other value raises ``ValueError``
+    before any seed runs.
     """
     check_experiment(pipeline, seeds, ratio, param, values)
     enc_cfg = enc_cfg or EncoderConfig()

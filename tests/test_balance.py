@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -184,15 +186,64 @@ def test_balance_report_matches_per_edge_oracle(graph_spec):
     assert report.difficulty.tolist() == [p.difficulty for p in report.profiles]
 
 
-def test_balance_report_chunking_matches_single_chunk(monkeypatch):
+def hub_records(rng, n, hub_degree, extra_edges):
+    """Node 0 joined to nodes 1..hub_degree, plus ``extra_edges`` random pairs; mixed signs."""
+    pairs = {(0, v) for v in range(1, hub_degree + 1)}
+    while len(pairs) < hub_degree + extra_edges:
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    signs = rng.choice([1, -1], size=len(pairs), p=[0.7, 0.3])
+    return [EdgeSample(u, v, int(s)) for (u, v), s in zip(sorted(pairs), signs)]
+
+
+def gathered_entries(graph):
+    """Row entries the kernel gathers over all edges: the sum of deg(u) + deg(v)."""
+    degree = np.diff(graph.signed_adjacency().indptr)
+    edges = graph.edge_columns()
+    return int((degree[edges.u] + degree[edges.v]).sum())
+
+
+@pytest.mark.parametrize("budget", [1, 7, None], ids=["one-edge-per-chunk", "7", "above-total"])
+def test_balance_report_chunking_matches_single_chunk(monkeypatch, budget):
     rng = np.random.default_rng(5)
-    edges = random_signed_records(rng, 40, edge_prob=0.3)
-    whole = balance_report(graph_of(edges, 40))
-    monkeypatch.setattr(balance, "_CHUNK_EDGES", 7)
-    chunked = balance_report(graph_of(edges, 40))
-    assert chunked.stats == whole.stats
-    for name in ("u", "v", "sign", "balanced", "unbalanced"):
-        assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+    graphs = [
+        (random_signed_records(rng, 40, edge_prob=0.3), 40),
+        (hub_records(rng, 60, hub_degree=45, extra_edges=120), 60),  # hub edges exceed 7
+    ]
+    for edges, n in graphs:
+        total = gathered_entries(graph_of(edges, n))
+        monkeypatch.setattr(balance, "_CHUNK_WORK", total)
+        whole = balance_report(graph_of(edges, n))
+        monkeypatch.setattr(balance, "_CHUNK_WORK", total + 1 if budget is None else budget)
+        chunked = balance_report(graph_of(edges, n))
+        assert chunked.stats == whole.stats
+        assert (chunked.stats.balanced, chunked.stats.unbalanced) == brute_force_triangles(edges, n)
+        for name in ("u", "v", "sign", "balanced", "unbalanced"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+        oracle = brute_force_edge_triangles(edges, n)
+        got = zip(chunked.u.tolist(), chunked.v.tolist(),
+                  chunked.balanced.tolist(), chunked.unbalanced.tolist())
+        assert {(u, v): (b, ub) for u, v, b, ub in got} == oracle
+
+
+def test_balance_report_memory_is_bounded_on_a_hub_graph(monkeypatch):
+    # one hub joined to 2,500 of 4,000 nodes: the sum of deg(u) + deg(v) over
+    # the 8,500 edges is 6.3M row entries, and a chunk holds at most
+    # _CHUNK_WORK of them whatever the hub degree
+    rng = np.random.default_rng(3)
+    edges = hub_records(rng, 4000, hub_degree=2500, extra_edges=6000)
+    graph = graph_of(edges, 4000)
+    assert gathered_entries(graph) > 6_000_000
+    tracemalloc.start()
+    try:
+        report = balance_report(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    monkeypatch.setattr(balance, "_CHUNK_WORK", 1 << 16)
+    assert balance_report(graph_of(edges, 4000)).stats == report.stats
 
 
 def test_balance_report_is_computed_once_per_graph(kernel_calls):

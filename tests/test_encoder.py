@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,31 @@ def test_cached_layer0_inputs_match_rebuilding_every_epoch(monkeypatch):
     assert np.array_equal(cached.embeddings, rebuilt.embeddings)
     for pa, pb in zip(cached.parameters(), rebuilt.parameters()):
         assert np.array_equal(pa, pb)
+
+
+def test_training_frees_each_epochs_activations():
+    # the embedding is n x 2d and one layer's cache holds 8 n x d blocks;
+    # keeping every cache, Z and dZ across the backward and into the next
+    # epoch's forward peaked at 34 n d floats, dropping them at 26
+    n, d = 2000, 32
+    rng = np.random.default_rng(0)
+    pairs = set()
+    while len(pairs) < 8000:
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    signs = rng.choice([1, -1], size=len(pairs), p=[0.8, 0.2])
+    train = [EdgeSample(u, v, int(s)) for (u, v), s in zip(sorted(pairs), signs)]
+    g = graph_from_samples(train, n)
+    cfg = EncoderConfig(embed_dim=d, epochs=3, input_features="seeded-random")
+    state = init_state(g, cfg)
+    tracemalloc.start()
+    try:
+        encoder._train_loop(g, state, cfg, train, lambda _epoch: len(train))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 29 * n * d * 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -704,6 +704,21 @@ def test_run_experiment_rejects_repeated_seeds_and_random_ratios(
         sensitivity_sweep(edges, "eps_add_pos", [0.9], pipeline, seeds=seeds, enc_cfg=enc)
 
 
+def test_run_experiment_refuses_an_encoder_seed(tiny_setup, monkeypatch):
+    # each run seed derives its encoder seeds, so a seed of 7 would go unused
+    edges, enc = tiny_setup
+    seeded = EncoderConfig(embed_dim=8, epochs=20, seed=7)
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evalbench, "split_train_test", no_split)
+    with pytest.raises(ValueError, match="seed = 7 is not used: encoder seeds are derived"):
+        run_experiment(edges, "sga", [0], enc_cfg=seeded)
+    with pytest.raises(ValueError, match="seed = 7 is not used: encoder seeds are derived"):
+        sensitivity_sweep(edges, "lambda0", [0.5], seeds=[0], enc_cfg=seeded)
+
+
 def test_run_experiment_rejects_pacing_over_other_epochs(tiny_setup):
     edges, _ = tiny_setup
     pace = PacingConfig(lambda0=0.5, big_t=5, total_epochs=300)
@@ -723,20 +738,26 @@ def test_sweep_single_value_matches_run(tiny_setup):
     assert rows[0]["f1_binary_mean"] == agg["f1_binary"]["mean"]
 
 
-def test_sweep_reuses_pretrained_encoder(tiny_setup):
+def test_sweep_reuses_pretrained_encoder(tiny_setup, monkeypatch):
     edges, enc = tiny_setup
+    pretrained = []
+    train = evalbench.train_encoder
+    monkeypatch.setattr(evalbench, "train_encoder",
+                        lambda *a: pretrained.append(1) or train(*a))
     rows = sensitivity_sweep(
         edges,
         "eps_add_pos",
         [0.8, 0.9, 0.95],
         pipeline="sga",
-        seeds=[0],
+        seeds=[0, 1],
         enc_cfg=enc,
     )
+    assert len(pretrained) == 2  # once per seed, shared by the three values
     assert len(rows) == 3
-    curves = [row["pretrain_curves"][0] for row in rows]
-    assert curves[0] == curves[1] == curves[2]
-    assert len(curves[0]) == enc.epochs
+    for seed in (0, 1):
+        curves = [row["pretrain_curves"][seed] for row in rows]
+        assert curves[0] == curves[1] == curves[2]
+        assert len(curves[0]) == enc.epochs
 
 
 def test_sweep_validation(tiny_setup, monkeypatch):
