@@ -25,6 +25,7 @@ from .encoder import (
     EncoderState,
     _require_ints,
     pair_class_probabilities,
+    pair_class_scorer,
     train_encoder,
 )
 from .graph import NEG, POS, EdgeColumns, EdgeSample, SignedGraph, density, graph_from_samples
@@ -146,11 +147,12 @@ def generate_candidates(
     else:
         us, vs = _two_hop_pairs(graph)
 
+    score = pair_class_scorer(state)  # projects Z once for the whole scan
     parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     for lo in range(0, len(us), _SCAN_CHUNK):
         cu = us[lo : lo + _SCAN_CHUNK]
         cv = vs[lo : lo + _SCAN_CHUNK]
-        probs = pair_class_probabilities(state, cu, cv)
+        probs = score(cu, cv)
         p_pos = probs[:, CLASS_POS]
         p_neg = probs[:, CLASS_NEG]
         fire_pos = p_pos > config.eps_add_pos

@@ -229,7 +229,15 @@ def _forward(
     keep_caches: bool = False,
     layer0: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Embeddings Z plus per-layer caches; ``layer0`` reuses precomputed layer-1 inputs."""
+    """Embeddings Z plus per-layer caches; ``layer0`` reuses precomputed layer-1 inputs.
+
+    Each layer's two GEMMs write into the halves of one ``(n, 2d)`` array and
+    ReLU runs in place, so the last layer's array is Z.  With ``keep_caches``
+    each layer appends ``(x_pos, x_neg, active)``: its two inputs and the
+    boolean ReLU mask ``pre-activation > 0`` over both halves, all that the
+    backward pass reads of the pre-activations.
+    """
+    n, d = state.num_nodes, state.embed_dim
     h_pos = h_neg = None
     caches = []
     for layer, (w_pos, w_neg) in enumerate(zip(state.pos_weights, state.neg_weights)):
@@ -238,18 +246,24 @@ def _forward(
                 layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
             x_pos, x_neg = layer0
         else:
-            x_pos = np.hstack([a_pos @ h_pos, a_neg @ h_neg, h_pos])
-            x_neg = np.hstack([a_pos @ h_neg, a_neg @ h_pos, h_neg])
+            x_pos = np.empty((n, 3 * d))
+            x_pos[:, :d] = a_pos @ h_pos
+            x_pos[:, d : 2 * d] = a_neg @ h_neg
+            x_pos[:, 2 * d :] = h_pos
+            x_neg = np.empty_like(x_pos)
+            x_neg[:, :d] = a_pos @ h_neg
+            x_neg[:, d : 2 * d] = a_neg @ h_pos
+            x_neg[:, 2 * d :] = h_neg
+        z = np.empty((n, 2 * d))
         with np.errstate(over="ignore", invalid="ignore"):
-            pre_pos = x_pos @ w_pos.T
-            pre_neg = x_neg @ w_neg.T
-        if not (np.isfinite(pre_pos).all() and np.isfinite(pre_neg).all()):
+            np.matmul(x_pos, w_pos.T, out=z[:, :d])
+            np.matmul(x_neg, w_neg.T, out=z[:, d:])
+        if not np.isfinite(z).all():
             raise FloatingPointError(f"non-finite activations at layer {layer + 1}")
-        h_pos = np.maximum(pre_pos, 0.0)
-        h_neg = np.maximum(pre_neg, 0.0)
         if keep_caches:
-            caches.append((x_pos, pre_pos, x_neg, pre_neg))
-    z = np.hstack([h_pos, h_neg])
+            caches.append((x_pos, x_neg, z > 0))
+        np.maximum(z, 0.0, out=z)
+        h_pos, h_neg = z[:, :d], z[:, d:]
     return z, caches
 
 
@@ -271,32 +285,39 @@ def _backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Weight gradients of every layer, from the gradients of the last layer's outputs.
 
-    Consumes ``caches``: each layer's activations are popped off the list and
-    released once that layer's weight gradients are computed, so the
-    backward pass holds one layer's cache at a time.
+    Consumes ``caches``, the ``(x_pos, x_neg, active)`` tuples of
+    ``_forward``: each is popped off the list and released once that
+    layer's weight gradients are computed, so the backward pass holds one
+    layer's cache at a time.  ``d_hpos`` and ``d_hneg`` are read, never
+    written.
     """
     d = state.embed_dim
     n_layers = state.num_layers
     g_pos: list[np.ndarray] = [np.empty(0)] * n_layers
     g_neg: list[np.ndarray] = [np.empty(0)] * n_layers
     for layer in reversed(range(n_layers)):
-        x_pos, pre_pos, x_neg, pre_neg = caches.pop()
-        dpre_pos = d_hpos * (pre_pos > 0)
-        dpre_neg = d_hneg * (pre_neg > 0)
+        x_pos, x_neg, active = caches.pop()
+        dpre_pos = d_hpos * active[:, :d]
+        dpre_neg = d_hneg * active[:, d:]
         g_pos[layer] = dpre_pos.T @ x_pos
         g_neg[layer] = dpre_neg.T @ x_neg
-        del x_pos, pre_pos, x_neg, pre_neg
+        del x_pos, x_neg, active
         if layer == 0:
             break  # input features are fixed
-        dx_pos = dpre_pos @ state.pos_weights[layer]
-        dx_neg = dpre_neg @ state.neg_weights[layer]
         # x_pos blocks: [A+ h_pos', A- h_neg', h_pos']
-        d_hpos_prev = a_pos_t @ dx_pos[:, :d] + dx_pos[:, 2 * d :]
-        d_hneg_prev = a_neg_t @ dx_pos[:, d : 2 * d]
+        dx = dpre_pos @ state.pos_weights[layer]
+        del dpre_pos
+        d_hpos = a_pos_t @ dx[:, :d]
+        d_hpos += dx[:, 2 * d :]
+        d_hneg = a_neg_t @ dx[:, d : 2 * d]
+        del dx
         # x_neg blocks: [A+ h_neg', A- h_pos', h_neg']
-        d_hneg_prev = d_hneg_prev + a_pos_t @ dx_neg[:, :d] + dx_neg[:, 2 * d :]
-        d_hpos_prev = d_hpos_prev + a_neg_t @ dx_neg[:, d : 2 * d]
-        d_hpos, d_hneg = d_hpos_prev, d_hneg_prev
+        dx = dpre_neg @ state.neg_weights[layer]
+        del dpre_neg
+        d_hneg += a_pos_t @ dx[:, :d]
+        d_hneg += dx[:, 2 * d :]
+        d_hpos += a_neg_t @ dx[:, d : 2 * d]
+        del dx
     return g_pos, g_neg
 
 
@@ -316,14 +337,26 @@ def _as_index_arrays(
     return u, v, cls
 
 
-def _pair_logits(z: np.ndarray, theta: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # [z_u, z_v] @ theta without the (m x 2 zdim) pair matrix: project once
-    # (n x k), then gather per pair.  theta is (2 zdim, k) for this 3-class
-    # classifier or (2 zdim,) for evalbench's binary sign head.
+def _pair_logit_fn(
+    z: np.ndarray, theta: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    # (u, v) -> [z_u, z_v] @ theta without the (m x 2 zdim) pair matrix:
+    # project once (n x k), then gather per pair.  theta is (2 zdim, k) for
+    # this 3-class classifier or (2 zdim,) for evalbench's binary sign head.
     zdim = z.shape[1]
     z_top = z @ theta[:zdim]
     z_bot = z @ theta[zdim:]
-    return z_top[u] + z_bot[v]
+
+    def logits(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = z_top[u]
+        out += z_bot[v]
+        return out
+
+    return logits
+
+
+def _pair_logits(z: np.ndarray, theta: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _pair_logit_fn(z, theta)(u, v)
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -362,19 +395,23 @@ def _loss_and_mlg_grads(
     """Loss plus gradients w.r.t. theta and Z for one full batch."""
     m = len(u)
     zdim = z.shape[1]
+    rows = np.arange(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = _pair_logits(z, theta, u, v)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expv = np.exp(shifted)
-        norm = expv.sum(axis=1)
-        loss = float((np.log(norm) - shifted[np.arange(m), cls]).mean())
-    dlogits = expv / norm[:, None]
-    dlogits[np.arange(m), cls] -= 1.0
+        # one (m, 3) array holds the shifted logits, then their exp, then dlogits
+        dlogits = _pair_logits(z, theta, u, v)
+        dlogits -= dlogits.max(axis=1, keepdims=True)
+        true_shifted = dlogits[rows, cls]
+        np.exp(dlogits, out=dlogits)
+        norm = dlogits.sum(axis=1)
+        loss = float((np.log(norm) - true_shifted).mean())
+    dlogits /= norm[:, None]
+    dlogits[rows, cls] -= 1.0
     dlogits /= m
     mu = _scatter_rows(u, dlogits, z.shape[0])
     mv = _scatter_rows(v, dlogits, z.shape[0])
     g_theta = np.vstack([z.T @ mu, z.T @ mv])
-    dz = mu @ theta[:zdim].T + mv @ theta[zdim:].T
+    dz = mu @ theta[:zdim].T
+    dz += mv @ theta[zdim:].T
     return loss, g_theta, dz
 
 
@@ -416,14 +453,27 @@ class _Optimizer:
 _ABSENT_PAIR_ROUNDS = 50
 
 
+def _lookup_prefix(need: int, k: int, reject: float) -> int:
+    """How many of a round's ``k`` draws to look up first: enough for ``need``
+    absent pairs at rejection rate ``reject``, with slack for chance."""
+    return min(k, need + 2 * math.ceil(need * reject) + 64)
+
+
 def _sample_absent_pairs(
     rng: np.random.Generator, graph: SignedGraph, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform non-adjacent (u < v) pairs of ``graph``, with replacement, rejection-sampled.
 
-    Gives up after ``_ABSENT_PAIR_ROUNDS`` rounds and warns with the
-    shortfall; that happens only on graphs that are nearly complete.
+    Each round draws ``max(64, 2 * need)`` pairs and keeps the first ``need``
+    that are absent.  The lookup runs on a prefix of the draws (see
+    ``_lookup_prefix``) and on the rest only if that prefix falls short, so
+    the result is that of looking up every draw.  Gives up after
+    ``_ABSENT_PAIR_ROUNDS`` rounds and warns with the shortfall; that
+    happens only on graphs that are nearly complete.
     """
+    n = graph.num_nodes
+    # chance that a uniform draw is a self pair or an edge
+    reject = (n + 2 * graph.edge_count) / max(n * n, 1)
     got_u: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
     need = count
@@ -431,17 +481,20 @@ def _sample_absent_pairs(
         if need <= 0:
             break
         k = max(64, 2 * need)
-        a = rng.integers(0, graph.num_nodes, size=k)
-        b = rng.integers(0, graph.num_nodes, size=k)
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        valid = (lo != hi) & (graph.edge_index(lo, hi) < 0)
-        take = min(int(valid.sum()), need)
-        if take:
-            idx = np.flatnonzero(valid)[:take]
+        cut = _lookup_prefix(need, k, reject)
+        valid = (lo[:cut] != hi[:cut]) & (graph.edge_index(lo[:cut], hi[:cut]) < 0)
+        if cut < k and np.count_nonzero(valid) < need:
+            rest = (lo[cut:] != hi[cut:]) & (graph.edge_index(lo[cut:], hi[cut:]) < 0)
+            valid = np.concatenate([valid, rest])
+        idx = np.flatnonzero(valid)[:need]
+        if len(idx):
             got_u.append(lo[idx])
             got_v.append(hi[idx])
-            need -= take
+            need -= len(idx)
     if need > 0:
         log.warning(
             "no-edge sampling short by %d of %d pairs after %d rounds; "
@@ -520,15 +573,27 @@ def train_encoder(
 # -- prediction --------------------------------------------------------------
 
 
+def pair_class_scorer(state: EncoderState) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``pair_class_probabilities(state, u, v)`` as a function of ``(u, v)``.
+
+    Z is projected through the classifier once, when the scorer is made, so
+    each call costs one gather per pair.
+    """
+    if state.embeddings is None:
+        raise ValueError("state has no embeddings; run forward or training first")
+    logits = _pair_logit_fn(state.embeddings, state.mlg_weights)
+
+    def probabilities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _softmax(logits(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)))
+
+    return probabilities
+
+
 def pair_class_probabilities(
     state: EncoderState, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """(m, 3) class probabilities for node pairs, columns (pos, neg, none)."""
-    if state.embeddings is None:
-        raise ValueError("state has no embeddings; run forward or training first")
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    return _softmax(_pair_logits(state.embeddings, state.mlg_weights, u, v))
+    return pair_class_scorer(state)(u, v)
 
 
 def predict_edge_probs(state: EncoderState, u: int, v: int) -> EdgeProbabilities:

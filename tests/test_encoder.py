@@ -1,9 +1,12 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import community_records, random_signed_records
 from sigaug import encoder
@@ -343,9 +346,11 @@ def test_cached_layer0_inputs_match_rebuilding_every_epoch(monkeypatch):
 
 
 def test_training_frees_each_epochs_activations():
-    # the embedding is n x 2d and one layer's cache holds 8 n x d blocks;
-    # keeping every cache, Z and dZ across the backward and into the next
-    # epoch's forward peaked at 34 n d floats, dropping them at 26
+    # the embedding is n x 2d; a deeper layer's cache holds its two n x 3d
+    # inputs and an n x 2d boolean ReLU mask.  Keeping every cache, Z and
+    # dZ into the next epoch's forward peaked at 34 n d floats; dropping
+    # them, 25.8; caching masks instead of float pre-activations, writing Z
+    # in place and reusing one (m, 3) array in the loss, 20.5
     n, d = 2000, 32
     rng = np.random.default_rng(0)
     pairs = set()
@@ -364,7 +369,7 @@ def test_training_frees_each_epochs_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 29 * n * d * 8
+    assert peak < 24 * n * d * 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -509,3 +514,49 @@ def test_absent_pair_sampling_warns_when_short(caplog):
     with caplog.at_level("WARNING", logger="sigaug.encoder"):
         qu, _ = _sample_absent_pairs(rng, g, 3)
     assert len(qu) == 3 and not caplog.records
+
+
+def absent_pairs_oracle(rng, graph, count):
+    """The sampler's rounds with every draw looked up; returns the pairs and the shortfall."""
+    got_u, got_v, need = [], [], count
+    for _ in range(encoder._ABSENT_PAIR_ROUNDS):
+        if need <= 0:
+            break
+        k = max(64, 2 * need)
+        a = rng.integers(0, graph.num_nodes, size=k)
+        b = rng.integers(0, graph.num_nodes, size=k)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        valid = (lo != hi) & (graph.edge_index(lo, hi) < 0)
+        idx = np.flatnonzero(valid)[:need]
+        got_u.append(lo[idx])
+        got_v.append(hi[idx])
+        need -= len(idx)
+    return np.concatenate(got_u), np.concatenate(got_v), need
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.floats(0.0, 1.0), st.integers(1, 3000),
+       st.one_of(st.none(), st.floats(0.0, 1.0)))
+@settings(max_examples=150, deadline=None)
+@example(seed=0, n=30, edge_prob=1.0, count=2000, prefix=None)  # complete: no absent pair
+@example(seed=1, n=30, edge_prob=0.97, count=2000, prefix=None)  # near-complete: falls short
+@example(seed=2, n=30, edge_prob=0.3, count=2000, prefix=0.0)  # every round looks up the rest
+def test_absent_pair_sampling_matches_full_lookup(seed, n, edge_prob, count, prefix):
+    # a drawn ``prefix`` replaces the lookup prefix by that share of each
+    # round's draws, so the lookup of the rest of the draws runs too
+    g = graph_from_samples(random_signed_records(np.random.default_rng(seed), n, edge_prob), n)
+    oracle_rng = np.random.default_rng(seed)
+    exp_u, exp_v, short = absent_pairs_oracle(oracle_rng, g, count)
+    rng = np.random.default_rng(seed)
+    cut = encoder._lookup_prefix if prefix is None else lambda _need, k, _r: int(prefix * k)
+    with mock.patch.object(encoder, "_lookup_prefix", cut), \
+            mock.patch.object(encoder.log, "warning") as warn:
+        qu, qv = _sample_absent_pairs(rng, g, count)
+    np.testing.assert_array_equal(qu, exp_u)
+    np.testing.assert_array_equal(qv, exp_v)
+    assert qu.dtype == qv.dtype == np.int64
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # the same draws
+    if short:
+        warn.assert_called_once()
+        assert warn.call_args.args[1:3] == (short, count)
+    else:
+        warn.assert_not_called()
