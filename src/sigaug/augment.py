@@ -1,17 +1,21 @@
 """Structure augmentation: propose edge edits from the pair classifier, keep
 the ones balance theory endorses.
 
-Candidate additions are node pairs whose predicted edge probability clears an
-add threshold; candidate deletions are training edges whose own-sign
-probability falls below a delete threshold.  Deletions are always applied
-(removing an edge never creates a triangle); an addition survives only if
-every triangle it would close is balanced, checked against the working graph
-as it evolves, most confident candidates first.
+``augment`` takes the graph of the training edges and an encoder trained on
+them, and refuses any other graph.  Candidate additions are node pairs whose
+predicted edge probability clears an add threshold; candidate deletions are
+training edges whose own-sign probability falls below a delete threshold.
+Deletions are always applied (removing an edge never creates a triangle); an
+addition survives only if every triangle it would close is balanced.
+Selection is one walk over one working graph of per-sign neighbour sets: the
+kept training records are linked first, then each addition, most confident
+first, is checked against the graph as it evolves and linked if accepted.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,12 +25,10 @@ from .balance import balance_report
 from .encoder import (
     CLASS_NEG,
     CLASS_POS,
-    EncoderConfig,
     EncoderState,
     _require_ints,
     pair_class_probabilities,
     pair_class_scorer,
-    train_encoder,
 )
 from .graph import NEG, POS, EdgeColumns, EdgeSample, SignedGraph, density, graph_from_samples
 from .graph import _canonical, _concat
@@ -190,73 +192,84 @@ def select_beneficial(
 ) -> EdgeColumns:
     """Apply deletions, then additions that close only balanced triangles.
 
-    The kept training edges come first, canonical and in training order
-    (the first record of a repeated pair wins), then the accepted additions.
-    Additions are processed in the given (confidence-descending) order
-    against the evolving working graph, so an accepted edge is visible to
-    every later balance check.  Candidates whose pair is already occupied
-    are skipped.
+    One walk over one working graph, ``nbrs[node, sign]``: the set of a
+    node's neighbours through edges of that sign.  The canonical training
+    records come first, in training order: a record whose pair is a
+    deletion is counted and dropped, a repeat of a linked pair is dropped
+    (the first record of a pair wins), and every other record is linked and
+    kept.  The additions follow in the given (confidence-descending) order:
+    one whose pair is occupied (with either sign) is skipped, one that
+    would close an unbalanced triangle is rejected, and every other one is
+    linked and accepted, so it is visible to every later check.  Returns
+    the kept records, then the accepted additions.
     """
     counts = log_counts if log_counts is not None else AugmentationLog()
+    nbrs: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
     edges = _canonical(train)
     deletions = _canonical(candidates.deletions)
-    width = int(max(edges.v.max(initial=0), deletions.v.max(initial=0))) + 1
-    keys = edges.u * width + edges.v
-    deleted = np.isin(keys, deletions.u * width + deletions.v)
-    counts.deleted_pos += int(np.count_nonzero(deleted & (edges.sign == POS)))
-    counts.deleted_neg += int(np.count_nonzero(deleted & (edges.sign == NEG)))
-    first = np.zeros(len(edges), dtype=bool)
-    first[np.unique(keys, return_index=True)[1]] = True
-    kept = edges[first & ~deleted]
+    deleted = set(zip(deletions.u.tolist(), deletions.v.tolist()))
+    kept: list[int] = []
+    records = zip(edges.u.tolist(), edges.v.tolist(), edges.sign.tolist())
+    for i, (u, v, sign) in enumerate(records):
+        if (u, v) in deleted:
+            counts.deleted_pos += sign == POS
+            counts.deleted_neg += sign == NEG
+        elif v not in nbrs[u, POS] and v not in nbrs[u, NEG]:
+            nbrs[u, sign].add(v)
+            nbrs[v, sign].add(u)
+            kept.append(i)
 
-    adj: dict[int, dict[int, int]] = {}
-    for u, v, sign in zip(kept.u.tolist(), kept.v.tolist(), kept.sign.tolist()):
-        adj.setdefault(u, {})[v] = sign
-        adj.setdefault(v, {})[u] = sign
     additions = _canonical(candidates.additions)
     accepted: list[int] = []
-    for i, (u, v, sign) in enumerate(
-        zip(additions.u.tolist(), additions.v.tolist(), additions.sign.tolist())
-    ):
-        nbrs_u = adj.setdefault(u, {})
-        nbrs_v = adj.setdefault(v, {})
-        if v in nbrs_u:
-            continue  # pair occupied (same or opposite sign)
-        if len(nbrs_v) < len(nbrs_u):
-            nbrs_u, nbrs_v = nbrs_v, nbrs_u
-        if any(k in nbrs_v and sign * s_uk * nbrs_v[k] < 0 for k, s_uk in nbrs_u.items()):
+    proposed = zip(additions.u.tolist(), additions.v.tolist(), additions.sign.tolist())
+    for i, (u, v, sign) in enumerate(proposed):
+        if v in nbrs[u, POS] or v in nbrs[u, NEG]:
+            continue
+        # a common neighbour k with sign(u, k) * sign(k, v) = -sign: an unbalanced triangle
+        if not (
+            nbrs[u, POS].isdisjoint(nbrs[v, -sign]) and nbrs[u, NEG].isdisjoint(nbrs[v, sign])
+        ):
             counts.rejected += 1
             continue
-        adj[u][v] = adj[v][u] = sign
+        nbrs[u, sign].add(v)
+        nbrs[v, sign].add(u)
         accepted.append(i)
-    added = additions[np.asarray(accepted, dtype=np.int64)]
-    counts.added_pos += int(np.count_nonzero(added.sign == POS))
-    counts.added_neg += int(np.count_nonzero(added.sign == NEG))
-    return _concat(kept, added)
+        counts.added_pos += sign == POS
+        counts.added_neg += sign == NEG
+    return _concat(
+        edges[np.asarray(kept, dtype=np.int64)], additions[np.asarray(accepted, dtype=np.int64)]
+    )
 
 
 def augment(
     graph: SignedGraph,
     train: Sequence[EdgeSample],
-    enc_cfg: EncoderConfig,
+    state: EncoderState,
     aug_cfg: AugmentConfig,
-    pretrained: EncoderState | None = None,
 ) -> tuple[EdgeColumns, AugmentationLog, SignedGraph]:
     """Full structure-augmentation pass over a training edge set.
 
-    ``graph`` must contain exactly the training edges (over the full node
-    universe).  A freshly trained encoder scores candidates unless a
-    ``pretrained`` state (from the same graph and config) is supplied.
-    Returns the augmented edges, the log, and the graph of the augmented
-    edges over the same node universe.
+    ``graph`` must be the graph of the training edges (over the full node
+    universe), and ``state`` an encoder trained on them; it scores the
+    candidates.  A ``graph`` that lacks a training pair, holds one with the
+    other sign, or holds an edge that no training record names raises
+    ``ValueError``.  Returns the augmented edges, the log, and the graph of
+    the augmented edges over the same node universe.
     """
+    edges = _canonical(train)
+    at = graph.edge_index(edges.u, edges.v)
+    if (at < 0).any():
+        raise ValueError(f"graph lacks training pair {edges[int(np.argmax(at < 0))].pair}")
+    if (graph.edge_columns().sign[at] != edges.sign).any():
+        raise ValueError("graph holds a training pair with the other sign")
+    if len(np.unique(at)) < graph.edge_count:
+        raise ValueError("graph holds edges that no training record names")
     logrec = AugmentationLog()
-    state = pretrained if pretrained is not None else train_encoder(graph, train, enc_cfg)
     logrec.pretrain_loss = list(state.loss_history)
-    candidates = generate_candidates(graph, state, train, aug_cfg)
+    candidates = generate_candidates(graph, state, edges, aug_cfg)
     logrec.candidate_additions = len(candidates.additions)
     logrec.candidate_deletions = len(candidates.deletions)
-    augmented = select_beneficial(train, candidates, log_counts=logrec)
+    augmented = select_beneficial(edges, candidates, log_counts=logrec)
 
     after_graph = graph_from_samples(augmented, graph.num_nodes)
     logrec.bd_before = balance_report(graph).balance_degree

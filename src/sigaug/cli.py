@@ -301,6 +301,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from dataclasses import asdict, replace
 
     from .augment import augment
+    from .encoder import train_encoder
     from .evalbench import _derive_seeds
     from .graph import graph_from_samples, split_train_test
 
@@ -311,8 +312,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
     split_seed, pretrain_seed, _, _ = _derive_seeds(seed)
     split = split_train_test(graph.edge_columns(), cfg.ratio, split_seed)
     train_graph = graph_from_samples(split.train, graph.num_nodes)
-    enc_cfg = replace(cfg.encoder, seed=pretrain_seed)
-    augmented, logrec, _ = augment(train_graph, split.train, enc_cfg, cfg.augment)
+    # the scorer of `run --pipeline sa-only` for this seed, so both write the same edges
+    state = train_encoder(train_graph, split.train, replace(cfg.encoder, seed=pretrain_seed))
+    augmented, logrec, _ = augment(train_graph, split.train, state, cfg.augment)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

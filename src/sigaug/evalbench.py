@@ -70,6 +70,8 @@ SWEEPABLE_PARAMS = (
 )
 AUGMENTING = ("sga", "sa-only")  # pipelines whose edges pass the eps_* selection
 PACED = ("sga", "tp-only")  # pipelines trained on the lambda0/big_t curriculum
+HEAD_LR = 0.1  # the sign head's Adam step size
+HEAD_STEPS = 300  # the sign head's full-batch steps
 
 
 # -- metrics -----------------------------------------------------------------
@@ -148,23 +150,21 @@ def fit_logistic(
     u: np.ndarray,
     v: np.ndarray,
     labels01: np.ndarray,
-    lr: float = 0.1,
-    steps: int = 300,
 ) -> tuple[np.ndarray, float]:
     """Unregularized binary logistic fit on pair embeddings ``[z_u, z_v]``.
 
-    Full-batch Adam from zero init, worked in node space: logits project the
-    (n x zdim) embedding once and gather per pair, and the weight gradient
-    scatters the per-pair error onto nodes before the product with Z, so the
-    (m x 2 zdim) pair matrix is never built.  Returns (w, b) with w of
-    width 2 * zdim.
+    Full-batch Adam from zero init, ``HEAD_STEPS`` steps at ``HEAD_LR``,
+    worked in node space: logits project the (n x zdim) embedding once and
+    gather per pair, and the weight gradient scatters the per-pair error
+    onto nodes before the product with Z, so the (m x 2 zdim) pair matrix is
+    never built.  Returns (w, b) with w of width 2 * zdim.
     """
     n, zdim = z.shape
     m = len(u)
     w = np.zeros(2 * zdim)
     b = np.zeros(1)
-    opt = _Optimizer("adam", lr, [w, b])
-    for _ in range(steps):
+    opt = _Optimizer("adam", HEAD_LR, [w, b])
+    for _ in range(HEAD_STEPS):
         p = _sigmoid(_pair_logits(z, w, u, v) + b[0])
         err = (p - labels01) / m
         gw = (np.stack([_scatter_rows(u, err, n), _scatter_rows(v, err, n)]) @ z).ravel()
@@ -560,15 +560,12 @@ def run_experiment(
 
             if kind in AUGMENTING:
                 stage = "augment"
-                pre_cfg = replace(enc_cfg, seed=pretrain_seed)
                 scorer = encoder_cache.get(seed) if encoder_cache is not None else None
                 if scorer is None:
-                    scorer = train_encoder(train_graph, train, pre_cfg)
+                    scorer = train_encoder(train_graph, train, replace(enc_cfg, seed=pretrain_seed))
                     if encoder_cache is not None:
                         encoder_cache[seed] = scorer
-                final_train, aug_log, final_graph = augment(
-                    train_graph, train, pre_cfg, aug_cfg, pretrained=scorer
-                )
+                final_train, aug_log, final_graph = augment(train_graph, train, scorer, aug_cfg)
                 del scorer  # an encoder_cache keeps its own reference
             elif kind == "random":
                 stage = "perturb"

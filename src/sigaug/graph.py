@@ -474,9 +474,6 @@ class SignedGraph:
         i = int(self.edge_index(u, v))
         return int(self._edges.sign[i]) if i >= 0 else 0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.sign_of(u, v) != 0
-
     def edge_columns(self) -> EdgeColumns:
         """Each undirected edge once, as u < v, in (u, v) order: the upper triangle."""
         return self._edges

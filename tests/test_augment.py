@@ -374,8 +374,31 @@ def as_input(samples, columns):
     return EdgeColumns(*rows.T)
 
 
+def hub_case(seed=5, n=300, spokes=150, num_additions=2_000):
+    """A sparse random graph plus a hub with ``spokes`` neighbours, repeated
+    records of either sign, additions of which half touch the hub and some
+    repeat held pairs with either sign, and deletions written (v, u) with
+    the other sign."""
+    rng = np.random.default_rng(seed)
+    hub = n
+    train = random_signed_records(rng, n, edge_prob=0.02)
+    train += [EdgeSample(hub, k, rng.choice([1, -1]).item())
+              for k in rng.choice(n, spokes, replace=False).tolist()]
+    held = [train[i] for i in rng.choice(len(train), 200).tolist()]
+    train += [EdgeSample(e.v, e.u, e.sign * rng.choice([1, -1]).item()) for e in held[:50]]
+    pairs = rng.integers(0, n, size=(num_additions, 2))
+    pairs[: num_additions // 2, 0] = hub
+    additions = [EdgeSample(a, b, rng.choice([1, -1]).item())
+                 for a, b in pairs.tolist() if a != b]
+    additions += [EdgeSample(e.u, e.v, e.sign * rng.choice([1, -1]).item()) for e in held[50:]]
+    additions = [additions[i] for i in rng.permutation(len(additions)).tolist()]
+    deletions = [EdgeSample(e.v, e.u, -e.sign) for e in held[:100]]
+    return train, additions, deletions
+
+
 @given(records(), records(), records(), st.booleans())
 @settings(max_examples=150, deadline=None)
+@example(*hub_case(), True)  # the strategy draws at most 12 nodes, so no hub
 def test_selection_matches_list_oracle(train, additions, deletions, columns):
     expected_log = AugmentationLog()
     expected = list_select_beneficial(train, additions, deletions, expected_log)
@@ -417,7 +440,7 @@ def test_augment_noop_extremes_is_identity(small_community):
     edges, g = small_community
     enc = EncoderConfig(embed_dim=8, epochs=20, seed=0)
     cfg = AugmentConfig(eps_add_pos=1.0, eps_add_neg=1.0, eps_del_pos=0.0, eps_del_neg=0.0)
-    out, logrec, _ = augment(g, edges, enc, cfg)
+    out, logrec, _ = augment(g, edges, train_encoder(g, edges, enc), cfg)
     assert list(out) == list(edges)
     assert logrec.added_pos == logrec.added_neg == 0
     assert logrec.deleted_pos == logrec.deleted_neg == 0
@@ -428,27 +451,35 @@ def test_augment_deterministic(small_community):
     edges, g = small_community
     enc = EncoderConfig(embed_dim=8, epochs=20, seed=4)
     cfg = AugmentConfig(eps_del_pos=0.15, eps_del_neg=0.15)
-    a, _, _ = augment(g, edges, enc, cfg)
-    b, _, _ = augment(g, edges, enc, cfg)
+    a, _, _ = augment(g, edges, train_encoder(g, edges, enc), cfg)
+    b, _, _ = augment(g, edges, train_encoder(g, edges, enc), cfg)
     assert list(a) == list(b)
 
 
-def test_augment_uses_pretrained_state(small_community):
-    edges, g = small_community
-    enc = EncoderConfig(embed_dim=8, epochs=20, seed=4)
-    cfg = AugmentConfig()
-    state = train_encoder(g, edges, enc)
-    direct, log_direct, _ = augment(g, edges, enc, cfg, pretrained=state)
-    fresh, log_fresh, _ = augment(g, edges, enc, cfg)
-    assert list(direct) == list(fresh)
-    assert log_direct.pretrain_loss == log_fresh.pretrain_loss
+def _absent_pair(edges, num_nodes):
+    held = {e.pair for e in edges}
+    return next((u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)
+                if (u, v) not in held)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda edges: edges[1:], "lacks training pair"),
+    (lambda edges: [EdgeSample(edges[0].u, edges[0].v, -edges[0].sign)] + edges[1:],
+     "other sign"),
+    (lambda edges: edges + [EdgeSample(*_absent_pair(edges, 30), 1)], "no training record"),
+], ids=["missing-pair", "flipped-sign", "extra-edge"])
+def test_augment_refuses_a_graph_of_other_edges(small_community, edit, message):
+    edges, _ = small_community
+    state = uniform_prob_state(30, [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match=message):
+        augment(graph_from_samples(edit(edges), 30), edges, state, AugmentConfig())
 
 
 def test_augment_log_counts_consistent(small_community):
     edges, g = small_community
     enc = EncoderConfig(embed_dim=8, epochs=30, seed=1)
     cfg = AugmentConfig(eps_add_pos=0.8, eps_add_neg=0.8, eps_del_pos=0.15, eps_del_neg=0.15)
-    out, logrec, after = augment(g, edges, enc, cfg)
+    out, logrec, after = augment(g, edges, train_encoder(g, edges, enc), cfg)
     expected = (
         len(edges)
         - logrec.deleted_pos
