@@ -27,15 +27,15 @@ from .encoder import (
     CLASS_POS,
     EncoderState,
     _require_ints,
-    pair_class_probabilities,
     pair_class_scorer,
 )
 from .graph import NEG, POS, EdgeColumns, EdgeSample, SignedGraph, density, graph_from_samples
-from .graph import _canonical, _concat
+from .graph import _budget_runs, _canonical, _concat
 
 log = logging.getLogger(__name__)
 
-_SCAN_CHUNK = 200_000
+# two-hop paths (all-pairs: row entries) per block of scanned rows; bounds the pairs held at once
+_SCAN_WORK = 1 << 16
 _ALL_PAIRS_NODE_LIMIT = 10_000
 
 
@@ -107,19 +107,6 @@ class AugmentationLog:
     pretrain_loss: list[float] = field(default_factory=list)
 
 
-def _two_hop_pairs(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """All (i < j) pairs sharing at least one neighbor, existing edges included."""
-    adj = abs(graph.signed_adjacency())
-    reach = (adj @ adj).tocoo()
-    mask = reach.row < reach.col
-    return reach.row[mask].astype(np.int64), reach.col[mask].astype(np.int64)
-
-
-def _all_pairs(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(num_nodes, k=1)
-    return iu[0].astype(np.int64), iu[1].astype(np.int64)
-
-
 def generate_candidates(
     graph: SignedGraph,
     state: EncoderState,
@@ -128,32 +115,43 @@ def generate_candidates(
 ) -> CandidateSets:
     """Threshold the pair classifier into addition/deletion candidates.
 
-    A scanned pair becomes an addition candidate when its positive (negative)
+    The scan covers every pair i < j that shares a neighbour (``two-hop``,
+    existing edges included) or every pair i < j (``all-pairs``).  It walks
+    the graph's rows in blocks, ``graph._budget_runs`` of each row's work
+    (its two-hop paths, or n for ``all-pairs``) within ``_SCAN_WORK``, so no
+    more than one block of pairs is held and scored at a time.  A scanned
+    pair becomes an addition candidate when its positive (negative)
     probability exceeds the matching add threshold; if both fire the higher
     probability wins, positive on a tie.  ``graph`` holds the training
     pairs, as ``augment`` requires; pairs it already holds with the same
-    sign are excluded.  Additions come back sorted by
-    confidence (descending, then pair) and truncated to ``max_additions``.
-    Deletions are the training edges, canonical and in training order,
-    whose own-sign probability is below the matching delete threshold.
+    sign are excluded.  Additions come back sorted by confidence
+    (descending, then pair) and truncated to ``max_additions``; the pairs
+    are unique, so the order does not depend on the blocks.  Deletions are
+    the training edges, canonical and in training order, whose own-sign
+    probability is below the matching delete threshold.
     """
     if state.epochs_trained == 0:
         raise ValueError("encoder state is untrained; train it before generating candidates")
-    if config.candidate_scope == "all-pairs":
-        if graph.num_nodes > _ALL_PAIRS_NODE_LIMIT:
+    n = graph.num_nodes
+    all_pairs = config.candidate_scope == "all-pairs"
+    if all_pairs:
+        if n > _ALL_PAIRS_NODE_LIMIT:
             raise ValueError(
-                f"all-pairs scan limited to {_ALL_PAIRS_NODE_LIMIT} nodes; "
-                f"graph has {graph.num_nodes}"
+                f"all-pairs scan limited to {_ALL_PAIRS_NODE_LIMIT} nodes; graph has {n}"
             )
-        us, vs = _all_pairs(graph.num_nodes)
+        work = np.full(n, n)
     else:
-        us, vs = _two_hop_pairs(graph)
+        adj = abs(graph.signed_adjacency())
+        work = (adj @ np.diff(adj.indptr)).astype(np.int64)  # two-hop paths from each row
 
     score = pair_class_scorer(state)  # projects Z once for the whole scan
     parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
-    for lo in range(0, len(us), _SCAN_CHUNK):
-        cu = us[lo : lo + _SCAN_CHUNK]
-        cv = vs[lo : lo + _SCAN_CHUNK]
+    for lo, hi in _budget_runs(work, _SCAN_WORK):
+        reach = np.arange(n) > np.arange(lo, hi)[:, None] if all_pairs else adj[lo:hi] @ adj
+        rows, cols = reach.nonzero()
+        cu = rows.astype(np.int64) + lo
+        upper = cu < cols
+        cu, cv = cu[upper], cols[upper].astype(np.int64)
         probs = score(cu, cv)
         p_pos = probs[:, CLASS_POS]
         p_neg = probs[:, CLASS_NEG]
@@ -175,7 +173,7 @@ def generate_candidates(
     order = fresh[np.lexsort((av[fresh], au[fresh], -conf[fresh]))][: config.max_additions]
 
     edges = _canonical(train)
-    probs = pair_class_probabilities(state, edges.u, edges.v)
+    probs = score(edges.u, edges.v)
     own = np.where(edges.sign == POS, probs[:, CLASS_POS], probs[:, CLASS_NEG])
     threshold = np.where(edges.sign == POS, config.eps_del_pos, config.eps_del_neg)
     return CandidateSets(

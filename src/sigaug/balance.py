@@ -20,7 +20,9 @@ Each triangle touches three edges, so the global totals are sum(b) / 3 and
 sum(ub) / 3.  This is the matrix form of triangle counting (Azad, Buluc &
 Gilbert, IPDPSW 2015), evaluated in chunks of edges whose gathered rows hold
 at most ``_CHUNK_WORK`` stored entries in all (deg(u) + deg(v) per edge), so
-the product's memory stays bounded however large the hub degrees are.
+the product's memory stays bounded however large the hub degrees are.  The
+chunks come from ``graph._budget_runs``, which also cuts the candidate scan
+into row blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graph import EdgeSample, SignedGraph
+from .graph import EdgeSample, SignedGraph, _budget_runs
 
 # gathered row entries per chunk; bounds the Hadamard product held at once
 _CHUNK_WORK = 1 << 20
@@ -119,19 +121,12 @@ def _incident_triangles(
     balanced = np.empty(len(u), dtype=np.int64)
     unbalanced = np.empty(len(u), dtype=np.int64)
     degree = np.diff(adj.indptr)
-    # row entries gathered for the edges up to and including each one
-    gathered = np.cumsum(degree[u] + degree[v], dtype=np.int64)
-    lo = 0
-    while lo < len(u):
-        start = gathered[lo - 1] if lo else 0
-        # the longest run within budget; an edge over budget on its own is a chunk alone
-        hi = max(int(np.searchsorted(gathered, start + _CHUNK_WORK, side="right")), lo + 1)
+    for lo, hi in _budget_runs(degree[u] + degree[v], _CHUNK_WORK):
         common = adj[u[lo:hi]].multiply(adj[v[lo:hi]]).tocsr()
         both = np.diff(common.indptr)  # b + ub
         agree = sign[lo:hi] * np.asarray(common.sum(axis=1)).ravel().astype(np.int64)  # b - ub
         balanced[lo:hi] = (both + agree) // 2
         unbalanced[lo:hi] = (both - agree) // 2
-        lo = hi
     return balanced, unbalanced
 
 

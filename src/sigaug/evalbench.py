@@ -518,9 +518,10 @@ def run_experiment(
     plus curriculum), ``sa-only``, ``tp-only``, and ``random:<kind>,<ratio>``.
     Plain training is realized as the lambda0 = 1 degenerate curriculum so a
     no-op-threshold ``sga`` run is bit-identical to ``baseline``.  A run that
-    cannot start (see ``check_experiment``) raises ``ValueError`` before any
-    seed runs; a ``sga`` or ``sa-only`` run logs an add threshold <= 0.5
-    once, before its first seed.  Each run seed derives the seeds of its
+    cannot start (see ``check_experiment``), or whose ``ratio`` leaves the
+    test half empty, raises ``ValueError`` before any seed runs; a ``sga``
+    or ``sa-only`` run logs an add threshold <= 0.5 once, before its first
+    seed.  Each run seed derives the seeds of its
     pre-trained scorer and of its final model, so ``enc_cfg.seed`` must be
     0; any other value raises ``ValueError`` before any seed runs.  The
     pre-trained scorer is released once ``augment`` has used it, before
@@ -542,6 +543,8 @@ def run_experiment(
     # training runs for the encoder's epochs; a pacing over other epochs is an error
     pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
     edges, num_nodes = _edges_and_nodes(dataset)
+    if math.ceil(ratio * len(edges)) == len(edges):
+        raise ValueError(f"ratio {ratio} leaves no test edge out of {len(edges)}; lower it")
 
     report = ExperimentReport(
         dataset="<in-memory>", pipeline=pipeline, ratio=ratio, seeds=list(seeds)

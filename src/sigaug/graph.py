@@ -151,6 +151,21 @@ def _concat(*parts: Sequence[EdgeSample]) -> EdgeColumns:
     return EdgeColumns(*map(np.concatenate, zip(*map(_columns, parts))))
 
 
+def _budget_runs(work: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` runs of items whose ``work`` sums to at most ``budget``.
+
+    Each run is the longest that fits, found with one ``searchsorted`` on the
+    running total; an item over budget on its own is a run alone.
+    """
+    done = np.cumsum(work, dtype=np.int64)  # work of the items up to and including each one
+    lo = 0
+    while lo < len(done):
+        start = done[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(done, start + budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _pair_keys(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
     """One int64 key ``lo * width + hi`` per unordered pair; width is the largest id + 1."""
     hi = np.maximum(u, v)
@@ -440,18 +455,6 @@ class SignedGraph:
         lo, hi = adj.indptr[i], adj.indptr[i + 1]
         return adj.indices[lo:hi], adj.data[lo:hi]
 
-    def pos_neighbors(self, i: int) -> np.ndarray:
-        ids, signs = self.neighbors(i)
-        return ids[signs == POS]
-
-    def neg_neighbors(self, i: int) -> np.ndarray:
-        ids, signs = self.neighbors(i)
-        return ids[signs == NEG]
-
-    def degree(self, i: int) -> int:
-        indptr = self._adjacency.indptr
-        return int(indptr[i + 1] - indptr[i])
-
     def edge_index(self, u, v) -> np.ndarray:
         """Position of each pair ``(u, v)`` in ``edge_columns()``, in either order.
 
@@ -469,18 +472,9 @@ class SignedGraph:
         hit = (lo >= 0) & (hi < self.num_nodes) & (self._keys[at] == wanted)
         return np.where(hit, at, -1)
 
-    def sign_of(self, u: int, v: int) -> int:
-        """Sign of edge (u, v), or 0 if absent."""
-        i = int(self.edge_index(u, v))
-        return int(self._edges.sign[i]) if i >= 0 else 0
-
     def edge_columns(self) -> EdgeColumns:
         """Each undirected edge once, as u < v, in (u, v) order: the upper triangle."""
         return self._edges
-
-    def edges(self) -> Iterator[EdgeSample]:
-        """The rows of ``edge_columns()`` as ``EdgeSample`` objects."""
-        return iter(self._edges)
 
     def to_samples(self) -> list[EdgeSample]:
         return list(self._edges)

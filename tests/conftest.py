@@ -87,6 +87,17 @@ def random_signed_records(
     return edges
 
 
+def hub_records(rng, n, hub_degree, extra_edges):
+    """Node 0 joined to nodes 1..hub_degree, plus ``extra_edges`` random pairs; mixed signs."""
+    pairs = {(0, v) for v in range(1, hub_degree + 1)}
+    while len(pairs) < hub_degree + extra_edges:
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    signs = rng.choice([1, -1], size=len(pairs), p=[0.7, 0.3])
+    return [EdgeSample(u, v, int(s)) for (u, v), s in zip(sorted(pairs), signs)]
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """A list that grows by one entry per evaluation of the balance kernel."""

@@ -1,5 +1,8 @@
+import importlib
 import logging
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from conftest import (
     brute_force_triangles,
     candidate_sets,
     community_records,
+    hub_records,
     random_signed_records,
 )
 from sigaug.augment import (
+    _ALL_PAIRS_NODE_LIMIT,
     AugmentConfig,
     AugmentationLog,
     augment,
@@ -29,6 +34,9 @@ from sigaug.encoder import (
     train_encoder,
 )
 from sigaug.graph import EdgeColumns, EdgeSample, graph_from_samples
+
+# the module itself: the package exports a function of the same name
+scan = importlib.import_module("sigaug.augment")
 
 
 def crafted_state(embeddings, theta):
@@ -166,6 +174,35 @@ def test_generate_all_pairs_scope_limit():
     assert {(c.u, c.v) for c in cands.additions} == {(0, 2)}  # (0,1),(1,2) are same-sign
 
 
+def test_all_pairs_scan_refuses_a_graph_over_the_node_limit():
+    n = _ALL_PAIRS_NODE_LIMIT + 1
+    edges = [EdgeSample(0, 1, 1)]
+    graph, state = graph_from_samples(edges, n), uniform_prob_state(n, [0.5, 0.3, 0.2])
+    cfg = AugmentConfig(candidate_scope="all-pairs")
+    with pytest.raises(ValueError, match=f"limited to {n - 1} nodes; graph has {n}"):
+        generate_candidates(graph, state, edges, cfg)
+
+
+def test_candidate_scan_memory_is_bounded_on_a_hub_graph():
+    # one hub joined to 2,500 of 4,000 nodes puts 3.14M pairs two hops apart;
+    # a row block holds at most _SCAN_WORK two-hop paths whatever the hub degree
+    edges = hub_records(np.random.default_rng(3), 4000, hub_degree=2500, extra_edges=6000)
+    graph = graph_from_samples(edges, 4000)
+    state = uniform_prob_state(4000, [0.5, 0.3, 0.2])  # no default threshold fires
+    tracemalloc.start()
+    try:
+        cands = generate_candidates(graph, state, edges, AugmentConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    with mock.patch.object(scan, "_SCAN_WORK", 1 << 12):
+        small = generate_candidates(graph, state, edges, AugmentConfig())
+    assert list(small.additions) == list(cands.additions)
+    assert small.confidence.tolist() == cands.confidence.tolist()
+    assert list(small.deletions) == list(cands.deletions)
+
+
 # -- beneficial selection --------------------------------------------------------
 
 
@@ -296,12 +333,10 @@ def test_deletion_only_never_creates_triangles():
 
 def list_generate_candidates(graph, state, train, config):
     """Additions as ``[(EdgeSample, conf)]`` and deletions as a list, one pair at a time."""
-    from sigaug.augment import _all_pairs, _two_hop_pairs
-
-    if config.candidate_scope == "all-pairs":
-        us, vs = _all_pairs(graph.num_nodes)
-    else:
-        us, vs = _two_hop_pairs(graph)
+    nbrs = [set(graph.neighbors(i)[0].tolist()) for i in range(graph.num_nodes)]
+    pairs = [(i, j) for i in range(graph.num_nodes) for j in range(i + 1, graph.num_nodes)
+             if config.candidate_scope == "all-pairs" or nbrs[i] & nbrs[j]]
+    us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     train_signs = {e.pair: e.sign for e in train}
     additions = []
     probs = pair_class_probabilities(state, us, vs)
@@ -412,12 +447,13 @@ def test_selection_matches_list_oracle(train, additions, deletions, columns):
 
 @given(st.integers(0, 2**32 - 1), records(max_nodes=10), st.sampled_from(["two-hop", "all-pairs"]),
        st.floats(0.2, 0.9), st.floats(0.2, 0.9), st.floats(0.0, 0.6), st.floats(0.0, 0.6),
-       st.one_of(st.none(), st.integers(0, 6)), st.booleans(), st.booleans())
+       st.one_of(st.none(), st.integers(0, 6)), st.booleans(), st.booleans(),
+       st.sampled_from([1, 7, scan._SCAN_WORK]))  # 1: one row per block
 @settings(max_examples=100, deadline=None)
-@example(seed=0, train=[], scope="all-pairs", add_pos=0.2, add_neg=0.2, del_pos=0.0,
-         del_neg=0.0, cap=None, columns=True, flat=True)  # an edgeless graph, every pair fires
+@example(seed=0, train=[], scope="all-pairs", add_pos=0.2, add_neg=0.2, del_pos=0.0, del_neg=0.0,
+         cap=None, columns=True, flat=True, budget=7)  # an edgeless graph, every pair fires
 def test_candidates_match_list_oracle(seed, train, scope, add_pos, add_neg, del_pos, del_neg,
-                                      cap, columns, flat):
+                                      cap, columns, flat, budget):
     rng = np.random.default_rng(seed)
     graph = graph_from_samples([e.canonical() for e in {e.pair: e for e in train}.values()], 10)
     if flat:  # every pair ties on confidence, so the (u, v) tie-break decides the order
@@ -427,7 +463,8 @@ def test_candidates_match_list_oracle(seed, train, scope, add_pos, add_neg, del_
     cfg = AugmentConfig(eps_add_pos=add_pos, eps_add_neg=add_neg, eps_del_pos=del_pos,
                         eps_del_neg=del_neg, candidate_scope=scope, max_additions=cap)
     additions, deletions = list_generate_candidates(graph, state, train, cfg)
-    cands = generate_candidates(graph, state, as_input(train, columns), cfg)
+    with mock.patch.object(scan, "_SCAN_WORK", budget):
+        cands = generate_candidates(graph, state, as_input(train, columns), cfg)
     assert list(cands.additions) == [e for e, _ in additions]
     assert cands.confidence.tolist() == [conf for _, conf in additions]
     assert list(cands.deletions) == deletions

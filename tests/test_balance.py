@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_edge_triangles, brute_force_triangles, random_signed_records
+from conftest import (
+    brute_force_edge_triangles,
+    brute_force_triangles,
+    hub_records,
+    random_signed_records,
+)
 from sigaug import balance
 from sigaug.balance import (
     TriangleStats,
@@ -176,7 +181,7 @@ def test_balance_report_matches_per_edge_oracle(graph_spec):
     assert got == oracle
     assert (report.stats.balanced, report.stats.unbalanced) == brute_force_triangles(edges, n)
 
-    for p, e in zip(report.profiles, g.edges()):
+    for p, e in zip(report.profiles, g.edge_columns()):
         b, ub = oracle[e.pair]
         local = 1.0 if b + ub == 0 else (b - ub) / (b + ub)
         assert p.edge == e
@@ -184,17 +189,6 @@ def test_balance_report_matches_per_edge_oracle(graph_spec):
         assert p.local_degree == local and p.difficulty == (1.0 - local) / 2.0
         assert local_balance_degree(g, e) == p
     assert report.difficulty.tolist() == [p.difficulty for p in report.profiles]
-
-
-def hub_records(rng, n, hub_degree, extra_edges):
-    """Node 0 joined to nodes 1..hub_degree, plus ``extra_edges`` random pairs; mixed signs."""
-    pairs = {(0, v) for v in range(1, hub_degree + 1)}
-    while len(pairs) < hub_degree + extra_edges:
-        a, b = (int(x) for x in rng.integers(0, n, size=2))
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-    signs = rng.choice([1, -1], size=len(pairs), p=[0.7, 0.3])
-    return [EdgeSample(u, v, int(s)) for (u, v), s in zip(sorted(pairs), signs)]
 
 
 def gathered_entries(graph):

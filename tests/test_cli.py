@@ -537,6 +537,17 @@ def test_a_run_that_cannot_start_writes_no_files(dataset_file_path, tmp_path, ca
     assert not outdir.exists()
 
 
+def test_a_ratio_that_leaves_no_test_edge_exits_2(tmp_path, capsys):
+    path = tmp_path / "ten.tsv"
+    path.write_text("".join(f"{i}\t{i + 1}\t1\n" for i in range(10)))
+    outdir = tmp_path / "out"
+    rc = main(["run", "--dataset", str(path), "--format", "sign-tsv", "--ratio", "0.95",
+               "--seeds", "1", "--outdir", str(outdir), *FAST])
+    assert rc == 2
+    assert "leaves no test edge out of 10" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()  # the check runs once the directory exists
+
+
 @pytest.mark.parametrize("text, message", [
     ("[encoder]\nembed_dim = 6\nepochs = 2.5\n", "epochs must be a whole number"),
     ("[encoder]\nembed_dim = 4.5\nepochs = 15\n", "embed_dim must be a whole number"),

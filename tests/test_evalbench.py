@@ -684,6 +684,20 @@ def test_run_experiment_rejects_a_ratio_outside_the_unit_interval(tiny_setup, mo
         sensitivity_sweep(edges, "lambda0", [0.5], seeds=[0], enc_cfg=enc, ratio=ratio)
 
 
+def test_run_experiment_refuses_a_ratio_that_leaves_no_test_edge(tiny_setup, monkeypatch):
+    # ceil(0.95 * 10) = 10: every edge would train and the test half would be empty
+    edges, enc = tiny_setup
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(evalbench, "split_train_test", no_split)
+    with pytest.raises(ValueError, match="ratio 0.95 leaves no test edge out of 10"):
+        run_experiment(edges[:10], "baseline", [0], enc_cfg=enc, ratio=0.95)
+    with pytest.raises(ValueError, match="ratio 0.95 leaves no test edge out of 10"):
+        sensitivity_sweep(edges[:10], "lambda0", [0.5], seeds=[0], enc_cfg=enc, ratio=0.95)
+
+
 @pytest.mark.parametrize("pipeline, seeds, message", [
     ("baseline", [3, 3, 5], "repeat a seed"),
     ("random:drop-edge,1.5", [0], r"ratio must be in \[0, 1\]"),

@@ -16,6 +16,7 @@ from sigaug.graph import (
     EdgeSample,
     ParseError,
     SignedGraph,
+    _budget_runs,
     _regular_prefix,
     build_graph,
     density,
@@ -105,7 +106,7 @@ def test_load_sign_tsv_rejects_other_values(tmp_path):
 def test_build_symmetrizes_duplicates():
     g, stats = build_graph([EdgeSample(1, 2, 1), EdgeSample(2, 1, 1)], num_nodes=3)
     assert g.edge_count == 1
-    assert g.sign_of(1, 2) == 1 and g.sign_of(2, 1) == 1
+    assert g.edge_columns().sign[g.edge_index([1, 2], [2, 1])].tolist() == [1, 1]
     assert stats.merged_pairs == 1
 
 
@@ -118,7 +119,7 @@ def test_build_conflicting_pair_dropped():
 def test_build_sum_sign_majority():
     records = [EdgeSample(1, 2, 1), EdgeSample(2, 1, 1), EdgeSample(1, 2, -1)]
     g, _ = build_graph(records, num_nodes=3)
-    assert g.sign_of(1, 2) == 1  # sum = +1
+    assert list(g.edge_columns()) == [EdgeSample(1, 2, 1)]  # sum = +1
 
 
 edge_records = st.lists(
@@ -135,15 +136,19 @@ edge_records = st.lists(
 def test_build_graph_invariants(records):
     samples = [EdgeSample(u, v, s) for u, v, s in records]
     g, _ = build_graph(samples, num_nodes=8)
+
+    def by_sign(i):
+        ids, signs = g.neighbors(i)
+        return set(ids[signs == 1].tolist()), set(ids[signs == -1].tolist())
+
     for i in range(g.num_nodes):
-        pos = set(g.pos_neighbors(i).tolist())
-        neg = set(g.neg_neighbors(i).tolist())
+        pos, neg = by_sign(i)
         assert not pos & neg  # one sign per edge
         assert i not in pos | neg  # no self loops
         for j in pos:
-            assert i in set(g.pos_neighbors(j).tolist())  # symmetry
+            assert i in by_sign(j)[0]  # symmetry
         for j in neg:
-            assert i in set(g.neg_neighbors(j).tolist())
+            assert i in by_sign(j)[1]
 
 
 @given(edge_records, st.randoms(use_true_random=False))
@@ -667,7 +672,20 @@ def test_graph_from_samples_matches_dict_oracle(records):
         assert_csr_equal(graph, 10, signs)
         assert_adjacency_matches_oracle(graph, 10, signs)
         upper = sorted(EdgeSample(u, v, s) for (u, v), s in signs.items())
-        assert list(graph.edge_columns()) == upper == graph.to_samples() == list(graph.edges())
+        assert list(graph.edge_columns()) == upper == graph.to_samples()
+
+
+@given(st.lists(st.integers(0, 20), max_size=30), st.integers(1, 40))
+@settings(max_examples=200)
+def test_budget_runs_are_the_longest_runs_within_budget(work, budget):
+    runs = list(_budget_runs(np.asarray(work, dtype=np.int64), budget))
+    # consecutive, non-empty, and covering every item once
+    assert [i for lo, hi in runs for i in range(lo, hi)] == list(range(len(work)))
+    for lo, hi in runs:
+        assert hi > lo
+        # within budget, or one item over it alone; and the next item would not fit
+        assert sum(work[lo:hi]) <= budget or hi == lo + 1
+        assert hi == len(work) or sum(work[lo : hi + 1]) > budget
 
 
 @given(undirected_samples.filter(lambda r: len(r) >= 2), st.integers(0, 2**32 - 1),
@@ -723,15 +741,17 @@ def test_signed_graph_rejects_bad_pairs(u, v):
 )
 def test_edge_index_matches_brute_force(edges, n):
     g = graph_from_samples(edges, n)
-    position = {e.pair: i for i, e in enumerate(g.edges())}
+    position = {e.pair: i for i, e in enumerate(g.edge_columns())}
     # every ordered pair of ids in [0, n + 2): both orders, self pairs, ids past the graph
     a, b = (ids.ravel() for ids in np.meshgrid(np.arange(n + 2), np.arange(n + 2)))
     expected = [position.get((min(x, y), max(x, y)), -1) for x, y in zip(a.tolist(), b.tolist())]
     got = g.edge_index(a, b)
     assert got.dtype == np.int64
     assert got.tolist() == expected
-    assert [g.sign_of(x, y) for x, y in zip(a.tolist(), b.tolist())] == [
-        g.edge_columns().sign[i] if i >= 0 else 0 for i in expected
+    signs = {e.pair: e.sign for e in edges}
+    hit = got >= 0
+    assert g.edge_columns().sign[got[hit]].tolist() == [
+        signs[min(x, y), max(x, y)] for x, y in zip(a[hit].tolist(), b[hit].tolist())
     ]
 
 
@@ -758,7 +778,6 @@ def test_matrix_views_match_dict_oracle(edges, n):
             v if u == i else u for u, v in signs if i in (u, v)
         )
         assert nbr_signs.tolist() == [signs[min(i, j), max(i, j)] for j in ids.tolist()]
-        assert g.degree(i) == len(ids)
     assert g.positive_edge_count() == sum(s == 1 for s in signs.values())
     assert g.negative_edge_count() == sum(s == -1 for s in signs.values())
 
