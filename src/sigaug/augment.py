@@ -34,14 +34,13 @@ from .graph import _budget_runs, _canonical, _concat
 
 log = logging.getLogger(__name__)
 
-# two-hop paths (all-pairs: row entries) per block of scanned rows; bounds the pairs held at once
+# two-hop paths per block of scanned rows; bounds the pairs held at once
 _SCAN_WORK = 1 << 16
-_ALL_PAIRS_NODE_LIMIT = 10_000
 
 
 @dataclass
 class AugmentConfig:
-    """Probability thresholds and scan scope for candidate generation.
+    """Probability thresholds and an optional cap for candidate generation.
 
     Add thresholds live in (0, 1] and delete thresholds in [0, 1) so the
     extremes (add at 1.0, delete at 0.0) express an exact no-op.
@@ -51,7 +50,6 @@ class AugmentConfig:
     eps_add_neg: float = 0.9
     eps_del_pos: float = 0.2
     eps_del_neg: float = 0.2
-    candidate_scope: str = "two-hop"
     max_additions: int | None = None
 
     def __post_init__(self):
@@ -63,8 +61,6 @@ class AugmentConfig:
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
-        if self.candidate_scope not in ("two-hop", "all-pairs"):
-            raise ValueError(f"unknown candidate_scope {self.candidate_scope!r}")
         if self.max_additions is not None:
             _require_ints(self, "max_additions")
             if self.max_additions < 0:
@@ -115,16 +111,15 @@ def generate_candidates(
 ) -> CandidateSets:
     """Threshold the pair classifier into addition/deletion candidates.
 
-    The scan covers every pair i < j that shares a neighbour (``two-hop``,
-    existing edges included) or every pair i < j (``all-pairs``).  It walks
-    the graph's rows in blocks, ``graph._budget_runs`` of each row's work
-    (its two-hop paths, or n for ``all-pairs``) within ``_SCAN_WORK``, so no
-    more than one block of pairs is held and scored at a time.  A scanned
-    pair becomes an addition candidate when its positive (negative)
-    probability exceeds the matching add threshold; if both fire the higher
-    probability wins, positive on a tie.  ``graph`` holds the training
-    pairs, as ``augment`` requires; pairs it already holds with the same
-    sign are excluded.  Additions come back sorted by confidence
+    The scan covers every pair i < j that shares a neighbour, existing
+    edges included.  It walks the graph's rows in blocks,
+    ``graph._budget_runs`` of each row's two-hop paths within
+    ``_SCAN_WORK``, so no more than one block of pairs is held and scored at
+    a time.  A scanned pair becomes an addition candidate when its positive
+    (negative) probability exceeds the matching add threshold; if both fire
+    the higher probability wins, positive on a tie.  ``graph`` holds the
+    training pairs, as ``augment`` requires; pairs it already holds with
+    the same sign are excluded.  Additions come back sorted by confidence
     (descending, then pair) and truncated to ``max_additions``; the pairs
     are unique, so the order does not depend on the blocks.  Deletions are
     the training edges, canonical and in training order, whose own-sign
@@ -132,23 +127,13 @@ def generate_candidates(
     """
     if state.epochs_trained == 0:
         raise ValueError("encoder state is untrained; train it before generating candidates")
-    n = graph.num_nodes
-    all_pairs = config.candidate_scope == "all-pairs"
-    if all_pairs:
-        if n > _ALL_PAIRS_NODE_LIMIT:
-            raise ValueError(
-                f"all-pairs scan limited to {_ALL_PAIRS_NODE_LIMIT} nodes; graph has {n}"
-            )
-        work = np.full(n, n)
-    else:
-        adj = abs(graph.signed_adjacency())
-        work = (adj @ np.diff(adj.indptr)).astype(np.int64)  # two-hop paths from each row
+    adj = abs(graph.signed_adjacency())
+    work = (adj @ np.diff(adj.indptr)).astype(np.int64)  # two-hop paths from each row
 
     score = pair_class_scorer(state)  # projects Z once for the whole scan
     parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     for lo, hi in _budget_runs(work, _SCAN_WORK):
-        reach = np.arange(n) > np.arange(lo, hi)[:, None] if all_pairs else adj[lo:hi] @ adj
-        rows, cols = reach.nonzero()
+        rows, cols = (adj[lo:hi] @ adj).nonzero()
         cu = rows.astype(np.int64) + lo
         upper = cu < cols
         cu, cv = cu[upper], cols[upper].astype(np.int64)

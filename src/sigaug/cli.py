@@ -59,9 +59,8 @@ def _add_encoder_args(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("--embed-dim", type=int, help="embedding width per track")
     p.add_argument("--layers", type=int, help="message-passing layers")
-    p.add_argument("--learning-rate", type=float, help="optimizer step size")
+    p.add_argument("--learning-rate", type=float, help="Adam step size")
     p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
     p.add_argument(
         "--input-features", choices=INPUT_FEATURES, help="fixed node input features"
     )
@@ -72,7 +71,6 @@ def _add_augment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-add-neg", type=float, help="add threshold, negative edges")
     p.add_argument("--eps-del-pos", type=float, help="delete threshold, positive edges")
     p.add_argument("--eps-del-neg", type=float, help="delete threshold, negative edges")
-    p.add_argument("--candidate-scope", choices=["two-hop", "all-pairs"])
     p.add_argument("--max-additions", type=int)
 
 
@@ -194,13 +192,14 @@ def _prepare_run(
     """Config, output directory and experiment arguments of a run or sweep.
 
     Checks the run, and the swept ``param`` and every one of its ``values``
-    of a sweep, then loads the dataset: only a run that can start creates
-    the output directory and writes ``config.resolved.json`` into it.  The
-    arguments are those ``run_experiment`` and ``sensitivity_sweep`` share,
-    with the loaded graph as the dataset.
+    of a sweep, then loads the dataset and checks that the split leaves a
+    test edge: only a run that can start creates the output directory and
+    writes ``config.resolved.json`` into it.  The arguments are those
+    ``run_experiment`` and ``sensitivity_sweep`` share, with the loaded
+    graph as the dataset.
     """
     from .config import write_resolved
-    from .evalbench import _swept_configs, check_experiment
+    from .evalbench import _swept_configs, check_experiment, check_test_half
 
     cfg = _config_from_args(args, defaults)
     check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
@@ -209,6 +208,7 @@ def _prepare_run(
         # sensitivity_sweep building these again later shows no trace of this one
         _swept_configs(param, values, cfg.augment, cfg.pacing)
     _, _, graph, _ = _load_graph(cfg)
+    check_test_half(cfg.ratio, graph.edge_count)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, outdir / "config.resolved.json", _environment())

@@ -43,7 +43,7 @@ CLASS_POS, CLASS_NEG, CLASS_NONE = 0, 1, 2
 LABEL_TO_CLASS = {POS: CLASS_POS, NEG: CLASS_NEG, 0: CLASS_NONE}
 
 # fixed node input features EncoderConfig accepts; see its docstring
-INPUT_FEATURES = ("spectral", "seeded-random", "adjacency-rows")
+INPUT_FEATURES = ("spectral", "seeded-random")
 
 _CHECKPOINT_MAGIC = b"SIGAUG01"
 _CHECKPOINT_VERSION = 1
@@ -67,20 +67,18 @@ def _require_ints(config, *names: str) -> None:
 
 @dataclass
 class EncoderConfig:
-    """Architecture and optimization knobs.
+    """Architecture and optimization knobs; training always uses Adam.
 
     ``input_features`` picks the fixed H0: ``spectral`` (truncated SVD of the
-    signed adjacency, the strongest signal and the default), ``seeded-random``
-    (uniform noise; nodes are distinguishable only through their
-    neighborhoods), or ``adjacency-rows`` (signed adjacency rows; only viable
-    for small graphs since H0 becomes |V| wide).
+    signed adjacency, the strongest signal and the default) or
+    ``seeded-random`` (uniform noise, so nodes are distinguishable only
+    through their neighborhoods: the control without spectral features).
     """
 
     embed_dim: int = 64
     layers: int = 2
     learning_rate: float = 0.01
     epochs: int = 300
-    optimizer: str = "adam"
     seed: int = 0
     input_features: str = "spectral"
 
@@ -94,8 +92,6 @@ class EncoderConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.input_features not in INPUT_FEATURES:
             raise ValueError(f"unknown input_features {self.input_features!r}")
 
@@ -186,15 +182,12 @@ def init_state(graph: SignedGraph, config: EncoderConfig) -> EncoderState:
     n, d = graph.num_nodes, config.embed_dim
     if config.input_features == "spectral":
         h0 = _spectral_features(graph, d, config.seed)
-    elif config.input_features == "seeded-random":
-        h0 = rng.uniform(-1.0, 1.0, size=(n, d))
     else:
-        h0 = graph.signed_adjacency().toarray()
-    d0 = h0.shape[1]
+        h0 = rng.uniform(-1.0, 1.0, size=(n, d))
     pos_weights: list[np.ndarray] = []
     neg_weights: list[np.ndarray] = []
     for layer in range(config.layers):
-        fan_in = 2 * d0 if layer == 0 else 3 * d
+        fan_in = 2 * d if layer == 0 else 3 * d
         pos_weights.append(_glorot(rng, d, fan_in))
         neg_weights.append(_glorot(rng, d, fan_in))
     theta = _glorot(rng, 4 * d, 3).reshape(4 * d, 3)
@@ -419,23 +412,17 @@ def _loss_and_mlg_grads(
 
 
 class _Optimizer:
-    """Full-batch Adam (0.9, 0.999, 1e-8) or plain SGD, updating in place."""
+    """Full-batch Adam (0.9, 0.999, 1e-8), updating in place."""
 
-    def __init__(self, kind: str, lr: float, params: list[np.ndarray]):
-        self.kind = kind
+    def __init__(self, lr: float, params: list[np.ndarray]):
         self.lr = lr
         self.params = params
         self.t = 0
-        if kind == "adam":
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
-        if self.kind == "sgd":
-            for p, g in zip(self.params, grads):
-                p -= self.lr * g
-            return
         b1, b2, eps = 0.9, 0.999, 1e-8
         correct1 = 1.0 - b1**self.t
         correct2 = 1.0 - b2**self.t
@@ -525,7 +512,7 @@ def _train_loop(
     a_pos, a_neg = _adjacency_pair(graph)
     rng = _rng(config.seed, stream=1)
     params = state.parameters()
-    opt = _Optimizer(config.optimizer, config.learning_rate, params)
+    opt = _Optimizer(config.learning_rate, params)
     d = state.embed_dim
     layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
     u_all, v_all, cls_all = _as_index_arrays(samples)

@@ -163,7 +163,7 @@ def fit_logistic(
     m = len(u)
     w = np.zeros(2 * zdim)
     b = np.zeros(1)
-    opt = _Optimizer("adam", HEAD_LR, [w, b])
+    opt = _Optimizer(HEAD_LR, [w, b])
     for _ in range(HEAD_STEPS):
         p = _sigmoid(_pair_logits(z, w, u, v) + b[0])
         err = (p - labels01) / m
@@ -483,6 +483,12 @@ def check_experiment(
     return parsed
 
 
+def check_test_half(ratio: float, edge_count: int) -> None:
+    """Raise ``ValueError`` if a ``ratio`` split of ``edge_count`` edges leaves no test edge."""
+    if math.ceil(ratio * edge_count) == edge_count:
+        raise ValueError(f"ratio {ratio} leaves no test edge out of {edge_count}; lower it")
+
+
 def _node_count(edges: EdgeColumns) -> int:
     """One more than the largest node id of canonical (u < v) edges."""
     if len(edges) == 0:
@@ -543,8 +549,7 @@ def run_experiment(
     # training runs for the encoder's epochs; a pacing over other epochs is an error
     pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
     edges, num_nodes = _edges_and_nodes(dataset)
-    if math.ceil(ratio * len(edges)) == len(edges):
-        raise ValueError(f"ratio {ratio} leaves no test edge out of {len(edges)}; lower it")
+    check_test_half(ratio, len(edges))
 
     report = ExperimentReport(
         dataset="<in-memory>", pipeline=pipeline, ratio=ratio, seeds=list(seeds)

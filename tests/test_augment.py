@@ -17,7 +17,6 @@ from conftest import (
     random_signed_records,
 )
 from sigaug.augment import (
-    _ALL_PAIRS_NODE_LIMIT,
     AugmentConfig,
     AugmentationLog,
     augment,
@@ -67,8 +66,6 @@ def test_config_validation():
         AugmentConfig(eps_add_pos=0.0)
     with pytest.raises(ValueError):
         AugmentConfig(eps_del_pos=1.0)
-    with pytest.raises(ValueError):
-        AugmentConfig(candidate_scope="everything")
     with pytest.raises(ValueError):
         AugmentConfig(max_additions=-1)
     AugmentConfig(eps_add_pos=1.0, eps_del_pos=0.0)  # no-op extremes are legal
@@ -165,22 +162,15 @@ def test_generate_confidence_order_and_cap():
     assert [(c.u, c.v) for c in capped.additions] == [(0, 2)]
 
 
-def test_generate_all_pairs_scope_limit():
-    edges, g = path_graph()
+def test_generate_keeps_a_held_pair_of_the_other_sign():
+    # every pair of a triangle is two hops apart: the + pairs are dropped, the - pair kept
+    edges = [EdgeSample(0, 1, 1), EdgeSample(1, 2, 1), EdgeSample(0, 2, -1)]
+    g = graph_from_samples(edges, 3)
     state = uniform_prob_state(3, [0.95, 0.02, 0.03])
-    cfg = AugmentConfig(eps_add_pos=0.9, eps_add_neg=0.9, eps_del_pos=0.0,
-                        eps_del_neg=0.0, candidate_scope="all-pairs")
+    cfg = AugmentConfig(eps_add_pos=0.9, eps_add_neg=0.9, eps_del_pos=0.0, eps_del_neg=0.0)
     cands = generate_candidates(g, state, edges, cfg)
-    assert {(c.u, c.v) for c in cands.additions} == {(0, 2)}  # (0,1),(1,2) are same-sign
-
-
-def test_all_pairs_scan_refuses_a_graph_over_the_node_limit():
-    n = _ALL_PAIRS_NODE_LIMIT + 1
-    edges = [EdgeSample(0, 1, 1)]
-    graph, state = graph_from_samples(edges, n), uniform_prob_state(n, [0.5, 0.3, 0.2])
-    cfg = AugmentConfig(candidate_scope="all-pairs")
-    with pytest.raises(ValueError, match=f"limited to {n - 1} nodes; graph has {n}"):
-        generate_candidates(graph, state, edges, cfg)
+    assert [(c.u, c.v, c.sign) for c in cands.additions] == [(0, 2, 1)]
+    assert cands.confidence.tolist() == pytest.approx([0.95])
 
 
 def test_candidate_scan_memory_is_bounded_on_a_hub_graph():
@@ -335,7 +325,7 @@ def list_generate_candidates(graph, state, train, config):
     """Additions as ``[(EdgeSample, conf)]`` and deletions as a list, one pair at a time."""
     nbrs = [set(graph.neighbors(i)[0].tolist()) for i in range(graph.num_nodes)]
     pairs = [(i, j) for i in range(graph.num_nodes) for j in range(i + 1, graph.num_nodes)
-             if config.candidate_scope == "all-pairs" or nbrs[i] & nbrs[j]]
+             if nbrs[i] & nbrs[j]]
     us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     train_signs = {e.pair: e.sign for e in train}
     additions = []
@@ -445,14 +435,17 @@ def test_selection_matches_list_oracle(train, additions, deletions, columns):
     assert log == expected_log
 
 
-@given(st.integers(0, 2**32 - 1), records(max_nodes=10), st.sampled_from(["two-hop", "all-pairs"]),
+@given(st.integers(0, 2**32 - 1), records(max_nodes=10),
        st.floats(0.2, 0.9), st.floats(0.2, 0.9), st.floats(0.0, 0.6), st.floats(0.0, 0.6),
        st.one_of(st.none(), st.integers(0, 6)), st.booleans(), st.booleans(),
        st.sampled_from([1, 7, scan._SCAN_WORK]))  # 1: one row per block
 @settings(max_examples=100, deadline=None)
-@example(seed=0, train=[], scope="all-pairs", add_pos=0.2, add_neg=0.2, del_pos=0.0, del_neg=0.0,
-         cap=None, columns=True, flat=True, budget=7)  # an edgeless graph, every pair fires
-def test_candidates_match_list_oracle(seed, train, scope, add_pos, add_neg, del_pos, del_neg,
+# a complete graph of - edges on 7 nodes under a flat state leaning + (seed 9 draws
+# p = 0.70, 0.10, 0.20): all 21 pairs fire, tie, and are held with the other sign
+@example(seed=9, train=[EdgeSample(u, v, -1) for u in range(7) for v in range(u + 1, 7)],
+         add_pos=0.5, add_neg=0.9, del_pos=0.0, del_neg=0.6, cap=None, columns=True, flat=True,
+         budget=7)
+def test_candidates_match_list_oracle(seed, train, add_pos, add_neg, del_pos, del_neg,
                                       cap, columns, flat, budget):
     rng = np.random.default_rng(seed)
     graph = graph_from_samples([e.canonical() for e in {e.pair: e for e in train}.values()], 10)
@@ -461,7 +454,7 @@ def test_candidates_match_list_oracle(seed, train, scope, add_pos, add_neg, del_
     else:
         state = crafted_state(rng.normal(size=(10, 3)), rng.normal(scale=2.0, size=(6, 3)))
     cfg = AugmentConfig(eps_add_pos=add_pos, eps_add_neg=add_neg, eps_del_pos=del_pos,
-                        eps_del_neg=del_neg, candidate_scope=scope, max_additions=cap)
+                        eps_del_neg=del_neg, max_additions=cap)
     additions, deletions = list_generate_candidates(graph, state, train, cfg)
     with mock.patch.object(scan, "_SCAN_WORK", budget):
         cands = generate_candidates(graph, state, as_input(train, columns), cfg)

@@ -23,7 +23,7 @@ def sga_report():
     return run_experiment(shuffled_planted_records(), "sga", [0, 1, 2], enc_cfg=encoder)
 
 
-def test_criterion_6_augmentation_raises_the_balance_degree(sga_report):
+def test_criterion_5_augmentation_raises_the_balance_degree(sga_report):
     # pilot: 0.864 -> 0.934, 0.858 -> 0.938 and 0.853 -> 0.916
     for r in sga_report.results:
         assert r.bd_after >= r.bd_before + 0.03, (r.seed, r.bd_before, r.bd_after)
@@ -35,6 +35,6 @@ def test_criterion_6_augmentation_raises_the_balance_degree(sga_report):
     "0.2 delete thresholds remove 241-278 edges: the pilot added 0 edges and density fell "
     "from 0.0602 to 0.046-0.048",
 )
-def test_criterion_6_augmentation_raises_the_density(sga_report):
+def test_criterion_5_augmentation_raises_the_density(sga_report):
     for r in sga_report.results:
         assert r.density_after > r.density_before, (r.seed, r.density_before, r.density_after)

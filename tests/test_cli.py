@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -298,8 +299,6 @@ def test_run_divergence_exits_1(dataset_file_path, tmp_path, capsys):
             "1",
             "--outdir",
             str(tmp_path / "boom"),
-            "--optimizer",
-            "sgd",
             "--learning-rate",
             "1e150",
             *FAST,
@@ -397,6 +396,46 @@ diagnostic = true
 save_encoders = false
 """
     assert _fallback_toml(text, "run.toml") == _toml.loads(text)
+
+
+def test_the_readme_config_example_builds(tmp_path):
+    from sigaug.config import config_from_dict, read_config_file
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```toml\n(.*?)```", readme, flags=re.DOTALL)
+    path = tmp_path / "readme.toml"
+    path.write_text(block)
+    cfg = config_from_dict(read_config_file(path))
+    assert (cfg.dataset, cfg.pipeline, cfg.encoder.epochs) == ("bitcoin-alpha", "sga", 300)
+
+
+def test_the_settable_surface():
+    # every config key and flag a user can set; adding or removing one edits this list
+    import argparse
+
+    from sigaug.cli import build_parser
+    from sigaug.config import _TABLES
+
+    assert {table: set(keys) for table, keys in _TABLES.items()} == {
+        "dataset": {"path", "format"},
+        "split": {"ratio", "seeds"},
+        "run": {"pipeline", "output_dir", "diagnostic", "save_encoders"},
+        "encoder": {"embed_dim", "layers", "learning_rate", "epochs", "seed", "input_features"},
+        "augment": {"eps_add_pos", "eps_add_neg", "eps_del_pos", "eps_del_neg", "max_additions"},
+        "pacing": {"lambda0", "big_t", "total_epochs"},
+    }
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for sub in commands.choices.values() for action in sub._actions
+             if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    assert flags == {
+        "--dataset", "--format", "--config", "--pipeline", "--seeds", "--seed", "--ratio",
+        "--outdir", "--diagnostic", "--save-encoders", "--embed-dim", "--layers",
+        "--learning-rate", "--epochs", "--input-features", "--eps-add-pos", "--eps-add-neg",
+        "--eps-del-pos", "--eps-del-neg", "--max-additions", "--lambda0", "--big-t",
+        "--json", "--split-ratio", "--split-seed", "--per-edge-csv", "--param", "--values",
+    }
+    assert (sum(map(len, _TABLES.values())), len(flags)) == (22, 28)
 
 
 def _write_config(path, text: str):
@@ -545,7 +584,39 @@ def test_a_ratio_that_leaves_no_test_edge_exits_2(tmp_path, capsys):
                "--seeds", "1", "--outdir", str(outdir), *FAST])
     assert rc == 2
     assert "leaves no test edge out of 10" in capsys.readouterr().err
-    assert not (outdir / "report.json").exists()  # the check runs once the directory exists
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag", [
+    ["--optimizer", "adam"],
+    ["--candidate-scope", "two-hop"],
+    ["--input-features", "adjacency-rows"],
+])
+def test_a_removed_option_flag_exits_2(dataset_file_path, tmp_path, capsys, flag):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--dataset", str(dataset_file_path), "--outdir", str(outdir), *flag])
+    assert exit_.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[encoder]\noptimizer = "adam"\n', "unknown key(s) optimizer in config table [encoder]"),
+    ('[augment]\ncandidate_scope = "two-hop"\n',
+     "unknown key(s) candidate_scope in config table [augment]"),
+    ('[encoder]\ninput_features = "adjacency-rows"\n', "unknown input_features 'adjacency-rows'"),
+])
+def test_a_config_with_a_removed_option_exits_2(dataset_file_path, tmp_path, capsys, text,
+                                                 message):
+    # resolved configs written before these options were removed still name them
+    config = _write_config(tmp_path / "run.toml", text)
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--seeds", "1", "--outdir", str(outdir), *FAST])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("text, message", [

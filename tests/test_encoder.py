@@ -82,10 +82,6 @@ def test_init_input_feature_modes():
     assert rand_state.input_features.shape == (9, 4)
     assert np.abs(rand_state.input_features).max() <= 1.0
 
-    adj_state = init_state(g, EncoderConfig(embed_dim=4, seed=1, input_features="adjacency-rows"))
-    assert adj_state.input_features.shape == (9, 9)
-    assert set(np.unique(adj_state.input_features)) <= {-1.0, 0.0, 1.0}
-
 
 def test_spectral_features_deterministic_and_padded():
     _, g = random_graph(seed=11, n=7, edge_prob=0.5)
@@ -376,7 +372,7 @@ def test_training_frees_each_epochs_activations():
 def test_training_divergence_raises_with_epoch():
     edges = community_records(n=16, seed=2)
     g = graph_from_samples(edges, 16)
-    cfg = EncoderConfig(embed_dim=6, epochs=50, seed=0, optimizer="sgd", learning_rate=1e150)
+    cfg = EncoderConfig(embed_dim=6, epochs=50, seed=0, learning_rate=1e150)
     with pytest.raises(TrainingDivergedError) as err:
         train_encoder(g, edges, cfg)
     assert err.value.epoch >= 0
