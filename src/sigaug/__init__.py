@@ -23,21 +23,17 @@ from .graph import (  # noqa: F401
 )
 from .balance import (  # noqa: F401
     BalanceReport,
-    EdgeBalanceProfile,
     TriangleStats,
     balance_report,
     enumerate_triangles,
     global_balance_degree,
-    local_balance_degree,
 )
 from .encoder import (  # noqa: F401
-    EdgeProbabilities,
     EncoderConfig,
     EncoderState,
     forward,
     init_state,
     mlg_loss,
-    predict_edge_probs,
     train_encoder,
 )
 from .augment import (  # noqa: F401

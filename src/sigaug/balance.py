@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graph import EdgeSample, SignedGraph, _budget_runs
+from .graph import SignedGraph, _budget_runs
 
 # gathered row entries per chunk; bounds the Hadamard product held at once
 _CHUNK_WORK = 1 << 20
@@ -50,23 +50,13 @@ class TriangleStats:
         return self.balanced + self.unbalanced
 
 
-@dataclass
-class EdgeBalanceProfile:
-    """Per-edge triangle counts and the derived difficulty score."""
-
-    edge: EdgeSample
-    balanced_incident: int
-    unbalanced_incident: int
-    local_degree: float
-    difficulty: float
-
-
 @dataclass(frozen=True, eq=False)
 class BalanceReport:
     """Global triangle stats plus one column entry per edge.
 
     Edges are listed once as u < v in (u, v) order: ``u``, ``v`` and
-    ``sign`` are the graph's own ``edge_columns()`` arrays.
+    ``sign`` are the graph's own ``edge_columns()`` arrays, so edge (u, v)
+    sits at ``graph.edge_index(u, v)`` in every column.
     ``balanced``/``unbalanced`` count the triangles through each edge.  The
     arrays are read-only because one report is shared by every caller on
     the same graph.
@@ -91,27 +81,11 @@ class BalanceReport:
     def difficulty(self) -> np.ndarray:
         return (1.0 - self.local_degree) / 2.0
 
-    @property
-    def profiles(self) -> list[EdgeBalanceProfile]:
-        """The columns as one profile object per edge."""
-        return _profiles(self.u, self.v, self.sign, self.balanced, self.unbalanced)
-
 
 def _local_degree(balanced: np.ndarray, unbalanced: np.ndarray) -> np.ndarray:
     total = balanced + unbalanced
     # An edge in no triangle carries no imbalance evidence: treat as easiest.
     return np.divide(balanced - unbalanced, total, out=np.ones(len(total)), where=total > 0)
-
-
-def _profiles(u, v, sign, balanced, unbalanced) -> list[EdgeBalanceProfile]:
-    local = _local_degree(balanced, unbalanced)
-    return [
-        EdgeBalanceProfile(EdgeSample(*edge), b, ub, loc, (1.0 - loc) / 2.0)
-        for *edge, b, ub, loc in zip(
-            u.tolist(), v.tolist(), sign.tolist(),
-            balanced.tolist(), unbalanced.tolist(), local.tolist(),
-        )
-    ]
 
 
 def _incident_triangles(
@@ -163,20 +137,3 @@ def global_balance_degree(stats: TriangleStats) -> float | None:
     if stats.total == 0:
         return None
     return stats.balanced / stats.total
-
-
-def local_balance_degree(graph: SignedGraph, edge: EdgeSample) -> EdgeBalanceProfile:
-    """Balance profile of one existing edge, read from the graph's report."""
-    edge = edge.canonical()
-    i = int(graph.edge_index(edge.u, edge.v))
-    if i < 0:
-        raise ValueError(f"edge ({edge.u}, {edge.v}) not in graph")
-    stored = int(graph.edge_columns().sign[i])
-    if stored != edge.sign:
-        raise ValueError(f"edge ({edge.u}, {edge.v}) has sign {stored}, not {edge.sign}")
-    report = balance_report(graph)
-    row = slice(i, i + 1)
-    return _profiles(
-        report.u[row], report.v[row], report.sign[row],
-        report.balanced[row], report.unbalanced[row],
-    )[0]

@@ -331,7 +331,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def _write_report_files(report, outdir: Path) -> None:
     from .curriculum import schedule_to_csv
     from .encoder import save_checkpoint
-    from .evalbench import METRIC_NAMES, report_payload, report_timing
+    from .evalbench import (
+        AUGMENTING, METRIC_NAMES, _parse_pipeline, report_payload, report_timing,
+    )
 
     payload = report_payload(report)
     payload["timing"] = report_timing(report)
@@ -347,7 +349,7 @@ def _write_report_files(report, outdir: Path) -> None:
                 _cell(r.density_before, 8), _cell(r.density_after, 8),
                 _cell(r.bd_before), _cell(r.bd_after),
             ])
-    pipeline_changes_edges = report.pipeline not in ("baseline", "tp-only")
+    pipeline_changes_edges = _parse_pipeline(report.pipeline)[0] in (*AUGMENTING, "random")
     for r in report.results:
         if r.schedule is not None:
             schedule_to_csv(r.schedule, outdir / f"schedule_seed{r.seed}.csv")

@@ -6,31 +6,20 @@ Config files use six tables: [dataset], [split] and [run], whose keys
 and keys are errors.  Flags reach the same tables by field name, so a file
 and its flags resolve in one pass.  Every run writes the fully resolved
 configuration as JSON next to its outputs; feeding that file back in
-reproduces the run.
-
-TOML parsing uses the stdlib ``tomllib`` (Python >= 3.11) or ``tomli`` when
-installed.  When neither exists, a strict fallback reader covers the subset
-these configs need: tables, strings, ints, floats, booleans, and flat arrays.
+reproduces the run.  TOML files are read with the stdlib ``tomllib``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tomllib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentConfig
 from .curriculum import PacingConfig
 from .encoder import EncoderConfig
-
-try:  # pragma: no cover - depends on interpreter version
-    import tomllib as _toml
-except ModuleNotFoundError:  # pragma: no cover
-    try:
-        import tomli as _toml  # type: ignore[no-redef]
-    except ModuleNotFoundError:
-        _toml = None
 
 KNOWN_DATASETS = {
     "bitcoin-alpha": ("soc-sign-bitcoinalpha.csv", "rating-csv"),
@@ -40,45 +29,6 @@ KNOWN_DATASETS = {
     "wiki-elec": ("wiki-elec.tsv", "sign-tsv"),
     "wiki-rfa": ("wiki-rfa.tsv", "sign-tsv"),
 }
-
-
-def _parse_toml_value(raw: str, path: str, lineno: int):
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_toml_value(part, path, lineno) for part in inner.split(",")]
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: cannot parse TOML value {raw!r}") from None
-
-
-def _fallback_toml(text: str, path: str) -> dict:
-    data: dict = {}
-    table = data
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            table = data.setdefault(name, {})
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, raw = stripped.split("=", 1)
-        table[key.strip()] = _parse_toml_value(raw, path, lineno)
-    return data
 
 
 # [dataset], [split] and [run] keys as {file key: RunConfig field}; the keys of
@@ -94,12 +44,21 @@ ENVIRONMENT = "environment"
 
 
 def _coerce_seeds(value) -> list[int]:
-    """Seeds from a count (5 -> 0..4) or a list, either one possibly as text ("5", "0,2,4")."""
+    """Seeds from a count (5 -> 0..4) or a list, either one possibly as text ("5", "0,2,4").
+
+    A count or seed that is not a whole number (1.5, true) is an error.
+    """
     if isinstance(value, str):
-        value = [v for v in value.split(",") if v.strip()] if "," in value else int(value)
-    if isinstance(value, int):
+        value = [int(v) for v in value.split(",") if v.strip()] if "," in value else int(value)
+    if _is_whole(value):
         return list(range(value))
-    return [int(v) for v in value]
+    if not isinstance(value, (list, tuple)) or not all(map(_is_whole, value)):
+        raise ValueError(f"seeds must be a whole-number count or list of them, got {value!r}")
+    return list(value)
+
+
+def _is_whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -222,9 +181,7 @@ def read_config_file(path: str | Path) -> dict:
     text = path.read_text()
     if path.suffix == ".json":
         return json.loads(text)
-    if _toml is not None:
-        return _toml.loads(text)
-    return _fallback_toml(text, str(path))
+    return tomllib.loads(text)
 
 
 def write_resolved(cfg: RunConfig, path: str | Path, environment: dict) -> None:

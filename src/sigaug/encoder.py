@@ -134,13 +134,6 @@ class EncoderState:
         return math.sqrt(sum(float((p * p).sum()) for p in self.parameters()))
 
 
-@dataclass
-class EdgeProbabilities:
-    p_pos: float
-    p_neg: float
-    p_none: float
-
-
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
@@ -581,14 +574,6 @@ def pair_class_probabilities(
 ) -> np.ndarray:
     """(m, 3) class probabilities for node pairs, columns (pos, neg, none)."""
     return pair_class_scorer(state)(u, v)
-
-
-def predict_edge_probs(state: EncoderState, u: int, v: int) -> EdgeProbabilities:
-    """Probabilities of a positive edge, negative edge, or no edge for (u, v)."""
-    if u == v:
-        raise ValueError("u and v must differ")
-    p = pair_class_probabilities(state, np.asarray([u]), np.asarray([v]))[0]
-    return EdgeProbabilities(p_pos=float(p[0]), p_neg=float(p[1]), p_none=float(p[2]))
 
 
 # -- checkpoint serialization -------------------------------------------------

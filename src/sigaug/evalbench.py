@@ -451,12 +451,12 @@ def check_experiment(
 ) -> tuple[str, str | None, float]:
     """Raise ``ValueError`` for a run or sweep that cannot start; parse the pipeline.
 
-    A run needs at least one seed, no seed twice, a known pipeline (with a
-    ``random:`` ratio in [0, 1]) and a train ``ratio`` in (0, 1).  A sweep
-    (``param`` given) needs a sweepable parameter that the pipeline uses and
-    at least one value, and big_t values must be whole numbers.  Returns the
-    pipeline kind, and the perturbation kind and ratio of a ``random:``
-    pipeline.
+    A run needs at least one seed, no seed twice, no negative seed, a known
+    pipeline (with a ``random:`` ratio in [0, 1]) and a train ``ratio`` in
+    (0, 1).  A sweep (``param`` given) needs a sweepable parameter that the
+    pipeline uses and at least one value, and big_t values must be whole
+    numbers.  Returns the pipeline kind, and the perturbation kind and
+    ratio of a ``random:`` pipeline.
     """
     if len(seeds) == 0:
         raise ValueError(
@@ -464,6 +464,9 @@ def check_experiment(
         )
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds {list(seeds)} repeat a seed; give each seed once")
+    negative = [seed for seed in seeds if seed < 0]
+    if negative:
+        raise ValueError(f"seeds must be >= 0, got {', '.join(map(str, negative))}")
     parsed = _parse_pipeline(pipeline)
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")

@@ -250,8 +250,8 @@ def _read_rows(
 
     Lines are numbered from ``start``.  Reading stops at the first row with
     fewer than three fields or that the csv reader rejects (a field over
-    ``csv.field_size_limit()``; before Python 3.11 also a NUL); the last item
-    returned is a ``ParseError`` for it, or None when there is none.
+    ``csv.field_size_limit()``); the last item returned is a ``ParseError``
+    for it, or None when there is none.
     """
     tsv = format == "sign-tsv"
     rows = map(str.split, fh) if tsv else csv.reader(fh)

@@ -17,13 +17,19 @@ from sigaug.balance import (
     balance_report,
     enumerate_triangles,
     global_balance_degree,
-    local_balance_degree,
 )
 from sigaug.graph import EdgeSample, graph_from_samples
 
 
 def graph_of(edges, n):
     return graph_from_samples(edges, n)
+
+
+def edge_balance(g, u, v):
+    """The report's balanced, unbalanced, local degree and difficulty at edge (u, v)."""
+    report, i = balance_report(g), int(g.edge_index(u, v))
+    assert i >= 0
+    return report.balanced[i], report.unbalanced[i], report.local_degree[i], report.difficulty[i]
 
 
 def test_single_positive_triangle_balanced():
@@ -68,8 +74,8 @@ def test_global_balance_degree_values():
 def test_local_degree_extremes():
     # edge (0,1) in one balanced triangle only
     g = graph_of([EdgeSample(0, 1, 1), EdgeSample(0, 2, 1), EdgeSample(1, 2, 1)], 3)
-    prof = local_balance_degree(g, EdgeSample(0, 1, 1))
-    assert prof.local_degree == 1.0 and prof.difficulty == 0.0
+    *_, local, difficulty = edge_balance(g, 0, 1)
+    assert local == 1.0 and difficulty == 0.0
 
     # one balanced + one unbalanced
     g = graph_of(
@@ -82,8 +88,8 @@ def test_local_degree_extremes():
         ],
         4,
     )
-    prof = local_balance_degree(g, EdgeSample(0, 1, 1))
-    assert prof.local_degree == 0.0 and prof.difficulty == 0.5
+    *_, local, difficulty = edge_balance(g, 0, 1)
+    assert local == 0.0 and difficulty == 0.5
 
 
 def test_local_degree_one_balanced_three_unbalanced():
@@ -92,32 +98,23 @@ def test_local_degree_one_balanced_three_unbalanced():
     for k in (3, 4, 5):
         edges += [EdgeSample(0, k, 1), EdgeSample(1, k, -1)]
     g = graph_of(edges, 6)
-    prof = local_balance_degree(g, EdgeSample(0, 1, 1))
-    assert prof.balanced_incident == 1 and prof.unbalanced_incident == 3
-    assert prof.local_degree == pytest.approx(-0.5)
-    assert prof.difficulty == pytest.approx(0.75)
+    b, ub, local, difficulty = edge_balance(g, 0, 1)
+    assert b == 1 and ub == 3
+    assert local == pytest.approx(-0.5)
+    assert difficulty == pytest.approx(0.75)
 
 
 def test_local_degree_triangle_free_edge_is_easiest():
     g = graph_of([EdgeSample(0, 1, -1)], 2)
-    prof = local_balance_degree(g, EdgeSample(0, 1, -1))
-    assert prof.local_degree == 1.0 and prof.difficulty == 0.0
-
-
-def test_local_degree_missing_edge_errors():
-    g = graph_of([EdgeSample(0, 1, 1)], 3)
-    with pytest.raises(ValueError):
-        local_balance_degree(g, EdgeSample(0, 2, 1))
-    with pytest.raises(ValueError):
-        local_balance_degree(g, EdgeSample(0, 1, -1))  # wrong sign
+    *_, local, difficulty = edge_balance(g, 0, 1)
+    assert local == 1.0 and difficulty == 0.0
 
 
 def test_balance_report_single_triangle():
     g = graph_of([EdgeSample(0, 1, 1), EdgeSample(0, 2, 1), EdgeSample(1, 2, 1)], 3)
     report = balance_report(g)
-    assert all(
-        (p.balanced_incident, p.unbalanced_incident) == (1, 0) for p in report.profiles
-    )
+    assert report.balanced.tolist() == [1, 1, 1]
+    assert report.unbalanced.tolist() == [0, 0, 0]
 
 
 def test_balance_report_incident_sums():
@@ -127,11 +124,10 @@ def test_balance_report_incident_sums():
     report = balance_report(g)
     b, u = brute_force_triangles(edges, 30)
     assert report.stats.balanced == b and report.stats.unbalanced == u
-    assert sum(p.balanced_incident for p in report.profiles) == 3 * b
-    assert sum(p.unbalanced_incident for p in report.profiles) == 3 * u
-    assert all(0.0 <= p.difficulty <= 1.0 for p in report.profiles)
-    for p in report.profiles:
-        assert (p.difficulty == 0.0) == (p.unbalanced_incident == 0)
+    assert report.balanced.sum() == 3 * b
+    assert report.unbalanced.sum() == 3 * u
+    assert ((report.difficulty >= 0.0) & (report.difficulty <= 1.0)).all()
+    assert np.array_equal(report.difficulty == 0.0, report.unbalanced == 0)
 
 
 def test_sign_flip_flips_triangle_parity():
@@ -140,11 +136,11 @@ def test_sign_flip_flips_triangle_parity():
     g = graph_of(edges, 20)
     before = enumerate_triangles(g)
     target = edges[0]
-    prof = local_balance_degree(g, target)
+    b, ub, _, _ = edge_balance(g, target.u, target.v)
     flipped = [EdgeSample(target.u, target.v, -target.sign)] + edges[1:]
     after = enumerate_triangles(graph_of(flipped, 20))
     # every triangle through the flipped edge swaps parity; the rest keep it
-    assert after.balanced == before.balanced - prof.balanced_incident + prof.unbalanced_incident
+    assert after.balanced == before.balanced - b + ub
     assert after.total == before.total
 
 
@@ -181,14 +177,12 @@ def test_balance_report_matches_per_edge_oracle(graph_spec):
     assert got == oracle
     assert (report.stats.balanced, report.stats.unbalanced) == brute_force_triangles(edges, n)
 
-    for p, e in zip(report.profiles, g.edge_columns()):
+    for i, e in enumerate(g.edge_columns()):
         b, ub = oracle[e.pair]
         local = 1.0 if b + ub == 0 else (b - ub) / (b + ub)
-        assert p.edge == e
-        assert (p.balanced_incident, p.unbalanced_incident) == (b, ub)
-        assert p.local_degree == local and p.difficulty == (1.0 - local) / 2.0
-        assert local_balance_degree(g, e) == p
-    assert report.difficulty.tolist() == [p.difficulty for p in report.profiles]
+        assert g.edge_index(e.u, e.v) == g.edge_index(e.v, e.u) == i
+        assert (report.u[i], report.v[i], report.sign[i]) == (e.u, e.v, e.sign)
+        assert edge_balance(g, e.u, e.v) == (b, ub, local, (1.0 - local) / 2.0)
 
 
 def gathered_entries(graph):
@@ -244,7 +238,7 @@ def test_balance_report_is_computed_once_per_graph(kernel_calls):
     g = graph_of([EdgeSample(0, 1, 1), EdgeSample(0, 2, 1), EdgeSample(1, 2, -1)], 3)
     first = balance_report(g)
     assert balance_report(g) is first and enumerate_triangles(g) is first.stats
-    assert local_balance_degree(g, EdgeSample(0, 1, 1)).balanced_incident == 0
+    assert edge_balance(g, 0, 1)[0] == 0
     assert len(kernel_calls) == 1
     with pytest.raises(ValueError):
         first.balanced[0] = 5  # shared between callers, so read-only

@@ -374,28 +374,37 @@ def test_default_pacing_saturates_halfway(data, big_t, total_epochs):
     assert pacing.lambda0 == data.get("pacing", {}).get("lambda0", 0.25)
 
 
-def test_fallback_toml_reader_matches_library():
-    # pytest pulls in tomli on 3.10, so the fallback needs a direct check
-    from sigaug.config import _fallback_toml, _toml
+def test_full_toml_resolves_like_its_json_twin(tmp_path):
+    from sigaug.config import config_from_dict, read_config_file
 
-    if _toml is None:
-        pytest.skip("no TOML library to compare against")
-    text = """
-# comment line
+    toml_path = tmp_path / "run.toml"
+    toml_path.write_text(r"""
+encoder.epochs = 5  # a dotted key
+
+[dataset]
+path = "C:\\data\\a.csv"
+format = "rating-csv"
+
 [split]
-ratio = 0.75   # trailing comment
-seeds = [0, 2, 4]
-
-[encoder]
-embed_dim = 6
-learning_rate = 0.005
-input_features = "spectral"
+seeds = [
+    0,
+    2,  # a comment inside a multi-line array
+]
 
 [run]
-diagnostic = true
-save_encoders = false
-"""
-    assert _fallback_toml(text, "run.toml") == _toml.loads(text)
+output_dir = "out # not a comment"
+""")
+    json_path = tmp_path / "run.json"
+    json_path.write_text(json.dumps({
+        "encoder": {"epochs": 5},
+        "dataset": {"path": "C:\\data\\a.csv", "format": "rating-csv"},
+        "split": {"seeds": [0, 2]},
+        "run": {"output_dir": "out # not a comment"},
+    }))
+    cfg = config_from_dict(read_config_file(toml_path))
+    assert cfg == config_from_dict(read_config_file(json_path))
+    assert (cfg.dataset, cfg.output_dir) == ("C:\\data\\a.csv", "out # not a comment")
+    assert (cfg.seeds, cfg.encoder.epochs) == ([0, 2], 5)
 
 
 def test_the_readme_config_example_builds(tmp_path):
@@ -457,6 +466,25 @@ def test_run_without_seeds_exits_2(dataset_file_path, tmp_path, capsys, seeds_fl
     assert rc == 2
     assert "no seeds" in capsys.readouterr().err
     assert not (outdir / "report.csv").exists()
+
+
+@pytest.mark.parametrize("seeds, named", [
+    ("[-1]", "-1"),
+    ("[3, -2]", "-2"),
+    ("[1.5]", "1.5"),
+    ("[1.5, 2.9]", "1.5"),
+    ("[true, 2]", "True"),
+    ("2.0", "2.0"),
+    ("true", "True"),
+])
+def test_run_with_an_unusable_seed_exits_2(dataset_file_path, tmp_path, capsys, seeds, named):
+    config = _write_config(tmp_path / "run.toml", f"[split]\nseeds = {seeds}\n")
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
+               "--outdir", str(outdir), *FAST])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_run_experiment_rejects_an_empty_seed_list():

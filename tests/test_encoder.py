@@ -29,7 +29,6 @@ from sigaug.encoder import (
     load_checkpoint,
     mlg_loss,
     pair_class_probabilities,
-    predict_edge_probs,
     save_checkpoint,
     train_encoder,
 )
@@ -428,19 +427,22 @@ def _crafted_state(theta):
     )
 
 
+def _pair_01(state):
+    return pair_class_probabilities(state, [0], [1])[0].tolist()
+
+
 def test_predict_uniform_when_theta_zero():
-    state = _crafted_state(np.zeros((4, 3)))
-    p = predict_edge_probs(state, 0, 1)
-    assert (p.p_pos, p.p_neg, p.p_none) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    p_pos, p_neg, p_none = _pair_01(_crafted_state(np.zeros((4, 3))))
+    assert (p_pos, p_neg, p_none) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 def test_predict_hand_softmax():
     theta = np.zeros((4, 3))
     theta[0, 0] = 2.0  # logits (2, 0, 0) for pair (0, 1)
-    p = predict_edge_probs(_crafted_state(theta), 0, 1)
-    assert p.p_pos == pytest.approx(0.7870, abs=5e-5)
-    assert p.p_neg == pytest.approx(0.1065, abs=5e-5)
-    assert p.p_none == pytest.approx(0.1065, abs=5e-5)
+    p_pos, p_neg, p_none = _pair_01(_crafted_state(theta))
+    assert p_pos == pytest.approx(0.7870, abs=5e-5)
+    assert p_neg == pytest.approx(0.1065, abs=5e-5)
+    assert p_none == pytest.approx(0.1065, abs=5e-5)
 
 
 def test_predict_probabilities_normalized():
@@ -452,12 +454,6 @@ def test_predict_probabilities_normalized():
     probs = pair_class_probabilities(state, u, v)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     assert (probs >= 0).all()
-
-
-def test_predict_rejects_self_pair():
-    state = _crafted_state(np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        predict_edge_probs(state, 1, 1)
 
 
 # -- serialization -------------------------------------------------------------------

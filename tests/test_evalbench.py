@@ -702,6 +702,7 @@ def test_run_experiment_refuses_a_ratio_that_leaves_no_test_edge(tiny_setup, mon
     ("baseline", [3, 3, 5], "repeat a seed"),
     ("random:drop-edge,1.5", [0], r"ratio must be in \[0, 1\]"),
     ("random:add-pos,nan", [0], r"ratio must be in \[0, 1\]"),
+    ("baseline", [0, -1], "seeds must be >= 0, got -1"),
 ])
 def test_run_experiment_rejects_repeated_seeds_and_random_ratios(
     tiny_setup, monkeypatch, pipeline, seeds, message
