@@ -22,13 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .balance import balance_report
-from .encoder import (
-    CLASS_NEG,
-    CLASS_POS,
-    EncoderState,
-    _require_ints,
-    pair_class_scorer,
-)
+from .encoder import CLASS_NEG, CLASS_POS, EncoderState, _require_numbers, pair_class_scorer
 from .graph import NEG, POS, EdgeColumns, EdgeSample, SignedGraph, density, graph_from_samples
 from .graph import _budget_runs, _canonical, _concat
 
@@ -40,7 +34,7 @@ _SCAN_WORK = 1 << 16
 
 @dataclass
 class AugmentConfig:
-    """Probability thresholds and an optional cap for candidate generation.
+    """Probability thresholds for candidate generation.
 
     Add thresholds live in (0, 1] and delete thresholds in [0, 1) so the
     extremes (add at 1.0, delete at 0.0) express an exact no-op.
@@ -50,9 +44,9 @@ class AugmentConfig:
     eps_add_neg: float = 0.9
     eps_del_pos: float = 0.2
     eps_del_neg: float = 0.2
-    max_additions: int | None = None
 
     def __post_init__(self):
+        _require_numbers(self, "eps_add_pos", "eps_add_neg", "eps_del_pos", "eps_del_neg")
         for name in ("eps_add_pos", "eps_add_neg"):
             val = getattr(self, name)
             if not 0.0 < val <= 1.0:
@@ -61,10 +55,6 @@ class AugmentConfig:
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
-        if self.max_additions is not None:
-            _require_ints(self, "max_additions")
-            if self.max_additions < 0:
-                raise ValueError("max_additions must be >= 0")
 
     def log_low_add_thresholds(self) -> None:
         """Warn of each add threshold <= 0.5; a run that augments calls this once."""
@@ -120,8 +110,8 @@ def generate_candidates(
     the higher probability wins, positive on a tie.  ``graph`` holds the
     training pairs, as ``augment`` requires; pairs it already holds with
     the same sign are excluded.  Additions come back sorted by confidence
-    (descending, then pair) and truncated to ``max_additions``; the pairs
-    are unique, so the order does not depend on the blocks.  Deletions are
+    (descending, then pair); the pairs are unique, so the order does not
+    depend on the blocks.  Deletions are
     the training edges, canonical and in training order, whose own-sign
     probability is below the matching delete threshold.
     """
@@ -155,7 +145,7 @@ def generate_candidates(
     held = at >= 0
     held[held] = graph.edge_columns().sign[at[held]] == sign[held]
     fresh = np.flatnonzero(~held)
-    order = fresh[np.lexsort((av[fresh], au[fresh], -conf[fresh]))][: config.max_additions]
+    order = fresh[np.lexsort((av[fresh], au[fresh], -conf[fresh]))]
 
     edges = _canonical(train)
     probs = score(edges.u, edges.v)

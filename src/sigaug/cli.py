@@ -71,7 +71,6 @@ def _add_augment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-add-neg", type=float, help="add threshold, negative edges")
     p.add_argument("--eps-del-pos", type=float, help="delete threshold, positive edges")
     p.add_argument("--eps-del-neg", type=float, help="delete threshold, negative edges")
-    p.add_argument("--max-additions", type=int)
 
 
 def _add_run_args(p: argparse.ArgumentParser, pipeline_help: str) -> None:
@@ -202,7 +201,9 @@ def _prepare_run(
     from .evalbench import _swept_configs, check_experiment, check_test_half
 
     cfg = _config_from_args(args, defaults)
-    check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
+    check_experiment(
+        cfg.pipeline, cfg.seeds, cfg.ratio, param, values, encoder_seed=cfg.encoder.seed
+    )
     if param is not None:
         # range-checks every swept value; building a config logs nothing, so
         # sensitivity_sweep building these again later shows no trace of this one
@@ -302,10 +303,12 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     from .augment import augment
     from .encoder import train_encoder
-    from .evalbench import _derive_seeds
+    from .evalbench import _derive_seeds, check_experiment
     from .graph import graph_from_samples, split_train_test
 
     cfg = _config_from_args(args)
+    # the checks of `run --pipeline sa-only`, whose edges this writes
+    check_experiment("sa-only", cfg.seeds, cfg.ratio, encoder_seed=cfg.encoder.seed)
     cfg.augment.log_low_add_thresholds()
     _, loaded, graph, _ = _load_graph(cfg)
     (seed,) = cfg.seeds

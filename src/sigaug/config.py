@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .augment import AugmentConfig
 from .curriculum import PacingConfig
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, _is_number, _require_numbers
 
 KNOWN_DATASETS = {
     "bitcoin-alpha": ("soc-sign-bitcoinalpha.csv", "rating-csv"),
@@ -50,15 +50,11 @@ def _coerce_seeds(value) -> list[int]:
     """
     if isinstance(value, str):
         value = [int(v) for v in value.split(",") if v.strip()] if "," in value else int(value)
-    if _is_whole(value):
+    if _is_number(value, whole=True):
         return list(range(value))
-    if not isinstance(value, (list, tuple)) or not all(map(_is_whole, value)):
+    if not isinstance(value, (list, tuple)) or not all(_is_number(v, whole=True) for v in value):
         raise ValueError(f"seeds must be a whole-number count or list of them, got {value!r}")
     return list(value)
-
-
-def _is_whole(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -79,8 +75,13 @@ class RunConfig:
 
     def __post_init__(self):
         # as a file or flag may give them: ratio = 1, diagnostic = 1, seeds = 5 or "0,2"
+        _require_numbers(self, "ratio")
+        for name in ("diagnostic", "save_encoders"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value in (0, 1)):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+            setattr(self, name, bool(value))
         self.ratio, self.seeds = float(self.ratio), _coerce_seeds(self.seeds)
-        self.diagnostic, self.save_encoders = bool(self.diagnostic), bool(self.save_encoders)
 
     def resolve_dataset(self, root: Path = Path()) -> tuple[Path, str]:
         """Map a dataset name or path to (file path, format).
@@ -134,7 +135,8 @@ def config_from_dict(
     ``flags`` and ``defaults`` map field names to values; a None value counts
     as not given.  A field takes its flag, else its file value, else its
     ``defaults`` entry, else the dataclass default.  Unknown tables and keys
-    are errors, and so is an ``[encoder] seed`` other than 0.  Pacing is
+    are errors, and so is a value of the wrong type (see the dataclasses'
+    checks).  Pacing is
     resolved last, over the final epoch count: big_t defaults to half of it,
     and a ``total_epochs`` that disagrees is an error.
     """
@@ -160,12 +162,6 @@ def config_from_dict(
             for name, value in layer.items()
             if name in keys.values() and value is not None
         }
-    # each run seed derives its own encoder seeds, so any other value would go unused
-    if merged["encoder"].get("seed", 0) != 0:
-        raise ValueError(
-            f"[encoder] seed = {merged['encoder']['seed']} is not used: encoder seeds are "
-            "derived from each of the [split] seeds; leave it out or set it to 0"
-        )
     top = {name: value for table in FILE_KEYS for name, value in merged[table].items()}
     encoder = EncoderConfig(**merged["encoder"])
     return RunConfig(

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .balance import balance_report
-from .encoder import EncoderConfig, EncoderState, _require_ints, _train_loop, init_state
+from .encoder import EncoderConfig, EncoderState, _require_numbers, _train_loop, init_state
 from .graph import EdgeColumns, EdgeSample, SignedGraph, _canonical
 
 
@@ -31,7 +31,8 @@ class PacingConfig:
     total_epochs: int = 300
 
     def __post_init__(self):
-        _require_ints(self, "big_t", "total_epochs")
+        _require_numbers(self, "big_t", "total_epochs", whole=True)
+        _require_numbers(self, "lambda0")
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError(f"lambda0 must be in (0, 1], got {self.lambda0}")
         if self.total_epochs < 1:
@@ -55,7 +56,7 @@ class PacingConfig:
                 "drop it, it always equals the encoder's epochs"
             )
         fields.setdefault("big_t", max(1, epochs // 2))
-        return cls(total_epochs=epochs, **fields)
+        return cls(total_epochs=total, **fields)  # equal to epochs, but refused if a bool
 
 
 @dataclass

@@ -23,7 +23,6 @@ training is full batch and deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import struct
@@ -57,12 +56,17 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
-def _require_ints(config, *names: str) -> None:
-    """Raise ``ValueError`` unless each named field of ``config`` is an int (a bool is not)."""
+def _is_number(value, whole: bool = False) -> bool:
+    """An int or float (only an int if ``whole``); a bool is neither, so ``true`` is not 1."""
+    return isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
+
+
+def _require_numbers(config, *names: str, whole: bool = False) -> None:
+    """Raise ``ValueError`` naming each field of ``config`` that ``_is_number`` refuses."""
     for name in names:
         value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a whole number, got {value!r}")
+        if not _is_number(value, whole):
+            raise ValueError(f"{name} must be a {'whole ' * whole}number, got {value!r}")
 
 
 @dataclass
@@ -83,7 +87,8 @@ class EncoderConfig:
     input_features: str = "spectral"
 
     def __post_init__(self):
-        _require_ints(self, "embed_dim", "layers", "epochs")
+        _require_numbers(self, "embed_dim", "layers", "epochs", "seed", whole=True)
+        _require_numbers(self, "learning_rate")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
         if self.embed_dim < 2:
@@ -648,22 +653,3 @@ def load_checkpoint(path: str | Path) -> EncoderState:
         init_weight_norm=init_norm,
         epochs_trained=epochs_trained,
     )
-
-
-def export_state_json(state: EncoderState, path: str | Path) -> None:
-    """Human-inspectable JSON dump of every block (large for big graphs)."""
-    payload = {
-        "version": _CHECKPOINT_VERSION,
-        "layers": state.num_layers,
-        "num_nodes": state.num_nodes,
-        "embed_dim": state.embed_dim,
-        "epochs_trained": state.epochs_trained,
-        "init_weight_norm": state.init_weight_norm,
-        "weight_norm": state.weight_norm(),
-        "pos_weights": [w.tolist() for w in state.pos_weights],
-        "neg_weights": [w.tolist() for w in state.neg_weights],
-        "mlg_weights": state.mlg_weights.tolist(),
-        "input_features": state.input_features.tolist(),
-        "embeddings": None if state.embeddings is None else state.embeddings.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload))

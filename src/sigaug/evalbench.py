@@ -423,6 +423,8 @@ def _derive_seeds(seed: int) -> tuple[int, int, int, int]:
 
 
 def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
+    if not isinstance(pipeline, str):
+        raise ValueError(f"pipeline must be a string, got {pipeline!r}")
     if pipeline.startswith("random:"):
         spec = pipeline[len("random:") :]
         try:
@@ -448,15 +450,18 @@ def check_experiment(
     ratio: float,
     param: str | None = None,
     values: Sequence[float] = (),
+    encoder_seed: int = 0,
 ) -> tuple[str, str | None, float]:
     """Raise ``ValueError`` for a run or sweep that cannot start; parse the pipeline.
 
-    A run needs at least one seed, no seed twice, no negative seed, a known
-    pipeline (with a ``random:`` ratio in [0, 1]) and a train ``ratio`` in
-    (0, 1).  A sweep (``param`` given) needs a sweepable parameter that the
-    pipeline uses and at least one value, and big_t values must be whole
-    numbers.  Returns the pipeline kind, and the perturbation kind and
-    ratio of a ``random:`` pipeline.
+    A run needs at least one seed, no seed twice, no negative seed, an
+    ``encoder_seed`` of 0 (each run seed derives the seeds of its encoders,
+    so any other value would go unused), a known pipeline (with a
+    ``random:`` ratio in [0, 1]) and a train ``ratio`` in (0, 1).  A sweep
+    (``param`` given) needs a sweepable parameter that the pipeline uses and
+    at least one value, and big_t values must be whole numbers.  Returns
+    the pipeline kind, and the perturbation kind and ratio of a ``random:``
+    pipeline.
     """
     if len(seeds) == 0:
         raise ValueError(
@@ -467,6 +472,11 @@ def check_experiment(
     negative = [seed for seed in seeds if seed < 0]
     if negative:
         raise ValueError(f"seeds must be >= 0, got {', '.join(map(str, negative))}")
+    if encoder_seed != 0:
+        raise ValueError(
+            f"[encoder] seed = {encoder_seed} is not used: encoder seeds are derived from each "
+            "of the [split] seeds; leave it out or set it to 0"
+        )
     parsed = _parse_pipeline(pipeline)
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
@@ -530,22 +540,19 @@ def run_experiment(
     cannot start (see ``check_experiment``), or whose ``ratio`` leaves the
     test half empty, raises ``ValueError`` before any seed runs; a ``sga``
     or ``sa-only`` run logs an add threshold <= 0.5 once, before its first
-    seed.  Each run seed derives the seeds of its
-    pre-trained scorer and of its final model, so ``enc_cfg.seed`` must be
-    0; any other value raises ``ValueError`` before any seed runs.  The
-    pre-trained scorer is released once ``augment`` has used it, before
-    the final model trains.  When ``encoder_cache`` is given, the cache
-    keeps each seed's scorer and later calls reuse it (valid while
-    dataset, split, and encoder config are unchanged).  The gap diagnostic
-    uses ``GapConstants`` with the encoder's learning rate and epochs.
+    seed.  Each run seed derives the seeds of its pre-trained scorer and of
+    its final model, so ``check_experiment`` refuses an ``enc_cfg.seed``
+    other than 0.  The pre-trained scorer is released once ``augment`` has
+    used it, before the final model trains.  When ``encoder_cache`` is
+    given, the cache keeps each seed's scorer and later calls reuse it
+    (valid while dataset, split, and encoder config are unchanged).  The gap
+    diagnostic uses ``GapConstants`` with the encoder's learning rate and
+    epochs.
     """
-    kind, perturb_kind, perturb_ratio = check_experiment(pipeline, seeds, ratio)
     enc_cfg = enc_cfg or EncoderConfig()
-    if enc_cfg.seed != 0:
-        raise ValueError(
-            f"EncoderConfig.seed = {enc_cfg.seed} is not used: encoder seeds are derived "
-            "from each run seed; leave it at 0"
-        )
+    kind, perturb_kind, perturb_ratio = check_experiment(
+        pipeline, seeds, ratio, encoder_seed=enc_cfg.seed
+    )
     aug_cfg = aug_cfg or AugmentConfig()
     if kind in AUGMENTING:
         aug_cfg.log_low_add_thresholds()
@@ -707,12 +714,11 @@ def sensitivity_sweep(
     candidate scorer is cached per seed and shared across values (none of
     the sweepable parameters affect it).  Each value is one run, so an add
     threshold <= 0.5 in its augmentation config is logged once per value.
-    As in ``run_experiment``, encoder seeds are derived from each run seed,
-    so ``enc_cfg.seed`` must be 0; any other value raises ``ValueError``
-    before any seed runs.
+    ``check_experiment`` refuses a sweep that cannot start, an
+    ``enc_cfg.seed`` other than 0 included, before any value runs.
     """
-    check_experiment(pipeline, seeds, ratio, param, values)
     enc_cfg = enc_cfg or EncoderConfig()
+    check_experiment(pipeline, seeds, ratio, param, values, encoder_seed=enc_cfg.seed)
     aug_cfg = aug_cfg or AugmentConfig()
     pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
     cache: dict = {}

@@ -11,8 +11,8 @@ parses straight into them, ``build_graph``, ``graph_from_samples`` and
 ``SignedGraph`` keeps its upper-triangle columns in (u, v) order, their
 sorted pair keys ``u * num_nodes + v``, and one symmetric scipy CSR matrix
 with a +1.0/-1.0 entry per edge direction.  That matrix is
-``signed_adjacency()``; the neighbor lookups and the row-normalized
-``adjacency(sign)`` views are read from it.  The rest of the pipeline
+``signed_adjacency()``; the row-normalized ``adjacency(sign)`` views are
+read from it.  The rest of the pipeline
 (candidate scan, selection, perturbation, curriculum, encoder training and
 the sign head) reads and returns ``EdgeColumns`` too.
 ``EdgeSample`` objects exist only at the API and file boundary:
@@ -405,7 +405,7 @@ class SignedGraph:
     The matrix is the symmetric adjacency with a +1.0 or -1.0 entry per
     edge direction, in canonical CSR format (sorted row indices, no
     duplicates, read-only arrays).  ``signed_adjacency`` returns it, and the
-    neighbor lookups and ``adjacency`` views read it.  Next to it the graph
+    ``adjacency`` views read it.  Next to it the graph
     keeps each edge once as u < v (``edge_columns``) and the sorted pair keys
     ``u * num_nodes + v`` behind ``edge_index``.  Built from canonical
     columns: ``0 <= u < v < num_nodes`` and one sign in {+1, -1} per distinct
@@ -443,17 +443,6 @@ class SignedGraph:
         self._adjacency = adjacency
         # filled by balance.balance_report; the graph never changes, so it never goes stale
         self._balance_report = None
-
-    # -- neighbor access -------------------------------------------------
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted neighbor ids of i and their parallel signs, as read-only views.
-
-        The ids have the matrix's index dtype (int32 unless the graph needs
-        int64); the signs are float64 +1.0 or -1.0.
-        """
-        adj = self._adjacency
-        lo, hi = adj.indptr[i], adj.indptr[i + 1]
-        return adj.indices[lo:hi], adj.data[lo:hi]
 
     def edge_index(self, u, v) -> np.ndarray:
         """Position of each pair ``(u, v)`` in ``edge_columns()``, in either order.
@@ -556,6 +545,8 @@ def split_train_test(
     """Randomly partition edges; first ceil(ratio*|E|) of a seeded shuffle."""
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     if len(edges) < 2:
         raise ValueError("need at least 2 edges to split")
     rng = np.random.Generator(np.random.PCG64(seed))

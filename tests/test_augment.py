@@ -66,8 +66,6 @@ def test_config_validation():
         AugmentConfig(eps_add_pos=0.0)
     with pytest.raises(ValueError):
         AugmentConfig(eps_del_pos=1.0)
-    with pytest.raises(ValueError):
-        AugmentConfig(max_additions=-1)
     AugmentConfig(eps_add_pos=1.0, eps_del_pos=0.0)  # no-op extremes are legal
 
 
@@ -141,7 +139,7 @@ def test_generate_excludes_same_sign_train_pairs():
     assert list(cands.additions) == []  # the only two-hop pairs are existing + edges
 
 
-def test_generate_confidence_order_and_cap():
+def test_generate_confidence_order():
     edges = [EdgeSample(0, 1, 1), EdgeSample(1, 2, 1), EdgeSample(2, 3, 1)]
     g = graph_from_samples(edges, 4)
     z = np.asarray([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
@@ -155,11 +153,6 @@ def test_generate_confidence_order_and_cap():
     confs = cands.confidence.tolist()
     assert pairs == [(0, 2), (1, 3)]
     assert confs[0] > confs[1]
-    capped = generate_candidates(
-        g, state, edges, AugmentConfig(eps_add_pos=0.7, eps_add_neg=0.99,
-                                       eps_del_pos=0.0, eps_del_neg=0.0, max_additions=1)
-    )
-    assert [(c.u, c.v) for c in capped.additions] == [(0, 2)]
 
 
 def test_generate_keeps_a_held_pair_of_the_other_sign():
@@ -323,7 +316,7 @@ def test_deletion_only_never_creates_triangles():
 
 def list_generate_candidates(graph, state, train, config):
     """Additions as ``[(EdgeSample, conf)]`` and deletions as a list, one pair at a time."""
-    nbrs = [set(graph.neighbors(i)[0].tolist()) for i in range(graph.num_nodes)]
+    nbrs = [set(row.indices.tolist()) for row in graph.signed_adjacency()]
     pairs = [(i, j) for i in range(graph.num_nodes) for j in range(i + 1, graph.num_nodes)
              if nbrs[i] & nbrs[j]]
     us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -341,8 +334,6 @@ def list_generate_candidates(graph, state, train, config):
             continue
         additions.append((EdgeSample(cu, cv, sign), float(p_neg if pick_neg else p_pos)))
     additions.sort(key=lambda item: (-item[1], item[0].u, item[0].v))
-    if config.max_additions is not None:
-        additions = additions[: config.max_additions]
     deletions = []
     for e in train:
         p = pair_class_probabilities(state, [e.pair[0]], [e.pair[1]])[0]
@@ -437,16 +428,16 @@ def test_selection_matches_list_oracle(train, additions, deletions, columns):
 
 @given(st.integers(0, 2**32 - 1), records(max_nodes=10),
        st.floats(0.2, 0.9), st.floats(0.2, 0.9), st.floats(0.0, 0.6), st.floats(0.0, 0.6),
-       st.one_of(st.none(), st.integers(0, 6)), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans(),
        st.sampled_from([1, 7, scan._SCAN_WORK]))  # 1: one row per block
 @settings(max_examples=100, deadline=None)
 # a complete graph of - edges on 7 nodes under a flat state leaning + (seed 9 draws
 # p = 0.70, 0.10, 0.20): all 21 pairs fire, tie, and are held with the other sign
 @example(seed=9, train=[EdgeSample(u, v, -1) for u in range(7) for v in range(u + 1, 7)],
-         add_pos=0.5, add_neg=0.9, del_pos=0.0, del_neg=0.6, cap=None, columns=True, flat=True,
+         add_pos=0.5, add_neg=0.9, del_pos=0.0, del_neg=0.6, columns=True, flat=True,
          budget=7)
 def test_candidates_match_list_oracle(seed, train, add_pos, add_neg, del_pos, del_neg,
-                                      cap, columns, flat, budget):
+                                      columns, flat, budget):
     rng = np.random.default_rng(seed)
     graph = graph_from_samples([e.canonical() for e in {e.pair: e for e in train}.values()], 10)
     if flat:  # every pair ties on confidence, so the (u, v) tie-break decides the order
@@ -454,7 +445,7 @@ def test_candidates_match_list_oracle(seed, train, add_pos, add_neg, del_pos, de
     else:
         state = crafted_state(rng.normal(size=(10, 3)), rng.normal(scale=2.0, size=(6, 3)))
     cfg = AugmentConfig(eps_add_pos=add_pos, eps_add_neg=add_neg, eps_del_pos=del_pos,
-                        eps_del_neg=del_neg, max_additions=cap)
+                        eps_del_neg=del_neg)
     additions, deletions = list_generate_candidates(graph, state, train, cfg)
     with mock.patch.object(scan, "_SCAN_WORK", budget):
         cands = generate_candidates(graph, state, as_input(train, columns), cfg)

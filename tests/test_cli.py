@@ -430,7 +430,7 @@ def test_the_settable_surface():
         "split": {"ratio", "seeds"},
         "run": {"pipeline", "output_dir", "diagnostic", "save_encoders"},
         "encoder": {"embed_dim", "layers", "learning_rate", "epochs", "seed", "input_features"},
-        "augment": {"eps_add_pos", "eps_add_neg", "eps_del_pos", "eps_del_neg", "max_additions"},
+        "augment": {"eps_add_pos", "eps_add_neg", "eps_del_pos", "eps_del_neg"},
         "pacing": {"lambda0", "big_t", "total_epochs"},
     }
     (commands,) = [a for a in build_parser()._actions
@@ -441,10 +441,55 @@ def test_the_settable_surface():
         "--dataset", "--format", "--config", "--pipeline", "--seeds", "--seed", "--ratio",
         "--outdir", "--diagnostic", "--save-encoders", "--embed-dim", "--layers",
         "--learning-rate", "--epochs", "--input-features", "--eps-add-pos", "--eps-add-neg",
-        "--eps-del-pos", "--eps-del-neg", "--max-additions", "--lambda0", "--big-t",
+        "--eps-del-pos", "--eps-del-neg", "--lambda0", "--big-t",
         "--json", "--split-ratio", "--split-seed", "--per-edge-csv", "--param", "--values",
     }
-    assert (sum(map(len, _TABLES.values())), len(flags)) == (22, 28)
+    assert (sum(map(len, _TABLES.values())), len(flags)) == (21, 27)
+
+
+def _typed_keys():
+    """(table, key, misread value): true for every number key, "false" for every flag key."""
+    from dataclasses import fields
+
+    from sigaug.config import _TABLES, SECTIONS, RunConfig
+
+    misread = {"int": True, "float": True, "bool": "false"}
+    cases = []
+    for table, keys in _TABLES.items():
+        types = {f.name: f.type for f in fields(SECTIONS.get(table, RunConfig))}
+        cases += [(table, key, misread[types[name]]) for key, name in keys.items()
+                  if types[name] in misread]
+    return cases
+
+
+@pytest.mark.parametrize("table, key, value", _typed_keys(),
+                         ids=lambda case: case if isinstance(case, str) else None)
+def test_a_config_value_of_the_wrong_type_exits_2(dataset_file_path, tmp_path, capsys,
+                                                  table, key, value):
+    # read as 1, 0 or true, these would run a setting nobody wrote
+    data = {"encoder": {"embed_dim": 6, "epochs": 15}}
+    data.setdefault(table, {})[key] = value
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(data))
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", str(config), "--dataset", str(dataset_file_path),
+               "--seeds", "1", "--outdir", str(outdir)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["augment", "--seed", "-1", *FAST],
+    ["stats", "--split-ratio", "0.5", "--split-seed", "-1"],
+])
+def test_a_negative_seed_outside_run_exits_2(dataset_file_path, tmp_path, capsys, command):
+    outdir = tmp_path / "out"
+    extra = ["--outdir", str(outdir)] if command[0] == "augment" else []
+    rc = main([command[0], "--dataset", str(dataset_file_path), *command[1:], *extra])
+    assert rc == 2
+    assert re.search(r"seeds? must be >= 0, got -1", capsys.readouterr().err)
+    assert not outdir.exists()
 
 
 def _write_config(path, text: str):
@@ -619,6 +664,7 @@ def test_a_ratio_that_leaves_no_test_edge_exits_2(tmp_path, capsys):
     ["--optimizer", "adam"],
     ["--candidate-scope", "two-hop"],
     ["--input-features", "adjacency-rows"],
+    ["--max-additions", "5"],
 ])
 def test_a_removed_option_flag_exits_2(dataset_file_path, tmp_path, capsys, flag):
     outdir = tmp_path / "out"
@@ -634,6 +680,7 @@ def test_a_removed_option_flag_exits_2(dataset_file_path, tmp_path, capsys, flag
     ('[augment]\ncandidate_scope = "two-hop"\n',
      "unknown key(s) candidate_scope in config table [augment]"),
     ('[encoder]\ninput_features = "adjacency-rows"\n', "unknown input_features 'adjacency-rows'"),
+    ("[augment]\nmax_additions = 5\n", "unknown key(s) max_additions in config table [augment]"),
 ])
 def test_a_config_with_a_removed_option_exits_2(dataset_file_path, tmp_path, capsys, text,
                                                  message):
@@ -654,8 +701,21 @@ def test_a_config_with_a_removed_option_exits_2(dataset_file_path, tmp_path, cap
     ("[encoder]\nembed_dim = 6\nepochs = 15\nlearning_rate = nan\n", "learning_rate must be"),
     ("[encoder]\nembed_dim = 6\nepochs = 15\n[pacing]\nbig_t = 2.5\n",
      "big_t must be a whole number"),
-    ("[encoder]\nembed_dim = 6\nepochs = 15\n[augment]\nmax_additions = 2.5\n",
-     "max_additions must be a whole number"),
+    # a bool or a number where the other belongs would be misread, not refused
+    ('[encoder]\nembed_dim = 6\nepochs = 15\n[run]\ndiagnostic = "false"\n',
+     "diagnostic must be true or false, got 'false'"),
+    ('[encoder]\nembed_dim = 6\nepochs = 15\n[run]\nsave_encoders = "no"\n',
+     "save_encoders must be true or false, got 'no'"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\nlearning_rate = true\n",
+     "learning_rate must be a number, got True"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\n[augment]\neps_add_pos = true\n",
+     "eps_add_pos must be a number, got True"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\n[augment]\neps_del_pos = false\n",
+     "eps_del_pos must be a number, got False"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\n[pacing]\nlambda0 = true\n",
+     "lambda0 must be a number, got True"),
+    ("[encoder]\nembed_dim = 6\nepochs = 15\n[run]\npipeline = 5\n",
+     "pipeline must be a string, got 5"),
 ])
 def test_a_config_with_a_fractional_count_writes_no_files(
     dataset_file_path, tmp_path, capsys, text, message

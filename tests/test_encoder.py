@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 from unittest import mock
@@ -23,7 +22,6 @@ from sigaug.encoder import (
     _loss_and_mlg_grads,
     _pair_logits,
     _sample_absent_pairs,
-    export_state_json,
     forward,
     init_state,
     load_checkpoint,
@@ -399,7 +397,13 @@ def test_training_loss_non_increasing_first_epochs():
     (lambda: EncoderConfig(learning_rate=math.inf), "learning_rate"),
     (lambda: PacingConfig(big_t=2.5, total_epochs=10), "big_t"),
     (lambda: PacingConfig(big_t=2, total_epochs=10.0), "total_epochs"),
-    (lambda: AugmentConfig(max_additions=2.5), "max_additions"),
+    # a bool is not a number: true would read as 1 and false as 0
+    (lambda: EncoderConfig(learning_rate=True), "learning_rate"),
+    (lambda: EncoderConfig(seed=True), "seed"),
+    (lambda: AugmentConfig(eps_add_pos=True), "eps_add_pos"),
+    (lambda: AugmentConfig(eps_del_pos=False), "eps_del_pos"),
+    (lambda: PacingConfig(lambda0=True), "lambda0"),
+    (lambda: PacingConfig.for_epochs(1, total_epochs=True), "total_epochs must be"),
 ])
 def test_configs_take_whole_counts_and_a_finite_learning_rate(make, field):
     with pytest.raises(ValueError, match=field):
@@ -478,17 +482,6 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
         load_checkpoint(path)
-
-
-def test_json_export(tmp_path):
-    edges, g = random_graph(seed=2, n=6, edge_prob=0.5)
-    state = train_encoder(g, edges, EncoderConfig(embed_dim=4, epochs=5, seed=1))
-    path = tmp_path / "enc.json"
-    export_state_json(state, path)
-    payload = json.loads(path.read_text())
-    assert payload["embed_dim"] == 4
-    assert len(payload["pos_weights"]) == 2
-    assert np.asarray(payload["embeddings"]).shape == (6, 8)
 
 
 def test_absent_pair_sampling_warns_when_short(caplog):
