@@ -6,23 +6,34 @@ local balance degree of an edge is (b - ub) / (b + ub) over the b balanced
 and ub unbalanced triangles containing it, and its difficulty score is
 (1 - local) / 2 in [0, 1].
 
-Every count comes from one sparse kernel.  With S the signed adjacency
-(entries +1/-1) and S_i its row i, each common neighbor k of an edge (u, v)
-with sign s closes the triangle {u, v, k}, which is balanced iff
-s * S[u,k] * S[v,k] = +1.  So, per edge,
+Every count comes from one sparse kernel, the degree-ordered ("forward")
+triangle listing of Chiba & Nishizeki (SIAM J. Comput. 1985) and Latapy
+(Theor. Comput. Sci. 2008).  Rank the nodes by (degree, id) and point each
+edge from its lower-ranked end to its higher-ranked one.  A triangle
+{x, y, z} with x < y < z in rank then has the edges x -> y, x -> z and
+y -> z.  Of its three edges only (x, y) has both ends pointing to the third
+node, so intersecting the out-rows of the two ends of every edge lists each
+triangle exactly once, from its lowest-ranked edge.
 
-    s * <S_u, S_v>   = b - ub
-    <|S_u|, |S_v|>   = b + ub
+The kernel keeps the out-rows as one CSR matrix whose data is each edge's
+position + 1.  It takes the intersections as the Hadamard product of the
+gathered out-rows of the ``u`` ends with the 0/1 pattern of those of the
+``v`` ends, a matrix that shares the out-rows' structure.  A stored entry
+of that product is one triangle {u, v, c}: its data gives the (u, c) edge,
+and ``SignedGraph.edge_index`` gives the (v, c) edge.  The triangle is
+balanced iff the product of the three signs is +1, and each of its three
+edges is credited with it, so the global totals are sum(b) / 3 and
+sum(ub) / 3.
 
-and both are read off the row-gathered Hadamard product S[u] * S[v]: its
-row sum is <S_u, S_v> and its count of stored entries is <|S_u|, |S_v|>.
-Each triangle touches three edges, so the global totals are sum(b) / 3 and
-sum(ub) / 3.  This is the matrix form of triangle counting (Azad, Buluc &
-Gilbert, IPDPSW 2015), evaluated in chunks of edges whose gathered rows hold
-at most ``_CHUNK_WORK`` stored entries in all (deg(u) + deg(v) per edge), so
-the product's memory stays bounded however large the hub degrees are.  The
-chunks come from ``graph._budget_runs``, which also cuts the candidate scan
-into row blocks.
+An edge costs outdeg(u) + outdeg(v) gathered out-row entries.  No out-degree
+exceeds sqrt(2m) under this order, so a graph of m edges costs at most
+2m * sqrt(2m), against the sum of deg(u) + deg(v) that gathering full rows
+costs; heavy-tailed degrees make the gap large, because a hub's edges
+mostly point into it and its own out-row stays short.  The edges are
+evaluated in chunks whose gathered out-rows hold at most ``_CHUNK_WORK``
+entries in all, so the product's memory stays bounded however large the
+hub degrees are.  The chunks come from ``graph._budget_runs``, which also
+cuts the candidate scan into row blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from scipy import sparse
 
 from .graph import SignedGraph, _budget_runs
 
-# gathered row entries per chunk; bounds the Hadamard product held at once
+# gathered out-row entries per chunk; bounds the Hadamard product held at once
 _CHUNK_WORK = 1 << 20
 
 
@@ -88,30 +99,57 @@ def _local_degree(balanced: np.ndarray, unbalanced: np.ndarray) -> np.ndarray:
     return np.divide(balanced - unbalanced, total, out=np.ones(len(total)), where=total > 0)
 
 
-def _incident_triangles(
-    adj: sparse.csr_matrix, u: np.ndarray, v: np.ndarray, sign: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge (balanced, unbalanced) triangle counts from the signed adjacency."""
-    balanced = np.empty(len(u), dtype=np.int64)
-    unbalanced = np.empty(len(u), dtype=np.int64)
-    degree = np.diff(adj.indptr)
-    for lo, hi in _budget_runs(degree[u] + degree[v], _CHUNK_WORK):
-        common = adj[u[lo:hi]].multiply(adj[v[lo:hi]]).tocsr()
-        both = np.diff(common.indptr)  # b + ub
-        agree = sign[lo:hi] * np.asarray(common.sum(axis=1)).ravel().astype(np.int64)  # b - ub
-        balanced[lo:hi] = (both + agree) // 2
-        unbalanced[lo:hi] = (both - agree) // 2
-    return balanced, unbalanced
+def _out_rows(graph: SignedGraph) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Each edge pointed from its lower- to its higher-ranked end, as CSR out-rows.
+
+    Nodes rank by (degree, id).  Edge a -> b is column b of row a, with data
+    its position in ``edge_columns()`` + 1.  Also returns the out-degrees.
+    """
+    edges = graph.edge_columns()
+    u, v = edges.u, edges.v
+    n, m = graph.num_nodes, graph.edge_count
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.diff(graph.signed_adjacency().indptr), kind="stable")] = np.arange(n)
+    up = rank[u] < rank[v]
+    tail, head = np.where(up, u, v), np.where(up, v, u)
+    order = np.argsort(tail * n + head)
+    outdeg = np.bincount(tail, minlength=n)
+    position = order.astype(np.int32 if m < 2**31 else np.int64) + 1
+    indptr = np.concatenate(([0], np.cumsum(outdeg)))
+    return sparse.csr_matrix((position, head[order], indptr), shape=(n, n)), outdeg
+
+
+def _incident_triangles(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (balanced, unbalanced) triangle counts, in ``edge_columns()`` order."""
+    edges = graph.edge_columns()
+    u, v, sign = edges.u, edges.v, edges.sign
+    m = graph.edge_count
+    out, outdeg = _out_rows(graph)
+    pattern = sparse.csr_matrix(
+        (np.ones(m, dtype=np.int8), out.indices, out.indptr), shape=out.shape, copy=False
+    )
+    both = np.zeros(m, dtype=np.int64)  # b + ub
+    unbalanced = np.zeros(m, dtype=np.int64)
+    for lo, hi in _budget_runs(outdeg[u] + outdeg[v], _CHUNK_WORK):
+        # one stored entry per triangle {u, v, c} whose top-ranked node is c
+        common = out[u[lo:hi]].multiply(pattern[v[lo:hi]]).tocsr()
+        uv = np.repeat(np.arange(lo, hi), np.diff(common.indptr))
+        uc = common.data - 1
+        vc = graph.edge_index(v[uv], common.indices)
+        triangle_edges = np.concatenate((uv, uc, vc))
+        odd = np.tile(sign[uv] * sign[uc] * sign[vc] < 0, 3)
+        both += np.bincount(triangle_edges, minlength=m)
+        unbalanced += np.bincount(triangle_edges[odd], minlength=m)
+    return both - unbalanced, unbalanced
 
 
 def _compute_report(graph: SignedGraph) -> BalanceReport:
     edges = graph.edge_columns()
-    u, v, sign = edges.u, edges.v, edges.sign
-    balanced, unbalanced = _incident_triangles(graph.signed_adjacency(), u, v, sign)
+    balanced, unbalanced = _incident_triangles(graph)
     for column in (balanced, unbalanced):
         column.flags.writeable = False
     stats = TriangleStats(int(balanced.sum()) // 3, int(unbalanced.sum()) // 3)
-    return BalanceReport(stats, u, v, sign, balanced, unbalanced)
+    return BalanceReport(stats, edges.u, edges.v, edges.sign, balanced, unbalanced)
 
 
 def balance_report(graph: SignedGraph) -> BalanceReport:

@@ -38,6 +38,15 @@ def _cell(value: float | None, digits: int = 6) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
 
+def _rows(row: str, columns) -> str:
+    """The %-format ``row`` filled once per index of the equal-length ``columns``."""
+    width, length = len(columns), len(columns[0])
+    fields = [None] * (width * length)
+    for i, column in enumerate(columns):
+        fields[i::width] = column.tolist()
+    return (row * length) % tuple(fields)
+
+
 # -- argument plumbing ---------------------------------------------------------
 #
 # Every flag that sets a config field stores under that field's name, so
@@ -284,8 +293,7 @@ def cmd_balance_report(args: argparse.Namespace) -> int:
         with Path(args.per_edge_csv).open("w", newline="") as fh:
             # csv.writer's dialect: comma separated, \r\n line endings, nothing to quote
             fh.write("u,v,sign,b,ub,difficulty\r\n")
-            fh.write("".join(map("{},{},{},{},{},{:.6f}\r\n".format,
-                                 *(c.tolist() for c in columns))))
+            fh.write(_rows("%d,%d,%d,%d,%d,%.6f\r\n", columns))
         log.info("wrote per-edge balance profiles to %s", args.per_edge_csv)
     return 0
 
@@ -295,7 +303,7 @@ def _write_sign_tsv(edges, path: Path) -> None:
 
     with path.open("w") as fh:
         fh.write("# source target sign (dense node ids)\n")
-        fh.write("".join(map("{}\t{}\t{}\n".format, *(c.tolist() for c in _columns(edges)))))
+        fh.write(_rows("%d\t%d\t%d\n", _columns(edges)))
 
 
 def cmd_augment(args: argparse.Namespace) -> int:

@@ -76,6 +76,12 @@ class RunConfig:
     def __post_init__(self):
         # as a file or flag may give them: ratio = 1, diagnostic = 1, seeds = 5 or "0,2"
         _require_numbers(self, "ratio")
+        # as a file may give them: [dataset] path = 5 or format = 5, [run] output_dir = 5
+        for label, value, types in (("dataset path", self.dataset, str),
+                                    ("dataset format", self.dataset_format, (str, type(None))),
+                                    ("output_dir", self.output_dir, str)):
+            if not isinstance(value, types):
+                raise ValueError(f"{label} must be a string, got {value!r}")
         for name in ("diagnostic", "save_encoders"):
             value = getattr(self, name)
             if not (isinstance(value, int) and value in (0, 1)):

@@ -158,6 +158,7 @@ def _budget_runs(work: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
     running total; an item over budget on its own is a run alone.
     """
     done = np.cumsum(work, dtype=np.int64)  # work of the items up to and including each one
+    del work  # the running total is all the runs need; free a caller's temporary
     lo = 0
     while lo < len(done):
         start = done[lo - 1] if lo else 0

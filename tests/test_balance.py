@@ -158,6 +158,26 @@ def _complete(n, sign):
     return [EdgeSample(u, v, sign) for u in range(n) for v in range(u + 1, n)], n
 
 
+def _mixed(pairs):
+    """Samples of the pairs, negative where u + v is a multiple of 3."""
+    return [EdgeSample(min(u, v), max(u, v), -1 if (u + v) % 3 == 0 else 1) for u, v in pairs]
+
+
+# the kernel ranks nodes by (degree, id): these tie degrees or rank a node
+# away from its id's place
+_STAR = (_mixed((0, k) for k in range(1, 9)), 9)
+_CYCLE = (_mixed((k, (k + 1) % 7) for k in range(7)), 7)
+# K_6 on 0..5 next to a 40-spoke star at 6 whose spokes take in all of K_6
+_K6_AND_STAR = (
+    _mixed([(u, v) for u in range(6) for v in range(u + 1, 6)]
+           + [(6, k) for k in [*range(6), *range(7, 41)]]),
+    41,
+)
+# hub 11 joined to all of 0..10, which form a path with two chords
+_TOP_ID_HUB = (_mixed([(k, 11) for k in range(11)] + [(k, k + 1) for k in range(10)]
+                      + [(0, 5), (2, 9)]), 12)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(signed_graphs(), signed_graphs(signs=(0, -1))))
 @example(([], 1))  # one node, no edges
@@ -165,6 +185,10 @@ def _complete(n, sign):
 @example(([EdgeSample(0, 1, -1), EdgeSample(0, 2, -1), EdgeSample(1, 2, -1)], 7))  # isolated tail
 @example(_complete(6, -1))  # all negative: every triangle unbalanced
 @example(_complete(6, 1))
+@example(_STAR)
+@example(_CYCLE)
+@example(_K6_AND_STAR)
+@example(_TOP_ID_HUB)
 def test_balance_report_matches_per_edge_oracle(graph_spec):
     edges, n = graph_spec
     g = graph_of(edges, n)
@@ -186,7 +210,10 @@ def test_balance_report_matches_per_edge_oracle(graph_spec):
 
 
 def gathered_entries(graph):
-    """Row entries the kernel gathers over all edges: the sum of deg(u) + deg(v)."""
+    """Adjacency-row entries of both ends over all edges: the sum of deg(u) + deg(v).
+
+    This bounds the kernel's work, which counts out-row entries only.
+    """
     degree = np.diff(graph.signed_adjacency().indptr)
     edges = graph.edge_columns()
     return int((degree[edges.u] + degree[edges.v]).sum())
@@ -218,7 +245,7 @@ def test_balance_report_chunking_matches_single_chunk(monkeypatch, budget):
 def test_balance_report_memory_is_bounded_on_a_hub_graph(monkeypatch):
     # one hub joined to 2,500 of 4,000 nodes: the sum of deg(u) + deg(v) over
     # the 8,500 edges is 6.3M row entries, and a chunk holds at most
-    # _CHUNK_WORK of them whatever the hub degree
+    # _CHUNK_WORK out-row entries whatever the hub degree
     rng = np.random.default_rng(3)
     edges = hub_records(rng, 4000, hub_degree=2500, extra_edges=6000)
     graph = graph_of(edges, 4000)
@@ -232,6 +259,19 @@ def test_balance_report_memory_is_bounded_on_a_hub_graph(monkeypatch):
     assert peak < 48 * 2**20
     monkeypatch.setattr(balance, "_CHUNK_WORK", 1 << 16)
     assert balance_report(graph_of(edges, 4000)).stats == report.stats
+
+
+def test_balance_report_work_is_out_rows_on_a_hub_graph(monkeypatch):
+    # ordered by (degree, id), the hub's 2,500 edges all point into it and
+    # its empty out-row costs nothing; full rows would cost 6.3M entries
+    rng = np.random.default_rng(3)
+    edges = hub_records(rng, 4000, hub_degree=2500, extra_edges=6000)
+    work = []
+    runs = balance._budget_runs
+    monkeypatch.setattr(balance, "_budget_runs",
+                        lambda items, budget: work.append(int(items.sum())) or runs(items, budget))
+    balance_report(graph_of(edges, 4000))
+    assert len(work) == 1 and work[0] < 100_000
 
 
 def test_balance_report_is_computed_once_per_graph(kernel_calls):

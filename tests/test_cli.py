@@ -448,12 +448,12 @@ def test_the_settable_surface():
 
 
 def _typed_keys():
-    """(table, key, misread value): true for every number key, "false" for every flag key."""
+    """(table, key, misread value): true for a number key, "false" for a flag key, 5 for text."""
     from dataclasses import fields
 
     from sigaug.config import _TABLES, SECTIONS, RunConfig
 
-    misread = {"int": True, "float": True, "bool": "false"}
+    misread = {"int": True, "float": True, "bool": "false", "str": 5, "str | None": 5}
     cases = []
     for table, keys in _TABLES.items():
         types = {f.name: f.type for f in fields(SECTIONS.get(table, RunConfig))}
@@ -465,18 +465,22 @@ def _typed_keys():
 @pytest.mark.parametrize("table, key, value", _typed_keys(),
                          ids=lambda case: case if isinstance(case, str) else None)
 def test_a_config_value_of_the_wrong_type_exits_2(dataset_file_path, tmp_path, capsys,
-                                                  table, key, value):
+                                                  monkeypatch, table, key, value):
     # read as 1, 0 or true, these would run a setting nobody wrote
     data = {"encoder": {"embed_dim": 6, "epochs": 15}}
     data.setdefault(table, {})[key] = value
     config = tmp_path / "run.json"
     config.write_text(json.dumps(data))
     outdir = tmp_path / "out"
-    rc = main(["run", "--config", str(config), "--dataset", str(dataset_file_path),
-               "--seeds", "1", "--outdir", str(outdir)])
+    # a flag overrides the file, so the key under test goes without its flag
+    flags = {("dataset", "path"): ["--dataset", str(dataset_file_path)],
+             ("run", "output_dir"): ["--outdir", str(outdir)]}
+    flags.pop((table, key), None)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "--config", str(config), "--seeds", "1", *sum(flags.values(), [])])
     assert rc == 2
     assert key in capsys.readouterr().err
-    assert not outdir.exists()
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("command", [
