@@ -15,7 +15,7 @@ the stage (not traced for generation, which is pure Python).  Like the
 variables) for one-thread figures.
 
 Usage:
-    python scripts/scale_check.py [--epochs 2] [--seed 1] [--nodes 82140] [--edges 500000]
+    python scripts/scale_check.py [--epochs 2]
 """
 
 import argparse
@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+NODES, EDGES, SEED = 82140, 500000, 1  # Slashdot's size; the generator's seed
 COLUMNS = ("stage", "user_s", "sys_s", "wall_s", "minflt", "maxrss_mb", "traced_mb")
 
 
@@ -61,9 +62,6 @@ def stage(name: str, trace: bool = True):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--epochs", type=int, default=2, help="encoder training epochs")
-    parser.add_argument("--seed", type=int, default=1, help="generator seed")
-    parser.add_argument("--nodes", type=int, default=82140, help="node count")
-    parser.add_argument("--edges", type=int, default=500000, help="undirected edge count")
     args = parser.parse_args(argv)
     if args.epochs < 1:
         parser.error("--epochs must be >= 1")
@@ -77,11 +75,11 @@ def main(argv=None) -> int:
     from sigaug.encoder import EncoderConfig, _train_loop, init_state
     from sigaug.graph import EdgeColumns, build_graph
 
-    spec = dataclasses.replace(gen.SPECS["slashdot"], nodes=args.nodes, edges=args.edges)
+    spec = dataclasses.replace(gen.SPECS["slashdot"], nodes=NODES, edges=EDGES)
     config = EncoderConfig(epochs=args.epochs)
     print("\t".join(COLUMNS))
     with stage("generate", trace=False):
-        rng = random.Random(f"slashdot-full:{args.seed}")
+        rng = random.Random(f"slashdot-full:{SEED}")
         pairs = gen.wire_graph(spec, rng)
         signs = gen.sign_edges(spec, pairs, rng)
     with stage("build graph"):

@@ -244,34 +244,44 @@ def test_balance_report_chunking_matches_single_chunk(monkeypatch, budget):
 
 def test_balance_report_memory_is_bounded_on_a_hub_graph(monkeypatch):
     # one hub joined to 2,500 of 4,000 nodes: the sum of deg(u) + deg(v) over
-    # the 8,500 edges is 6.3M row entries, and a chunk holds at most
-    # _CHUNK_WORK out-row entries whatever the hub degree
+    # the 8,500 edges is 6.3M row entries, but ordered by (degree, id) the
+    # hub's 2,500 edges all point into it and its empty out-row costs nothing,
+    # so the kernel's work is 31,768 out-row entries; a chunk holds at most
+    # _CHUNK_WORK of them whatever the hub degree
     rng = np.random.default_rng(3)
     edges = hub_records(rng, 4000, hub_degree=2500, extra_edges=6000)
     graph = graph_of(edges, 4000)
     assert gathered_entries(graph) > 6_000_000
-    tracemalloc.start()
-    try:
-        report = balance_report(graph)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * 2**20
-    monkeypatch.setattr(balance, "_CHUNK_WORK", 1 << 16)
-    assert balance_report(graph_of(edges, 4000)).stats == report.stats
-
-
-def test_balance_report_work_is_out_rows_on_a_hub_graph(monkeypatch):
-    # ordered by (degree, id), the hub's 2,500 edges all point into it and
-    # its empty out-row costs nothing; full rows would cost 6.3M entries
-    rng = np.random.default_rng(3)
-    edges = hub_records(rng, 4000, hub_degree=2500, extra_edges=6000)
-    work = []
+    work, chunks = [], []
     runs = balance._budget_runs
-    monkeypatch.setattr(balance, "_budget_runs",
-                        lambda items, budget: work.append(int(items.sum())) or runs(items, budget))
-    balance_report(graph_of(edges, 4000))
+
+    def counted_runs(items, budget):
+        work.append(int(items.sum()))
+        for run in runs(items, budget):
+            chunks.append(run)
+            yield run
+
+    def traced_report():
+        del work[:], chunks[:]
+        tracemalloc.start()
+        try:
+            report = balance_report(graph_of(edges, 4000))
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(balance, "_budget_runs", counted_runs)
+    whole, whole_peak = traced_report()
     assert len(work) == 1 and work[0] < 100_000
+    assert len(chunks) == 1
+    monkeypatch.setattr(balance, "_CHUNK_WORK", 1 << 12)
+    chunked, peak = traced_report()
+    assert len(chunks) > 1
+    assert peak < 48 * 2**20
+    assert peak < whole_peak  # a smaller budget holds less at once
+    assert chunked.stats == whole.stats
+    for name in ("u", "v", "sign", "balanced", "unbalanced"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 def test_balance_report_is_computed_once_per_graph(kernel_calls):
