@@ -3,9 +3,11 @@
 
 Generates the benchmark's Slashdot-shaped graph (``perfbench/gen.py``, the
 ``slashdot`` spec) at the size of the real file, 82,140 nodes and 500,000
-edges, and runs one stage after another in this process: generation, graph
-build, ``balance_report``, the encoder's initial state (spectral features)
-and ``--epochs`` training epochs.  For each stage it prints the user and
+edges, and runs one stage after another in this process: generation,
+``load_edge_list`` of the graph written as a sign-tsv in a temporary
+directory (the write is not timed), graph build from the generated arrays,
+``balance_report``, the encoder's initial state (spectral features) and
+``--epochs`` training epochs.  For each stage it prints the user and
 system CPU seconds, the wall seconds and the minor page faults the stage
 took, the process's maximum resident set size so far, all from
 ``getrusage``, and the peak of the memory traced by ``tracemalloc`` during
@@ -23,6 +25,7 @@ import dataclasses
 import random
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -73,7 +76,7 @@ def main(argv=None) -> int:
 
     from sigaug.balance import balance_report
     from sigaug.encoder import EncoderConfig, _train_loop, init_state
-    from sigaug.graph import EdgeColumns, build_graph
+    from sigaug.graph import EdgeColumns, build_graph, load_edge_list
 
     spec = dataclasses.replace(gen.SPECS["slashdot"], nodes=NODES, edges=EDGES)
     config = EncoderConfig(epochs=args.epochs)
@@ -82,6 +85,15 @@ def main(argv=None) -> int:
         rng = random.Random(f"slashdot-full:{SEED}")
         pairs = gen.wire_graph(spec, rng)
         signs = gen.sign_edges(spec, pairs, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "slashdot-full.tsv"
+        gen.write_sign_tsv(path, pairs, signs, random.Random(f"slashdot-full:{SEED}:file"))
+        with stage("load_edge_list"):
+            loaded = load_edge_list(path, format="sign-tsv")
+    if len(loaded.samples) != EDGES:
+        print(f"load_edge_list read {len(loaded.samples)} records, not {EDGES}", file=sys.stderr)
+        return 1
+    del loaded
     with stage("build graph"):
         u, v = np.array(pairs, dtype=np.int64).T
         graph, _ = build_graph(EdgeColumns(u, v, signs), num_nodes=spec.nodes)

@@ -38,15 +38,6 @@ def _cell(value: float | None, digits: int = 6) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def _rows(row: str, columns) -> str:
-    """The %-format ``row`` filled once per index of the equal-length ``columns``."""
-    width, length = len(columns), len(columns[0])
-    fields = [None] * (width * length)
-    for i, column in enumerate(columns):
-        fields[i::width] = column.tolist()
-    return (row * length) % tuple(fields)
-
-
 # -- argument plumbing ---------------------------------------------------------
 #
 # Every flag that sets a config field stores under that field's name, so
@@ -210,9 +201,7 @@ def _prepare_run(
     from .evalbench import _swept_configs, check_experiment, check_test_half
 
     cfg = _config_from_args(args, defaults)
-    check_experiment(
-        cfg.pipeline, cfg.seeds, cfg.ratio, param, values, encoder_seed=cfg.encoder.seed
-    )
+    check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
     if param is not None:
         # range-checks every swept value; building a config logs nothing, so
         # sensitivity_sweep building these again later shows no trace of this one
@@ -274,6 +263,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_balance_report(args: argparse.Namespace) -> int:
     from .balance import balance_report
+    from .graph import _rows
 
     _, _, graph, _ = _load_graph(_config_from_args(args))
     report = balance_report(graph)
@@ -299,7 +289,7 @@ def cmd_balance_report(args: argparse.Namespace) -> int:
 
 
 def _write_sign_tsv(edges, path: Path) -> None:
-    from .graph import _columns
+    from .graph import _columns, _rows
 
     with path.open("w") as fh:
         fh.write("# source target sign (dense node ids)\n")
@@ -316,7 +306,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     cfg = _config_from_args(args)
     # the checks of `run --pipeline sa-only`, whose edges this writes
-    check_experiment("sa-only", cfg.seeds, cfg.ratio, encoder_seed=cfg.encoder.seed)
+    check_experiment("sa-only", cfg.seeds, cfg.ratio)
     cfg.augment.log_low_add_thresholds()
     _, loaded, graph, _ = _load_graph(cfg)
     (seed,) = cfg.seeds

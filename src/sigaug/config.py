@@ -2,9 +2,10 @@
 
 Config files use six tables: [dataset], [split] and [run], whose keys
 ``FILE_KEYS`` maps to ``RunConfig`` fields, and [encoder], [augment] and
-[pacing], whose keys are the fields of those dataclasses.  Unknown tables
-and keys are errors.  Flags reach the same tables by field name, so a file
-and its flags resolve in one pass.  Every run writes the fully resolved
+[pacing], whose keys are the fields of those dataclasses except the two
+that can hold only one value (``_FIXED``).  Unknown tables and keys are
+errors.  Flags reach the same tables by field name, so a file and its flags
+resolve in one pass.  Every run writes the fully resolved
 configuration as JSON next to its outputs; feeding that file back in
 reproduces the run.  TOML files are read with the stdlib ``tomllib``.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tomllib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentConfig
@@ -119,17 +120,27 @@ class RunConfig:
         return path, fmt
 
     def to_dict(self) -> dict:
-        tables = {
-            table: {key: getattr(self, name) for key, name in keys.items()}
-            for table, keys in FILE_KEYS.items()
+        """Every config-file table with the value of each of its keys."""
+        return {
+            table: {
+                key: getattr(getattr(self, table) if table in SECTIONS else self, name)
+                for key, name in keys.items()
+            }
+            for table, keys in _TABLES.items()
         }
-        return {**tables, **{table: asdict(getattr(self, table)) for table in SECTIONS}}
 
 
+# section fields no file may set, as each can hold only one value: the encoder
+# seed 0 (each run seed derives its encoder seeds) and the pacing total_epochs,
+# the encoder's epochs
+_FIXED = {"encoder": {"seed"}, "pacing": {"total_epochs"}}
 # every config-file table as {file key: field name}
 _TABLES = {
     **FILE_KEYS,
-    **{table: {f.name: f.name for f in fields(cls)} for table, cls in SECTIONS.items()},
+    **{
+        table: {f.name: f.name for f in fields(cls) if f.name not in _FIXED.get(table, ())}
+        for table, cls in SECTIONS.items()
+    },
 }
 
 
@@ -142,9 +153,8 @@ def config_from_dict(
     as not given.  A field takes its flag, else its file value, else its
     ``defaults`` entry, else the dataclass default.  Unknown tables and keys
     are errors, and so is a value of the wrong type (see the dataclasses'
-    checks).  Pacing is
-    resolved last, over the final epoch count: big_t defaults to half of it,
-    and a ``total_epochs`` that disagrees is an error.
+    checks).  Pacing is resolved last, over the final epoch count: big_t
+    defaults to half of it, and total_epochs equals it.
     """
     flags, defaults = flags or {}, defaults or {}
     unknown = sorted(set(data) - set(_TABLES) - {ENVIRONMENT})

@@ -9,7 +9,6 @@ and reaches 1 at epoch T.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .balance import balance_report
 from .encoder import EncoderConfig, EncoderState, _require_numbers, _train_loop, init_state
-from .graph import EdgeColumns, EdgeSample, SignedGraph, _canonical
+from .graph import EdgeColumns, EdgeSample, SignedGraph, _canonical, _columns, _rows
 
 
 @dataclass
@@ -131,10 +130,9 @@ def train_with_curriculum(
 
 def schedule_to_csv(schedule: CurriculumSchedule, path: str | Path) -> None:
     """Write ``rank,u,v,sign,difficulty`` rows for inspection/plotting."""
+    u, v, sign = _columns(schedule.ordered_edges)
+    columns = (np.arange(len(u)), u, v, sign, np.asarray(schedule.difficulties, dtype=np.float64))
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "u", "v", "sign", "difficulty"])
-        for rank, (edge, diff) in enumerate(
-            zip(schedule.ordered_edges, schedule.difficulties)
-        ):
-            writer.writerow([rank, edge.u, edge.v, edge.sign, f"{diff:.6f}"])
+        # csv.writer's dialect: comma separated, \r\n line endings, nothing to quote
+        fh.write("rank,u,v,sign,difficulty\r\n")
+        fh.write(_rows("%d,%d,%d,%d,%.6f\r\n", columns))

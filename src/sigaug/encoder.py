@@ -97,6 +97,8 @@ class EncoderConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not isinstance(self.input_features, str):
+            raise ValueError(f"input_features must be a string, got {self.input_features!r}")
         if self.input_features not in INPUT_FEATURES:
             raise ValueError(f"unknown input_features {self.input_features!r}")
 

@@ -474,8 +474,8 @@ def check_experiment(
         raise ValueError(f"seeds must be >= 0, got {', '.join(map(str, negative))}")
     if encoder_seed != 0:
         raise ValueError(
-            f"[encoder] seed = {encoder_seed} is not used: encoder seeds are derived from each "
-            "of the [split] seeds; leave it out or set it to 0"
+            f"EncoderConfig seed = {encoder_seed} is not used: encoder seeds are derived from "
+            "each run seed; leave it at 0"
         )
     parsed = _parse_pipeline(pipeline)
     if not 0 < ratio < 1:

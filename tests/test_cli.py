@@ -362,7 +362,6 @@ output_dir = "{tmp_path / 'from_toml'}"
         ({"encoder": {"epochs": 9}}, 4, 9),
         ({"encoder": {"epochs": 1}}, 1, 1),
         ({"pacing": {"lambda0": 0.5}, "encoder": {"epochs": 9}}, 4, 9),
-        ({"pacing": {"total_epochs": 20}, "encoder": {"epochs": 20}}, 10, 20),
         ({"pacing": {"big_t": 2}, "encoder": {"epochs": 20}}, 2, 20),
     ],
 )
@@ -429,9 +428,9 @@ def test_the_settable_surface():
         "dataset": {"path", "format"},
         "split": {"ratio", "seeds"},
         "run": {"pipeline", "output_dir", "diagnostic", "save_encoders"},
-        "encoder": {"embed_dim", "layers", "learning_rate", "epochs", "seed", "input_features"},
+        "encoder": {"embed_dim", "layers", "learning_rate", "epochs", "input_features"},
         "augment": {"eps_add_pos", "eps_add_neg", "eps_del_pos", "eps_del_neg"},
-        "pacing": {"lambda0", "big_t", "total_epochs"},
+        "pacing": {"lambda0", "big_t"},
     }
     (commands,) = [a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
@@ -444,7 +443,7 @@ def test_the_settable_surface():
         "--eps-del-pos", "--eps-del-neg", "--lambda0", "--big-t",
         "--json", "--split-ratio", "--split-seed", "--per-edge-csv", "--param", "--values",
     }
-    assert (sum(map(len, _TABLES.values())), len(flags)) == (21, 27)
+    assert (sum(map(len, _TABLES.values())), len(flags)) == (19, 27)
 
 
 def _typed_keys():
@@ -479,7 +478,7 @@ def test_a_config_value_of_the_wrong_type_exits_2(dataset_file_path, tmp_path, c
     monkeypatch.chdir(tmp_path)
     rc = main(["run", "--config", str(config), "--seeds", "1", *sum(flags.values(), [])])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    assert f"{key} must be" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -574,21 +573,23 @@ def test_file_pacing_follows_the_epochs_flag(dataset_file_path, tmp_path, capsys
     assert rc == 0
     capsys.readouterr()
     pacing = json.loads((outdir / "config.resolved.json").read_text())["pacing"]
-    assert pacing == {"lambda0": 0.5, "big_t": 2, "total_epochs": 4}
+    assert pacing == {"lambda0": 0.5, "big_t": 2}
 
 
 def test_pacing_total_epochs_must_match_encoder_epochs(dataset_file_path, tmp_path, capsys):
+    # it always equals the encoder's epochs, so a file may not set it at all
     from sigaug.config import config_from_dict
 
-    with pytest.raises(ValueError, match="total_epochs"):
-        config_from_dict({"pacing": {"total_epochs": 7}, "encoder": {"epochs": 20}})
+    message = "unknown key(s) total_epochs in config table [pacing]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict({"pacing": {"total_epochs": 20}, "encoder": {"epochs": 20}})
     config = _write_config(
         tmp_path / "run.toml", "[encoder]\nepochs = 6\n[pacing]\ntotal_epochs = 3\n"
     )
     rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
                "--seeds", "1", "--outdir", str(tmp_path / "out")])
     assert rc == 2
-    assert "total_epochs" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _sweep(dataset_file_path, tmp_path, *extra):
@@ -734,13 +735,14 @@ def test_a_config_with_a_fractional_count_writes_no_files(
 
 
 def test_a_config_with_an_encoder_seed_writes_no_files(dataset_file_path, tmp_path, capsys):
-    # run_experiment derives every encoder seed from the run seed, so seed = 7 would be ignored
-    config = _write_config(tmp_path / "run.toml", "[encoder]\nseed = 7\n")
+    # run_experiment derives every encoder seed from the run seed, so a file may not set
+    # one, not even 0, the one value it could hold
+    config = _write_config(tmp_path / "run.toml", "[encoder]\nseed = 0\n")
     outdir = tmp_path / "out"
     rc = main(["run", "--config", config, "--dataset", str(dataset_file_path),
                "--seeds", "1", "--outdir", str(outdir), *FAST])
     assert rc == 2
-    assert "encoder seeds are derived from each of the [split] seeds" in capsys.readouterr().err
+    assert "unknown key(s) seed in config table [encoder]" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -404,6 +404,7 @@ def test_training_loss_non_increasing_first_epochs():
     (lambda: AugmentConfig(eps_del_pos=False), "eps_del_pos"),
     (lambda: PacingConfig(lambda0=True), "lambda0"),
     (lambda: PacingConfig.for_epochs(1, total_epochs=True), "total_epochs must be"),
+    (lambda: EncoderConfig(input_features=5), "input_features must be a string, got 5"),
 ])
 def test_configs_take_whole_counts_and_a_finite_learning_rate(make, field):
     with pytest.raises(ValueError, match=field):

@@ -227,7 +227,7 @@ lambda0 = 0.5
 GOLDEN_RUN = {
     "stdout": "4e4a750fc89f0178dad28e1f608e5608b942ceaa016934ed048745a9c5b8e38e",
     "report.json": "34ed2068d85d3a037c98b7a0bb40081b057e5098e1f3084609ba594f6e39de19",
-    "config.resolved.json": "3c9e8156e5775179f652a244f307650239f19484ecd516ca7ade3e6659836e03",
+    "config.resolved.json": "eeda9c9f63b6dd77860b8b35c74e83823115782f0d7a1fbac05ed114696a0504",
     "report.csv": "8188a9a98a751b2b8002cb727e43a5d232661e47435d02c6b7ca0f9e72fcbf29",
     "schedule_seed3.csv": "fa2040f663570e13d350562766041bfb10948a3983c84c9f250d989a2abd3061",
     "schedule_seed5.csv": "dfe9d27c818b3eeb44250abbfc95c7cc8305d6d75354a285c28af9b59d08ec35",
@@ -237,7 +237,7 @@ GOLDEN_RUN = {
 
 GOLDEN_SWEEP = {
     "stdout": "067454800a4fac5af186b1b94f01cb8d60920dace900a777ece9e072990c1773",
-    "config.resolved.json": "bea1f3e18332de126fd57e77e4cd59f0cee7555faf87234a43807babfaa05c41",
+    "config.resolved.json": "579776f2ddd2d60096f94ac9e7c89b954e613ec49d0c4a3bebb8a7e7e3730481",
     "sweep.csv": "e237590d2e8dfb6b8fb835378d615147a860432d3f75d07a94bbe55dd4a6d832",
     "sweep_auc.dat": "db26b19dc8a92ab6bcd90f5f626165c9d114c0f04e5a30e64abdf2a4d92e028e",
     "sweep_f1_binary.dat": "d557b143ccb66ce19f14883e97b907c19d016bb7f0d302451a1956552f97b2b9",
