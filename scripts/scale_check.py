@@ -11,7 +11,9 @@ directory (the write is not timed), graph build from the generated arrays,
 system CPU seconds, the wall seconds and the minor page faults the stage
 took, the process's maximum resident set size so far, all from
 ``getrusage``, and the peak of the memory traced by ``tracemalloc`` during
-the stage (not traced for generation, which is pure Python).  Like the
+the stage.  Generation, which is pure Python, is not traced.  Nor is
+``load_edge_list``: tracing its many small strings would swamp its CPU
+figures, so a second, traced load gives only its traced peak.  Like the
 ``sigaug`` command, it needs sigaug importable (installed, or
 ``PYTHONPATH=src``).  Set ``OMP_NUM_THREADS=1`` (and the OpenBLAS and MKL
 variables) for one-thread figures.
@@ -88,12 +90,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "slashdot-full.tsv"
         gen.write_sign_tsv(path, pairs, signs, random.Random(f"slashdot-full:{SEED}:file"))
-        with stage("load_edge_list"):
+        with stage("load_edge_list", trace=False):
             loaded = load_edge_list(path, format="sign-tsv")
-    if len(loaded.samples) != EDGES:
-        print(f"load_edge_list read {len(loaded.samples)} records, not {EDGES}", file=sys.stderr)
+        records = len(loaded.samples)
+        del loaded
+        with stage("load_edge_list, traced"):
+            load_edge_list(path, format="sign-tsv")
+    if records != EDGES:
+        print(f"load_edge_list read {records} records, not {EDGES}", file=sys.stderr)
         return 1
-    del loaded
     with stage("build graph"):
         u, v = np.array(pairs, dtype=np.int64).T
         graph, _ = build_graph(EdgeColumns(u, v, signs), num_nodes=spec.nodes)

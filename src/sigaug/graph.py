@@ -29,14 +29,11 @@ The loader reads a file once and parses its longest *regular prefix* with
 array operations: one precompiled regex per format matches the run of lines
 that are plainly well formed (canonical decimal ids, a ``1``/``-1`` sign or
 an integer rating, any unquoted rating-csv time field, ``\\n`` endings), and
-numpy's text parser turns that run into int64 columns.  The regex's outer
-repetition is possessive, so it keeps no backtracking state per line.
-Everything from the first other line on goes through the row loop, which is
-the one implementation of irregular input: headers, comments after data,
-CRLF, quoting, padding, non-canonical or non-numeric ids, and every
-``ParseError``.  A rating-csv header on line 1 without quotes or ``\\r`` is
-the one exception: the row loop reads that line alone, and the prefix is
-matched from line 2.  Node ids are densified in first-seen order by one
+numpy's text parser turns that run into int64 columns.  Everything from the
+first other line on goes through the row loop, which is the one
+implementation of irregular input: headers, comments after data, CRLF,
+quoting, padding, non-canonical or non-numeric ids, and every
+``ParseError``.  Node ids are densified in first-seen order by one
 quicksort-based ``np.unique`` plus ``np.minimum.at`` for first occurrences.
 """
 
@@ -213,29 +210,27 @@ _ID = r"(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_ID = re.compile(_ID)
 # The longest run of regular lines at the start of a file, per format.  A
 # regular line contains no '\r' (a lone '\r' ends a line under newline="").
-# The outer repetition is possessive: nothing follows it, so the match ends
-# where a backtracking one would, without keeping a backtracking point per line.
 _REGULAR_PREFIX = {
-    "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*+"),
+    "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*"),
     # the time field and any after it are ignored, so they may hold anything the
     # csv reader reads as plain unquoted text, in no more characters than it
     # reads in one field
     "rating-csv": re.compile(
-        rf'(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[^\r\n"\x00]{{0,{csv.field_size_limit()}}})?\n)*+'
+        rf'(?:{_ID},{_ID},-?[0-9]{{1,18}}(?:,[^\r\n"\x00]{{0,{csv.field_size_limit()}}})?\n)*'
     ),
 }
 
 
-def _regular_prefix(text: str, format: str, pos: int = 0) -> tuple[int, int, np.ndarray]:
-    """The longest run of regular lines from ``text[pos]`` on, parsed with array operations.
+def _regular_prefix(text: str, format: str) -> tuple[int, int, np.ndarray]:
+    """The longest regular prefix of ``text``, parsed with array operations.
 
-    Returns the position where it ends, its line count, and its records as
-    an int64 ``(rows, 3)`` array of source id, target id and rating or sign.
+    Returns its length in characters, its line count, and its records as an
+    int64 ``(rows, 3)`` array of source id, target id and rating or sign.
     """
-    end = _REGULAR_PREFIX[format].match(text, pos).end()
-    if end == pos:
-        return end, 0, np.empty((0, 3), dtype=np.int64)
-    prefix = text[pos:end]
+    end = _REGULAR_PREFIX[format].match(text).end()
+    if end == 0:
+        return 0, 0, np.empty((0, 3), dtype=np.int64)
+    prefix = text[:end]
     if format == "sign-tsv":
         # in a regular prefix, '#' only starts a comment line
         data = re.sub("#[^\n]*\n", "", prefix) if "#" in prefix else prefix
@@ -299,23 +294,6 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _header_end(text: str) -> int:
-    """Where line 1 of rating-csv ``text`` ends if it is a plain header, else 0.
-
-    A plain header holds no quote and no ``\\r``, and the row loop, reading it
-    alone, gives one row whose rating is not a finite number: the row the
-    header rule drops.  A ``\\r`` would end the line earlier, and a quote
-    could carry the record on past it; without either, the row loop reads
-    line 1 as one row and every later line as it does in the whole file.
-    """
-    end = text.find("\n") + 1 or len(text)
-    line = text[:end]
-    if '"' in line or "\r" in line:
-        return 0
-    lines, _, _, val, _ = _read_rows(io.StringIO(line, newline=""), "rating-csv")
-    return end if lines == [1] and not math.isfinite(_float_or_nan(val[0])) else 0
-
-
 def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted unique values, the index of each one's first occurrence, and the inverse.
 
@@ -373,16 +351,14 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     ``rating-csv``, each ending in ``\\n``, where an ``ID`` is a canonical
     decimal (``0`` or up to 18 digits without a leading zero) and the ignored
     time fields hold no quote, NUL or ``\\r`` and at most
-    ``csv.field_size_limit()`` characters.  When that prefix is empty because
-    line 1 of a rating-csv file is a header without quotes or ``\\r``, the
-    row loop reads that line alone and the prefix starts at line 2.  The row
-    loop parses the rest, numbering lines on from the prefix, so the rules
-    above hold for irregular lines exactly as they did, except that the
-    whole file is decoded first: bytes that are not valid text raise
-    ``UnicodeDecodeError`` (a ``ValueError``) even when a short row comes
-    before them.  When every kept id is canonical, ids are densified by
-    sorting them as int64 rather than as strings.  If any kept id is not
-    canonical, all are densified as strings.
+    ``csv.field_size_limit()`` characters.  The row loop parses the rest,
+    numbering lines on from the prefix, so the rules above hold for irregular
+    lines exactly as they did, except that the whole file is decoded first:
+    bytes that are not valid text raise ``UnicodeDecodeError`` (a
+    ``ValueError``) even when a short row comes before them.  When every
+    kept id is canonical, ids are densified by sorting them as int64 rather
+    than as strings.  If any kept id is not canonical, all are densified as
+    strings.
     """
     if format not in ("rating-csv", "sign-tsv"):
         raise ValueError(f"unknown format {format!r}")
@@ -390,13 +366,8 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     with path.open(newline="") as fh:
         content = fh.read()
     end, prefix_lines, head = _regular_prefix(content, format)
-    start = prefix_lines + 1  # the line the row loop starts on
-    if format == "rating-csv" and end == 0 and (header := _header_end(content)):
-        # drop the header as the rule below would, and match the prefix after it
-        end, prefix_lines, head = _regular_prefix(content, format, header)
-        start = prefix_lines + 2
     lines, src, dst, val, stop = _read_rows(
-        io.StringIO(content[end:], newline=""), format, start=start
+        io.StringIO(content[end:], newline=""), format, start=prefix_lines + 1
     )
     try:
         values = np.fromiter(map(float, val), dtype=np.float64, count=len(val))

@@ -1,8 +1,6 @@
 import csv
-import io
 import locale
 import math
-import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sigaug.graph
 from conftest import community_records, random_signed_records
 from sigaug.graph import (
     BuildStats,
@@ -19,7 +16,6 @@ from sigaug.graph import (
     EdgeSample,
     ParseError,
     SignedGraph,
-    _REGULAR_PREFIX,
     _budget_runs,
     _regular_prefix,
     _unique_first,
@@ -560,82 +556,6 @@ _NEAR_REGULAR = {
 )
 def test_near_regular_inputs_match_dict_oracle(tmp_path, format, text):
     assert_load_matches_dict_oracle(write(tmp_path, "edges.txt", text), format)
-
-
-def _backtracking_form(format):
-    """The format's prefix regex with its possessive outer repetition made greedy."""
-    possessive = _REGULAR_PREFIX[format].pattern
-    assert possessive.endswith(")*+")
-    return re.compile(possessive[:-1])
-
-
-def assert_possessive_prefixes_end_as_backtracking_ones(text):
-    for format in _REGULAR_PREFIX:
-        expected = _backtracking_form(format).match(text).end()
-        assert _REGULAR_PREFIX[format].match(text).end() == expected, format
-
-
-@pytest.mark.parametrize(
-    "text",
-    [t for texts in _NEAR_REGULAR.values() for t in texts],
-    ids=lambda param: f"{len(param)}-chars" if len(param) > 1000 else None,
-)
-def test_possessive_prefix_ends_where_backtracking_one_does(text):
-    assert_possessive_prefixes_end_as_backtracking_ones(text)
-
-
-@pytest.mark.parametrize("format", ["rating-csv", "sign-tsv"])
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_possessive_prefix_ends_where_backtracking_one_does_after_any_tail(format, data):
-    tail = data.draw(record_files(format))
-    tail = data.draw(st.sampled_from([tail, tail.rstrip("\n"), tail.replace("\n", "\r\n")]))
-    assert_possessive_prefixes_end_as_backtracking_ones(data.draw(regular_lines(format)) + tail)
-
-
-# Line 1 of rating-csv files: plain headers, whose body the prefix regex reads,
-# and lines the row loop reads on with the rest (quoted, with a \r, short, a record).
-_FIRST_LINES = [
-    "source,target,rating,time\n", "src,dst,rating\n", "a,b,c\n", ",,\n", "x,y,nan\n",
-    "1,2,inf\n", "1,2,1e400\n", "s,t, r ,9\n", '"s",t,r\n', 's,t,"r\n', "s,t,r\r\n",
-    "s,t,r\r\r\n", "s,t,r\r", "s,t\n", "1,2,5\n", "7,1,-1,12\n", "07,1,2\n", "src,dst,rating",
-]
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_a_first_line_then_a_regular_prefix_and_any_tail_matches_dict_oracle(
-    tmp_path_factory, data
-):
-    first = data.draw(st.sampled_from(_FIRST_LINES))
-    text = first + data.draw(regular_lines("rating-csv")) + data.draw(record_files("rating-csv"))
-    path = tmp_path_factory.mktemp("records") / "edges.csv"
-    path.write_text(text)
-    assert_load_matches_dict_oracle(path, "rating-csv")
-
-
-@pytest.mark.parametrize("body", ["1,2,5\n2,3,-1\n", "1,2,5\n2,3,-1\n3,4,x\n", "\n1,2,5\n3\n"])
-@pytest.mark.parametrize("first", _FIRST_LINES)
-def test_a_first_line_then_a_fixed_body_matches_dict_oracle(tmp_path, first, body):
-    assert_load_matches_dict_oracle(write(tmp_path, "edges.csv", first + body), "rating-csv")
-
-
-def test_a_plain_header_is_the_only_line_the_row_loop_reads(tmp_path, monkeypatch):
-    read = []
-    read_rows = sigaug.graph._read_rows
-
-    def spy(fh, format, start=1):
-        text = fh.read()
-        read.append(text)
-        return read_rows(io.StringIO(text, newline=""), format, start)
-
-    monkeypatch.setattr(sigaug.graph, "_read_rows", spy)
-    header = "source,target,rating,time\n"
-    body = "7,1,5,1289000797\n1,3,-2,1289000800\n3,7,1,1289000900\n"
-    loaded = load_edge_list(write(tmp_path, "e.csv", header + body), format="rating-csv")
-    assert "".join(read) == header
-    assert loaded.original_ids == ["7", "1", "3"]
-    assert list(loaded.samples) == [EdgeSample(0, 1, 1), EdgeSample(1, 2, -1), EdgeSample(2, 0, 1)]
 
 
 def assert_unique_first_matches_numpy(values):
