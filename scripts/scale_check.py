@@ -6,15 +6,17 @@ Generates the benchmark's Slashdot-shaped graph (``perfbench/gen.py``, the
 edges, and runs one stage after another in this process: generation,
 ``load_edge_list`` of the graph written as a sign-tsv in a temporary
 directory (the write is not timed), graph build from the generated arrays,
-``balance_report``, the encoder's initial state (spectral features) and
-``--epochs`` training epochs.  For each stage it prints the user and
-system CPU seconds, the wall seconds and the minor page faults the stage
-took, the process's maximum resident set size so far, all from
-``getrusage``, and the peak of the memory traced by ``tracemalloc`` during
-the stage.  Generation, which is pure Python, is not traced.  Nor is
-``load_edge_list``: tracing its many small strings would swamp its CPU
-figures, so a second, traced load gives only its traced peak.  Like the
-``sigaug`` command, it needs sigaug importable (installed, or
+``balance_report``, the per-edge CSV that ``sigaug balance-report
+--per-edge-csv`` writes (into the same temporary directory), the encoder's
+initial state (spectral features) and ``--epochs`` training epochs.  For
+each stage it prints the user and system CPU seconds, the wall seconds and
+the minor page faults the stage took, the process's maximum resident set
+size so far, all from ``getrusage``, and the peak of the memory traced by
+``tracemalloc`` during the stage.  Generation, which is pure Python, is not
+traced.  Nor are the load, the build and the CSV write: tracing their many
+small Python objects would swamp their CPU figures, so each runs a second
+time, traced, and that row (``..., traced``) gives only its traced peak.
+Like the ``sigaug`` command, it needs sigaug importable (installed, or
 ``PYTHONPATH=src``).  Set ``OMP_NUM_THREADS=1`` (and the OpenBLAS and MKL
 variables) for one-thread figures.
 
@@ -77,11 +79,17 @@ def main(argv=None) -> int:
     import gen
 
     from sigaug.balance import balance_report
+    from sigaug.cli import _write_per_edge_csv
     from sigaug.encoder import EncoderConfig, _train_loop, init_state
     from sigaug.graph import EdgeColumns, build_graph, load_edge_list
 
     spec = dataclasses.replace(gen.SPECS["slashdot"], nodes=NODES, edges=EDGES)
     config = EncoderConfig(epochs=args.epochs)
+
+    def build():
+        u, v = np.array(pairs, dtype=np.int64).T
+        return build_graph(EdgeColumns(u, v, signs), num_nodes=spec.nodes)[0]
+
     print("\t".join(COLUMNS))
     with stage("generate", trace=False):
         rng = random.Random(f"slashdot-full:{SEED}")
@@ -96,15 +104,21 @@ def main(argv=None) -> int:
         del loaded
         with stage("load_edge_list, traced"):
             load_edge_list(path, format="sign-tsv")
-    if records != EDGES:
-        print(f"load_edge_list read {records} records, not {EDGES}", file=sys.stderr)
-        return 1
-    with stage("build graph"):
-        u, v = np.array(pairs, dtype=np.int64).T
-        graph, _ = build_graph(EdgeColumns(u, v, signs), num_nodes=spec.nodes)
-        del pairs, signs, u, v
-    with stage("balance_report"):
-        report = balance_report(graph)
+        if records != EDGES:
+            print(f"load_edge_list read {records} records, not {EDGES}", file=sys.stderr)
+            return 1
+        with stage("build graph", trace=False):
+            graph = build()
+        with stage("build graph, traced"):
+            build()
+        del pairs, signs
+        with stage("balance_report"):
+            report = balance_report(graph)
+        per_edge = Path(tmp) / "per-edge.csv"
+        with stage("per-edge CSV", trace=False):
+            _write_per_edge_csv(report, per_edge)
+        with stage("per-edge CSV, traced"):
+            _write_per_edge_csv(report, per_edge)
     with stage("init_state"):
         state = init_state(graph, config)
     edges = graph.edge_columns()

@@ -29,7 +29,10 @@ The loader reads a file once and parses its longest *regular prefix* with
 array operations: one precompiled regex per format matches the run of lines
 that are plainly well formed (canonical decimal ids, a ``1``/``-1`` sign or
 an integer rating, any unquoted rating-csv time field, ``\\n`` endings), and
-numpy's text parser turns that run into int64 columns.  Everything from the
+numpy's text parser turns that run into int64 columns.  The sign-tsv regex
+repeats possessively and keeps no match state per line; the rating-csv one
+still backtracks, because the state it frees changes how glibc serves the
+encoder's later allocations (see ``_REGULAR_PREFIX``).  Everything from the
 first other line on goes through the row loop, which is the one
 implementation of irregular input: headers, comments after data, CRLF,
 quoting, padding, non-canonical or non-numeric ids, and every
@@ -210,8 +213,16 @@ _ID = r"(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_ID = re.compile(_ID)
 # The longest run of regular lines at the start of a file, per format.  A
 # regular line contains no '\r' (a lone '\r' ends a line under newline="").
+# The sign-tsv repetition is possessive: nothing follows it, so it ends where
+# the backtracking form ends, but it keeps no backtracking point per line (the
+# backtracking form holds 225 MB of match state over Slashdot's 500,000 lines).
+# The rating-csv repetition stays backtracking.  The match state it frees
+# (16.3 MB at bitcoin-alpha size) raises glibc's mmap threshold, which keeps the
+# encoder's per-epoch temporaries off mmap; the possessive form moved the
+# alpha-baseline bench pass from 1.709 to 1.793 s (worse in 9 of 10 pairs).  It
+# can follow once the encoder epoch reuses its work arrays.
 _REGULAR_PREFIX = {
-    "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*"),
+    "sign-tsv": re.compile(rf"(?:#[^\r\n]*\n|{_ID}[\t ]{_ID}[\t ]-?1\n)*+"),
     # the time field and any after it are ignored, so they may hold anything the
     # csv reader reads as plain unquoted text, in no more characters than it
     # reads in one field

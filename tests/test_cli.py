@@ -3,10 +3,15 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import community_records
+from conftest import community_records, hub_records, random_signed_records
+from sigaug.balance import balance_report
 from sigaug.cli import main
+from sigaug.graph import _rows, build_graph, load_edge_list
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,52 @@ def test_balance_report(dataset_file_path, capsys, tmp_path):
     lines = per_edge.read_text().strip().splitlines()
     assert lines[0] == "u,v,sign,b,ub,difficulty"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("target", ["a-directory", "missing/edges.csv"])
+def test_balance_report_that_cannot_write_its_csv_exits_2_printing_nothing(
+    dataset_file_path, tmp_path, capsys, target
+):
+    (tmp_path / "a-directory").mkdir()
+    args = ["balance-report", "--dataset", str(dataset_file_path),
+            "--per-edge-csv", str(tmp_path / target)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def _sign_tsv(records) -> str:
+    return "".join(f"{e.u}\t{e.v}\t{e.sign}\n" for e in records)
+
+
+@st.composite
+def signed_graph_files(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = random_signed_records(
+        rng, draw(st.integers(2, 16)), draw(st.sampled_from([0.15, 0.4, 0.8])),
+        draw(st.sampled_from([0.2, 0.5, 0.8])),
+    )
+    return _sign_tsv(records) or "0\t1\t1\n"
+
+
+@given(text=signed_graph_files())
+@settings(max_examples=60, deadline=None)
+@example(text="0\t1\t1\n1\t2\t1\n2\t3\t1\n1\t4\t1\n")  # no triangle: one tail
+@example(text=_sign_tsv(hub_records(np.random.default_rng(4), 40, 25, 150)))  # many tails
+@example(text="1\t2\t1\n2\t1\t-1\n")  # the only pair conflicts: the header alone
+def test_per_edge_csv_equals_formatting_every_field(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("per-edge")
+    data, per_edge = tmp / "edges.tsv", tmp / "edges.csv"
+    data.write_text(text)
+    args = ["--quiet", "balance-report", "--dataset", str(data), "--per-edge-csv", str(per_edge)]
+    assert main(args) == 0
+    loaded = load_edge_list(data, format="sign-tsv")
+    report = balance_report(build_graph(loaded.samples, num_nodes=loaded.num_nodes)[0])
+    columns = (report.u, report.v, report.sign, report.balanced, report.unbalanced,
+               report.difficulty)
+    expected = "u,v,sign,b,ub,difficulty\r\n" + _rows("%d,%d,%d,%d,%d,%.6f\r\n", columns)
+    assert per_edge.read_bytes() == expected.encode()
 
 
 def test_augment_command(dataset_file_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import locale
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from sigaug.graph import (
     EdgeSample,
     ParseError,
     SignedGraph,
+    _REGULAR_PREFIX,
     _budget_runs,
     _regular_prefix,
     _unique_first,
@@ -629,6 +631,27 @@ def test_snap_shaped_files_are_one_regular_prefix(tmp_path, format, text):
     assert _regular_prefix(text, format)[:2] == (len(text), text.count("\n"))
     loaded, _ = assert_load_matches_dict_oracle(write(tmp_path, "edges.txt", text), format)
     assert loaded is not None
+
+
+def test_sign_tsv_prefix_match_keeps_no_per_line_state():
+    lines = (f"{i}\t{i + 1}\t{1 - 2 * (i % 3 == 0)}\n" for i in range(50_000))
+    text = "# FromNodeId\tToNodeId\tSign\n" + "".join(lines)
+    tracemalloc.start()
+    try:
+        end = _REGULAR_PREFIX["sign-tsv"].match(text).end()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert end == len(text)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("text", _NEAR_REGULAR["sign-tsv"] + _SNAP_SHAPED["sign-tsv"])
+def test_possessive_sign_tsv_prefix_ends_where_backtracking_ends(text):
+    possessive = _REGULAR_PREFIX["sign-tsv"]
+    assert possessive.pattern.endswith(")*+")
+    backtracking = re.compile(possessive.pattern[:-1])
+    assert possessive.match(text).end() == backtracking.match(text).end()
 
 
 @pytest.mark.skipif(
