@@ -4,9 +4,12 @@ The digests lock the report payload, the curriculum schedule CSVs, the
 final training edges of every pipeline, the ``augment`` command's files and
 the per-edge balance CSV bit for bit on one fixed seeded graph, the files
 of a ``run`` driven by a config file plus flags and of a ``sweep`` on that
-graph, and the ``stats`` and ``balance-report`` CLI outputs on a messy
-rating file built from the same graph.  On that graph, ``augment --seed k``
-must also write the augmented edges of ``run --pipeline sa-only --seed k``.  A refactor must leave them
+graph, the ``stats`` and ``balance-report`` CLI outputs and the ``augment``
+``id_map.json`` on a messy rating file built from the same graph, and the
+``stats --split-ratio``, ``balance-report`` and per-edge CSV outputs on a
+sign-tsv file with a hub and thousands of triangles.  On the first graph,
+``augment --seed k`` must also write the augmented edges of
+``run --pipeline sa-only --seed k``.  A refactor must leave them
 unchanged; a change that moves them on purpose says why in CHANGES.md and
 pins the new digests here.
 """
@@ -16,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from conftest import community_records
+from conftest import community_records, hub_records
 from sigaug.augment import AugmentConfig
 from sigaug.cli import main
 from sigaug.curriculum import schedule_to_csv
@@ -56,6 +60,11 @@ GOLDEN = {
     "sga-diagnostic/report": "2755681cd4992d52710e2f0852ba6d03307c9ccdb945461ea9d1ba0627016586",
     "augment/augmented-train": "25165d0a812165a1d9afd62aa6a829e83f8ff864b21fc108c3e2793df4281ebf",
     "augment/log": "93ef4df828add7909e7eb6afc253b8e8d8e486709350c684034f9935d2ee3fa0",
+    "augment/id-map": "65399802054729b553e3a8519d1ca03ba5c18f68f3a794ef59bd8822efafbc28",
+    "messy/augment-id-map": "ff6db84671099efce56933f259b45e43ac6319fdeb9023f23e37ecee7512780b",
+    "hub/stats": "0e3b0150619f7ba58cd0a3362e9abee01c3ce30ccc21e90ec65cef20d1705504",
+    "hub/balance-report": "8b94a494f06b2f4e8269d6f0f5e402bba55d6c0d45ca82edbcc219869959ff9b",
+    "hub/per-edge-csv": "2294afaf299a39e0afb0b45830dcca71b9e6dd10818384f96969f1e8f2c7e31b",
 }
 
 OTHER_PIPELINES = [
@@ -118,9 +127,11 @@ def test_augment_command_outputs_are_golden(tmp_path, capsys):
     assert {
         "augmented-train": _sha256((outdir / "augmented_train.tsv").read_bytes()),
         "log": _sha256((outdir / "augment_log.json").read_bytes()),
+        "id-map": _sha256((outdir / "id_map.json").read_bytes()),
     } == {
         "augmented-train": GOLDEN["augment/augmented-train"],
         "log": GOLDEN["augment/log"],
+        "id-map": GOLDEN["augment/id-map"],
     }
 
 
@@ -200,6 +211,52 @@ def test_messy_file_cli_outputs_are_golden(tmp_path, capsys):
     } == {
         "stats": GOLDEN["messy/stats"],
         "balance-report": GOLDEN["messy/balance-report"],
+    }
+
+
+def test_messy_file_augment_id_map_is_golden(tmp_path, capsys):
+    # string ids: id_map.json holds the tokens of the file, not formatted integers
+    data = tmp_path / "messy.csv"
+    data.write_text(messy_rating_csv())
+    outdir = tmp_path / "out"
+    assert main(["--quiet", "augment", "--dataset", str(data), "--format", "rating-csv",
+                 "--embed-dim", "8", "--epochs", "20", "--seed", "3",
+                 "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+    assert _sha256((outdir / "id_map.json").read_bytes()) == GOLDEN["messy/augment-id-map"]
+
+
+def hub_sign_tsv() -> str:
+    """A sign-tsv file with a 200-edge hub and 2,825 triangles, in shuffled line order.
+
+    Its 80% split (seed 0) keeps 1,488 of the triangles and breaks the rest,
+    so the split's balance degree depends on which edges the split keeps.
+    """
+    rng = np.random.default_rng(23)
+    edges = hub_records(rng, 300, 200, 3000)
+    lines = [f"{e.u}\t{e.v}\t{e.sign}\n" if rng.random() < 0.5 else f"{e.v}\t{e.u}\t{e.sign}\n"
+             for e in edges]
+    return "".join(lines[i] for i in rng.permutation(len(lines)))
+
+
+def test_hub_file_cli_outputs_are_golden(tmp_path, capsys):
+    data = tmp_path / "hub.tsv"
+    data.write_text(hub_sign_tsv())
+    dataset = ["--dataset", str(data), "--format", "sign-tsv"]
+    assert main(["--quiet", "stats", *dataset, "--split-ratio", "0.8", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    del stats["dataset"]  # the path differs between runs
+    per_edge = tmp_path / "edges.csv"
+    assert main(["--quiet", "balance-report", *dataset, "--per-edge-csv", str(per_edge)]) == 0
+    totals = capsys.readouterr().out
+    assert {
+        "stats": _sha256(json.dumps(stats, sort_keys=True).encode()),
+        "balance-report": _sha256(totals.encode()),
+        "per-edge-csv": _sha256(per_edge.read_bytes()),
+    } == {
+        "stats": GOLDEN["hub/stats"],
+        "balance-report": GOLDEN["hub/balance-report"],
+        "per-edge-csv": GOLDEN["hub/per-edge-csv"],
     }
 
 
