@@ -6,16 +6,21 @@ Generates the benchmark's Slashdot-shaped graph (``perfbench/gen.py``, the
 edges, and runs one stage after another in this process: generation,
 ``load_edge_list`` of the graph written as a sign-tsv in a temporary
 directory (the write is not timed), graph build from the generated arrays,
-``balance_report``, the per-edge CSV that ``sigaug balance-report
---per-edge-csv`` writes (into the same temporary directory), the encoder's
-initial state (spectral features) and ``--epochs`` training epochs.  For
-each stage it prints the user and system CPU seconds, the wall seconds and
-the minor page faults the stage took, the process's maximum resident set
-size so far, all from ``getrusage``, and the peak of the memory traced by
-``tracemalloc`` during the stage.  Generation, which is pure Python, is not
-traced.  Nor are the load, the build and the CSV write: tracing their many
-small Python objects would swamp their CPU figures, so each runs a second
-time, traced, and that row (``..., traced``) gives only its traced peak.
+``balance_report``, the balance of an 80% training split read from that
+report's triangles as ``sigaug stats --split-ratio 0.8`` reads it (``split
+balance``: the edge mask and ``BalanceReport.within``, after the split is
+drawn; a ``#`` line after its row gives the size of ``report.triangles``),
+the per-edge CSV that ``sigaug balance-report --per-edge-csv`` writes (into
+the same temporary directory), the encoder's initial state (spectral
+features) and ``--epochs`` training epochs.  For each stage it prints the
+user and system CPU seconds, the wall seconds and the minor page faults the
+stage took, the process's maximum resident set size so far, all from
+``getrusage``, and the peak of the memory traced by ``tracemalloc`` during
+the stage.  Generation, which is pure Python, is not traced, nor is the
+split balance.  Nor are the load, the build and the CSV write: tracing their
+many small Python objects would swamp their CPU figures, so each runs a
+second time, traced, and that row (``..., traced``) gives only its traced
+peak.
 Like the ``sigaug`` command, it needs sigaug importable (installed, or
 ``PYTHONPATH=src``).  Set ``OMP_NUM_THREADS=1`` (and the OpenBLAS and MKL
 variables) for one-thread figures.
@@ -81,7 +86,7 @@ def main(argv=None) -> int:
     from sigaug.balance import balance_report
     from sigaug.cli import _write_per_edge_csv
     from sigaug.encoder import EncoderConfig, _train_loop, init_state
-    from sigaug.graph import EdgeColumns, build_graph, load_edge_list
+    from sigaug.graph import EdgeColumns, build_graph, load_edge_list, split_train_test
 
     spec = dataclasses.replace(gen.SPECS["slashdot"], nodes=NODES, edges=EDGES)
     config = EncoderConfig(epochs=args.epochs)
@@ -114,6 +119,15 @@ def main(argv=None) -> int:
         del pairs, signs
         with stage("balance_report"):
             report = balance_report(graph)
+        split = split_train_test(graph.edge_columns(), 0.8, 0)
+        with stage("split balance", trace=False):
+            keep = np.zeros(graph.edge_count, dtype=bool)
+            keep[split.train_positions] = True
+            kept = report.within(keep)
+        print(
+            f"# split balance: the 80% split keeps {kept.total} of {report.stats.total} "
+            f"triangles; report.triangles holds {report.triangles.nbytes / 2**20:.1f} MB"
+        )
         per_edge = Path(tmp) / "per-edge.csv"
         with stage("per-edge CSV", trace=False):
             _write_per_edge_csv(report, per_edge)

@@ -222,8 +222,10 @@ def _prepare_run(
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .balance import balance_report
-    from .graph import density, graph_from_samples, record_density, split_train_test
+    import numpy as np
+
+    from .balance import balance_report, global_balance_degree
+    from .graph import _density, density, record_density, split_train_test
 
     path, loaded, graph, build_stats = _load_graph(_config_from_args(args))
     report = balance_report(graph)
@@ -249,13 +251,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     }
     if args.split_ratio is not None:
         split = split_train_test(graph.edge_columns(), args.split_ratio, args.split_seed)
-        train_graph = graph_from_samples(split.train, graph.num_nodes)
-        train_report = balance_report(train_graph)
-        tbd = train_report.balance_degree
+        # the split's triangles are the graph's triangles whose three edges it keeps
+        keep = np.zeros(graph.edge_count, dtype=bool)
+        keep[split.train_positions] = True
+        tbd = global_balance_degree(report.within(keep))
         out["train_split_ratio"] = args.split_ratio
         out["train_split_seed"] = args.split_seed
         out["train_split_edges"] = len(split.train)
-        out["train_split_density"] = density(train_graph)
+        out["train_split_density"] = _density(len(split.train), graph.num_nodes)
         out["train_split_balance_degree"] = None if tbd is None else round(tbd, 6)
     _print(out, args.json)
     return 0
@@ -265,19 +268,22 @@ def _write_per_edge_csv(report, path) -> None:
     """Write a balance report's ``u,v,sign,b,ub,difficulty`` rows, one per edge, to ``path``.
 
     The rows are in the report's (u, v) order, in csv.writer's dialect: comma
-    separated, ``\\r\\n`` line endings, nothing to quote.  All of a row after
-    ``u,v`` depends on the edge's (sign, b, ub) alone, because difficulty is
-    an elementwise function of b and ub.  So each distinct (sign, b, ub) tail
-    is formatted once, from its first edge, and every row is its ``u,v`` and
-    its tail: the bytes are those of formatting all six fields of every row.
+    separated, ``\\r\\n`` line endings, nothing to quote.  Ids, like tails,
+    are formatted once per value rather than once per edge.  Each id's
+    ``%d,`` is formatted once, for every id up to the largest.  All of a row
+    after ``u,v`` depends on the edge's (sign, b, ub) alone, because
+    difficulty is an elementwise function of b and ub, so each distinct
+    (sign, b, ub) tail is formatted once, from its first edge.  Every row is
+    then its ``u`` string, its ``v`` string and its tail, and one join writes
+    them all: the bytes are those of formatting all six fields of every row.
     Tails repeat heavily (751 distinct over the 500,000 edges of a
-    Slashdot-sized graph), which makes this about twice as fast as
-    formatting every field; were every tail distinct, it would be about 16%
+    Slashdot-sized graph), which makes this more than twice as fast as
+    formatting every field; were every tail distinct, it would be about 30%
     slower.
     """
     import numpy as np
 
-    from .graph import _rows, _unique_first
+    from .graph import _unique_first
 
     balanced, unbalanced = report.balanced, report.unbalanced
     # an edge lies in fewer triangles than the graph has edges, so b and ub
@@ -290,9 +296,15 @@ def _write_per_edge_csv(report, path) -> None:
         ["%d,%d,%d,%.6f\r\n" % tail for tail in zip(*(c.tolist() for c in tail_columns))],
         dtype=object,
     )
+    # u < v on every edge, so the largest id is the largest v
+    ids = np.array(["%d," % i for i in range(int(report.v.max(initial=-1)) + 1)], dtype=object)
+    fields = [None] * (3 * len(inverse))
+    fields[0::3] = ids[report.u].tolist()
+    fields[1::3] = ids[report.v].tolist()
+    fields[2::3] = tails[inverse].tolist()
     with Path(path).open("w", newline="") as fh:
         fh.write("u,v,sign,b,ub,difficulty\r\n")
-        fh.write(_rows("%d,%d,%s", (report.u, report.v, tails[inverse])))
+        fh.write("".join(fields))
 
 
 def cmd_balance_report(args: argparse.Namespace) -> int:

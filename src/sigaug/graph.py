@@ -189,13 +189,29 @@ def _pair_keys(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
 
 @dataclass
 class LoadResult:
-    """Edge records with densified node ids plus bookkeeping counters."""
+    """Edge records with densified node ids plus bookkeeping counters.
+
+    ``ids`` gives the original id of each dense id: an int64 array when
+    every id in the file was canonical, the file's id tokens otherwise.
+    ``original_ids`` is the same as a list of strings.  It is built on its
+    first read and kept, so a caller that never reads it (``stats``,
+    ``balance-report``) never formats the ids.
+    """
 
     samples: Sequence[EdgeSample]  # EdgeColumns from load_edge_list
     num_nodes: int
-    original_ids: list  # dense id -> original id
+    ids: np.ndarray | list  # dense id -> original id
     zero_rating_dropped: int = 0
     self_loops_dropped: int = 0
+    _original_ids: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def original_ids(self) -> list:
+        """Dense id -> original id, as strings."""
+        if self._original_ids is None:
+            ids = self.ids
+            self._original_ids = _id_strings(ids) if isinstance(ids, np.ndarray) else ids
+        return self._original_ids
 
     @property
     def positive_count(self) -> int:
@@ -204,6 +220,11 @@ class LoadResult:
     @property
     def negative_count(self) -> int:
         return int(np.count_nonzero(_columns(self.samples)[2] == NEG))
+
+
+def _id_strings(ids: np.ndarray) -> list:
+    """Integer ids as their decimal strings."""
+    return list(map(str, ids.tolist()))
 
 
 # A canonical decimal id: ASCII digits, no leading zero, at most 18 digits.  It
@@ -354,7 +375,7 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     rating-csv file, which is then taken as a header; so does a short row,
     or a rating-csv row the csv reader rejects.  Node ids of the kept
     records are densified to 0..n-1 in first-seen order; the original ids
-    are kept in ``original_ids``.
+    are kept in ``ids``, and read as strings from ``original_ids``.
 
     The file is read once.  Its longest regular prefix is parsed with array
     operations: lines ``ID<tab or space>ID<tab or space>(1|-1)`` and
@@ -417,15 +438,14 @@ def load_edge_list(path: str | Path, format: str = "rating-csv") -> LoadResult:
     head_ids = head[head_keep, :2].ravel()
     if all(map(_CANONICAL_ID.fullmatch, tokens)):
         ids = np.concatenate((head_ids, np.fromiter(map(int, tokens), np.int64, len(tokens))))
-        dense, unique = _first_seen(ids)
-        original_ids = list(map(str, unique.tolist()))
+        dense, original_ids = _first_seen(ids)
     else:
-        dense, original_ids = _first_seen_ids(list(map(str, head_ids.tolist())) + tokens)
+        dense, original_ids = _first_seen_ids(_id_strings(head_ids) + tokens)
     signs = np.concatenate((head_value, truncated))[keep] > 0
     return LoadResult(
         samples=EdgeColumns(dense[0::2], dense[1::2], np.where(signs, POS, NEG)),
         num_nodes=len(original_ids),
-        original_ids=original_ids,
+        ids=original_ids,
         zero_rating_dropped=int(zero.sum()),
         self_loops_dropped=int(loop.sum()),
     )
@@ -572,12 +592,19 @@ def graph_from_samples(samples: Sequence[EdgeSample], num_nodes: int) -> SignedG
 
 @dataclass
 class DatasetSplit:
-    """Train/test partition of an edge list, both halves as ``EdgeColumns``."""
+    """Train/test partition of an edge list, both halves as ``EdgeColumns``.
+
+    ``train_positions`` holds where each train edge sits in the edge list
+    that was split, in ``train`` order (read-only), so a caller that split
+    a graph's ``edge_columns()`` can mask the graph's own per-edge arrays
+    with it.
+    """
 
     train: EdgeColumns
     test: EdgeColumns
     seed: int
     ratio: float = field(default=0.8)
+    train_positions: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
 
 def split_train_test(
@@ -594,15 +621,23 @@ def split_train_test(
     perm = rng.permutation(len(edges))
     n_train = math.ceil(ratio * len(edges))
     edges = EdgeColumns(*_columns(edges))
-    return DatasetSplit(edges[perm[:n_train]], edges[perm[n_train:]], seed, ratio)
+    train_positions = perm[:n_train]
+    train_positions.flags.writeable = False
+    return DatasetSplit(
+        edges[train_positions], edges[perm[n_train:]], seed, ratio, train_positions=train_positions
+    )
+
+
+def _density(edge_count: int, num_nodes: int) -> float:
+    """Directed-record density 2|E| / (n(n-1)) of |E| undirected edges on n nodes."""
+    if num_nodes < 2:
+        raise ValueError("density needs at least 2 nodes")
+    return 2.0 * edge_count / (num_nodes * (num_nodes - 1))
 
 
 def density(graph: SignedGraph) -> float:
     """Directed-record density: 2|E| / (n(n-1)) for an undirected graph."""
-    n = graph.num_nodes
-    if n < 2:
-        raise ValueError("density needs at least 2 nodes")
-    return 2.0 * graph.edge_count / (n * (n - 1))
+    return _density(graph.edge_count, graph.num_nodes)
 
 
 def record_density(samples: Sequence[EdgeSample], num_nodes: int | None = None) -> float:

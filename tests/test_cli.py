@@ -120,6 +120,7 @@ def signed_graph_files(draw):
 @example(text="0\t1\t1\n1\t2\t1\n2\t3\t1\n1\t4\t1\n")  # no triangle: one tail
 @example(text=_sign_tsv(hub_records(np.random.default_rng(4), 40, 25, 150)))  # many tails
 @example(text="1\t2\t1\n2\t1\t-1\n")  # the only pair conflicts: the header alone
+@example(text="1\t2\t1\n2\t1\t-1\n3\t4\t1\n")  # ids 0 and 1 lose their only edge
 def test_per_edge_csv_equals_formatting_every_field(tmp_path_factory, text):
     tmp = tmp_path_factory.mktemp("per-edge")
     data, per_edge = tmp / "edges.tsv", tmp / "edges.csv"

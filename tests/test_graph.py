@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import community_records, random_signed_records
+from sigaug import graph as graph_module
+from sigaug.balance import balance_report
 from sigaug.graph import (
     BuildStats,
     EdgeColumns,
@@ -705,6 +707,35 @@ def test_ids_that_differ_only_by_a_nul_stay_distinct(tmp_path):
     loaded = load_edge_list(path, format="sign-tsv")
     assert loaded.original_ids == ["a\x00", "b", "a"]
     assert list(loaded.samples) == [EdgeSample(0, 1, 1), EdgeSample(2, 1, -1)]
+
+
+@pytest.mark.parametrize(
+    "text, format, canonical",
+    [
+        ("# a comment\n7\t12\t1\n12\t9\t-1\n9\t7\t1\n100\t7 -1\n", "sign-tsv", True),
+        ("7,12,5\n12,9,-1\nu7,012,2\n012,9, 3\n", "rating-csv", False),
+        ("source,target,rating\nb,a,1\na,c,-2\n", "rating-csv", False),
+    ],
+    ids=["canonical", "canonical-then-strings", "strings"],
+)
+def test_original_ids_are_formatted_once_when_first_read(tmp_path, monkeypatch, text, format,
+                                                          canonical):
+    formatted = []  # the number of ids of each call that formats ids as strings
+    format_ids = graph_module._id_strings
+    monkeypatch.setattr(graph_module, "_id_strings",
+                        lambda ids: formatted.append(len(ids)) or format_ids(ids))
+    path = write(tmp_path, "e.txt", text)
+    loaded = load_edge_list(path, format=format)
+    balance_report(build_graph(loaded.samples, num_nodes=loaded.num_nodes)[0])
+    on_load = list(formatted)
+    if canonical:
+        assert on_load == []  # loading, building and reporting format no id
+    first = loaded.original_ids
+    assert loaded.original_ids is first
+    assert type(first) is list and all(type(i) is str for i in first)
+    assert first == dict_load_edge_list(path, format)[1]
+    # canonical ids are formatted once, on the first read; string ids never need it
+    assert formatted == on_load + ([len(first)] if canonical else [])
 
 
 undirected_samples = st.lists(
