@@ -167,14 +167,15 @@ def _incident_triangles(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.
     )
     both = np.zeros(m, dtype=np.int64)  # b + ub
     unbalanced = np.zeros(m, dtype=np.int64)
-    found = [np.empty((0, 3), dtype=_position_dtype(m))]
+    position = _position_dtype(m)
+    found = [np.empty((0, 3), dtype=position)]
     for lo, hi in _budget_runs(outdeg[u] + outdeg[v], _CHUNK_WORK):
         # one stored entry per triangle {u, v, c} whose top-ranked node is c
         common = out[u[lo:hi]].multiply(pattern[v[lo:hi]]).tocsr()
         uv = np.repeat(np.arange(lo, hi), np.diff(common.indptr))
         uc = common.data - 1
         vc = graph.edge_index(v[uv], common.indices)
-        triangles = np.column_stack((uv, uc, vc)).astype(found[0].dtype)
+        triangles = np.column_stack((uv, uc, vc)).astype(position)
         odd = np.repeat(sign[uv] * sign[uc] * sign[vc] < 0, 3)
         both += np.bincount(triangles.ravel(), minlength=m)
         unbalanced += np.bincount(triangles.ravel()[odd], minlength=m)

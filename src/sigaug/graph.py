@@ -200,7 +200,7 @@ class LoadResult:
 
     samples: Sequence[EdgeSample]  # EdgeColumns from load_edge_list
     num_nodes: int
-    ids: np.ndarray | list  # dense id -> original id
+    ids: np.ndarray | list = field(compare=False)  # dense id -> original id
     zero_rating_dropped: int = 0
     self_loops_dropped: int = 0
     _original_ids: list | None = field(default=None, init=False, repr=False, compare=False)
