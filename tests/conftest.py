@@ -87,6 +87,55 @@ def random_signed_records(
     return edges
 
 
+def bad_actor_records(
+    n: int = 1000,
+    m: int = 4000,
+    seed: int = 0,
+    triad_prob: float = 0.9,
+    bad_frac: float = 0.05,
+    bad_neg_prob: float = 0.75,
+    noise_neg_prob: float = 0.02,
+) -> list[EdgeSample]:
+    """A trust network with planted bad actors: ``m`` distinct edges over ``n`` nodes.
+
+    Node i has expected degree proportional to (i + 10) ** -0.7, so the low
+    ids are hubs.  A random tree joins every node to an earlier one; the
+    rest are Chung-Lu draws or, with ``triad_prob``, a neighbour of a
+    neighbour, which closes triangles.  ``bad_frac`` of the nodes, drawn at
+    random, are bad actors: an edge touching exactly one of them is negative
+    with ``bad_neg_prob``, every other edge with ``noise_neg_prob``.
+    Returns canonical (u < v) samples in the order they were wired.
+    """
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum((np.arange(n) + 10.0) ** -0.7)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    pairs: dict[tuple[int, int], None] = {}
+
+    def link(a: int, b: int) -> None:
+        pairs[min(a, b), max(a, b)] = None
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    for i in range(1, n):
+        link(i, int(np.searchsorted(cum, rng.random() * cum[i - 1], side="right")))
+    while len(pairs) < m:
+        a = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        if rng.random() < triad_prob:
+            via = nbrs[a][rng.integers(len(nbrs[a]))]
+            b = nbrs[via][rng.integers(len(nbrs[via]))]
+        else:
+            b = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        if a != b and (min(a, b), max(a, b)) not in pairs:
+            link(a, b)
+    bad = np.zeros(n, dtype=bool)
+    bad[rng.choice(n, size=round(bad_frac * n), replace=False)] = True
+    edges = []
+    for u, v in pairs:
+        p_neg = bad_neg_prob if bad[u] != bad[v] else noise_neg_prob
+        edges.append(EdgeSample(u, v, -1 if rng.random() < p_neg else 1))
+    return edges
+
+
 def hub_records(rng, n, hub_degree, extra_edges):
     """Node 0 joined to nodes 1..hub_degree, plus ``extra_edges`` random pairs; mixed signs."""
     pairs = {(0, v) for v in range(1, hub_degree + 1)}

@@ -7,7 +7,10 @@ of a ``run`` driven by a config file plus flags and of a ``sweep`` on that
 graph, the ``stats`` and ``balance-report`` CLI outputs and the ``augment``
 ``id_map.json`` on a messy rating file built from the same graph, and the
 ``stats --split-ratio``, ``balance-report`` and per-edge CSV outputs on a
-sign-tsv file with a hub and thousands of triangles.  On the first graph,
+sign-tsv file with a hub and thousands of triangles.  A mid-scale graph
+(1,000 nodes, 4,000 edges, planted bad actors) pins ``baseline`` and
+``sga`` runs whose scans and kernels span many blocks, at the default work
+budgets and at small ones.  On the first graph,
 ``augment --seed k`` must also write the augmented edges of
 ``run --pipeline sa-only --seed k``.  A refactor must leave them
 unchanged; a change that moves them on purpose says why in CHANGES.md and
@@ -17,12 +20,15 @@ pins the new digests here.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import community_records, hub_records
+from conftest import bad_actor_records, community_records, hub_records
+from sigaug import balance
 from sigaug.augment import AugmentConfig
 from sigaug.cli import main
 from sigaug.curriculum import schedule_to_csv
@@ -301,6 +307,57 @@ GOLDEN_SWEEP = {
     "sweep_f1_macro.dat": "778859ba3b2da3af39c615a9f42222a21eda892d6b196ccaa2bda5f1928efdec",
     "sweep_f1_micro.dat": "af3bfca9889cd2d7c008aaa3145b58a608f6bca4bf7bd19a43ec008d0e1709cb",
 }
+
+
+MID_SCALE = bad_actor_records()
+MID_SCALE_ENCODER = EncoderConfig(embed_dim=16, epochs=10)
+
+# computed before any encoder, balance or scan change they guard
+GOLDEN_MID_SCALE = {
+    "records": "38e11ca9a488551bb3ed787c12613d45b8ef5256caa0412f561ebbaf119b2c91",
+    "baseline/report": "d9042d070b66e88b269417a0d633b1bff599645be8ab767f56bb9e962738c242",
+    "baseline/final-train": "9918cbc498244d54f6f4975b83acfa9e245d4450e88135ca2a92f54c4ac0660e",
+    "baseline/schedule": "63d47974c9f0ca1b03fe0213c276b7cb8669b8c3803e4ba146be06f9f59412f8",
+    "sga-diagnostic/report": "d429a749a4d89c6f5613420e07fb8e91817a9a0658bf671dcfdefe1caf401289",
+    "sga-diagnostic/final-train": "07980459d41d7b0e99388538fbda5d918a402b4ab83912a3fa756680c559d0e3",
+    "sga-diagnostic/schedule": "810de3bc997cd00205e565a7593c680b2dffec69959f65118688e57d34151d20",
+}
+
+
+def test_mid_scale_records_are_golden():
+    assert _sha256(_rows(MID_SCALE)) == GOLDEN_MID_SCALE["records"]
+
+
+def _mid_scale_digests() -> dict[str, str]:
+    digests = {}
+    for pipeline, diagnostic, key in [("baseline", False, "baseline"),
+                                      ("sga", True, "sga-diagnostic")]:
+        report = run_experiment(MID_SCALE, pipeline, [0, 1], enc_cfg=MID_SCALE_ENCODER,
+                                diagnostic=diagnostic)
+        payload = json.dumps(report_payload(report), sort_keys=True).encode()
+        schedules = b"".join(
+            _rows(r.schedule.ordered_edges)
+            + np.asarray(r.schedule.difficulties, dtype=np.float64).tobytes()
+            for r in report.results
+        )
+        digests[f"{key}/report"] = _sha256(payload)
+        digests[f"{key}/final-train"] = _sha256(b"".join(_rows(r.final_train)
+                                                         for r in report.results))
+        digests[f"{key}/schedule"] = _sha256(schedules)
+    return digests
+
+
+@pytest.mark.parametrize("budgets", ["default", "small"])
+def test_mid_scale_runs_are_golden(budgets):
+    # small budgets split the triangle kernel and the two-hop scan into
+    # hundreds of blocks; the outputs must not depend on where they split
+    expected = {k: v for k, v in GOLDEN_MID_SCALE.items() if k != "records"}
+    if budgets == "default":
+        assert _mid_scale_digests() == expected
+        return
+    with mock.patch.object(balance, "_CHUNK_WORK", 1 << 8), \
+            mock.patch.object(importlib.import_module("sigaug.augment"), "_SCAN_WORK", 1 << 10):
+        assert _mid_scale_digests() == expected
 
 
 def _pinned_files(outdir, pattern: str) -> dict[str, str]:
