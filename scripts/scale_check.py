@@ -12,7 +12,9 @@ balance``: the edge mask and ``BalanceReport.within``, after the split is
 drawn; a ``#`` line after its row gives the size of ``report.triangles``),
 the per-edge CSV that ``sigaug balance-report --per-edge-csv`` writes (into
 the same temporary directory), the encoder's initial state (spectral
-features) and ``--epochs`` training epochs.  For each stage it prints the
+features) and ``--epochs`` training epochs, whose traced peak a ``#`` line
+after their row also gives in n·d floats (n nodes, embedding width d, 8
+bytes a float).  For each stage it prints the
 user and system CPU seconds, the wall seconds and the minor page faults the
 stage took, the process's maximum resident set size so far, all from
 ``getrusage``, and the peak of the memory traced by ``tracemalloc`` during
@@ -47,13 +49,19 @@ COLUMNS = ("stage", "user_s", "sys_s", "wall_s", "minflt", "maxrss_mb", "traced_
 
 @contextmanager
 def stage(name: str, trace: bool = True):
-    """Print one row of ``COLUMNS`` for the code run inside the block."""
+    """Print one row of ``COLUMNS`` for the code run inside the block.
+
+    Yields a dict; a traced stage sets its ``traced_bytes`` on leaving the block.
+    """
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    result = {}
     if trace:
         tracemalloc.start()
     try:
-        yield
-        traced = f"{tracemalloc.get_traced_memory()[1] / 2**20:.1f}" if trace else "-"
+        yield result
+        if trace:
+            result["traced_bytes"] = tracemalloc.get_traced_memory()[1]
+        traced = f"{result['traced_bytes'] / 2**20:.1f}" if trace else "-"
     finally:
         if trace:
             tracemalloc.stop()
@@ -136,8 +144,10 @@ def main(argv=None) -> int:
     with stage("init_state"):
         state = init_state(graph, config)
     edges = graph.edge_columns()
-    with stage(f"{args.epochs} epochs"):
+    with stage(f"{args.epochs} epochs") as epochs:
         _train_loop(graph, state, config, edges, lambda _epoch: len(edges))
+    nd = graph.num_nodes * config.embed_dim
+    print(f"# {args.epochs} epochs: traced peak {epochs['traced_bytes'] / (8 * nd):.1f} n*d floats")
     print(
         f"# {graph.num_nodes} nodes, {graph.edge_count} edges, "
         f"{report.stats.balanced} balanced and {report.stats.unbalanced} unbalanced triangles, "

@@ -225,10 +225,12 @@ def _forward(
     """Embeddings Z plus per-layer caches; ``layer0`` reuses precomputed layer-1 inputs.
 
     Each layer's two GEMMs write into the halves of one ``(n, 2d)`` array and
-    ReLU runs in place, so the last layer's array is Z.  With ``keep_caches``
-    each layer appends ``(x_pos, x_neg, active)``: its two inputs and the
-    boolean ReLU mask ``pre-activation > 0`` over both halves, all that the
-    backward pass reads of the pre-activations.
+    ReLU runs in place, so the last layer's array is Z.  A deeper layer
+    copies the previous layer's output into its two ``(n, 3d)`` inputs and
+    frees it before allocating its own, so no two outputs are held at once.
+    With ``keep_caches`` each layer appends ``(x_pos, x_neg, active)``: its
+    two inputs and the boolean ReLU mask ``pre-activation > 0`` over both
+    halves, all that the backward pass reads of the pre-activations.
     """
     n, d = state.num_nodes, state.embed_dim
     h_pos = h_neg = None
@@ -247,6 +249,7 @@ def _forward(
             x_neg[:, :d] = a_pos @ h_neg
             x_neg[:, d : 2 * d] = a_neg @ h_pos
             x_neg[:, 2 * d :] = h_neg
+            del z, h_pos, h_neg  # the inputs hold all this layer reads of them
         z = np.empty((n, 2 * d))
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(x_pos, w_pos.T, out=z[:, :d])
@@ -382,10 +385,29 @@ def mlg_loss(
     return _loss_and_mlg_grads(z, theta, *_as_index_arrays(samples))[0]
 
 
+# rows of dZ per block of the loss's second product (at least 2); bounds that temporary
+_LOSS_BLOCK_ROWS = 1024
+
+
 def _loss_and_mlg_grads(
-    z: np.ndarray, theta: np.ndarray, u: np.ndarray, v: np.ndarray, cls: np.ndarray
+    z: np.ndarray,
+    theta: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    cls: np.ndarray,
+    dz_out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. theta and Z for one full batch."""
+    """Loss plus gradients w.r.t. theta and Z for one full batch.
+
+    dZ is ``mu @ theta_top.T + mv @ theta_bot.T``, where ``mu`` and ``mv``
+    sum each pair's logit gradients into its ``u`` and ``v`` rows.  It is
+    written into ``dz_out`` when given (a fresh array otherwise), and the
+    second product is added ``_LOSS_BLOCK_ROWS`` rows at a time, so no whole
+    ``(n, zdim)`` temporary is made.  ``dz_out`` may be ``z`` itself: the
+    theta gradient is Z's last read, and it is computed before dZ is
+    written.  ``_train_loop`` passes Z, so the loss holds no array of Z's
+    size beside it.
+    """
     m = len(u)
     zdim = z.shape[1]
     rows = np.arange(m)
@@ -403,8 +425,14 @@ def _loss_and_mlg_grads(
     mu = _scatter_rows(u, dlogits, z.shape[0])
     mv = _scatter_rows(v, dlogits, z.shape[0])
     g_theta = np.vstack([z.T @ mu, z.T @ mv])
-    dz = mu @ theta[:zdim].T
-    dz += mv @ theta[zdim:].T
+    dz = np.matmul(mu, theta[:zdim].T, out=dz_out)
+    theta_bot = theta[zdim:].T
+    # a last block of one row joins the one before it: numpy multiplies a
+    # single row by gemv, which can round otherwise than the whole gemm
+    n = len(dz)
+    bounds = [*range(0, max(n - 1, 1), _LOSS_BLOCK_ROWS), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        dz[lo:hi] += mv[lo:hi] @ theta_bot
     return loss, g_theta, dz
 
 
@@ -507,7 +535,8 @@ def _train_loop(
 
     Epoch t trains on the first ``size_for_epoch(t)`` samples plus an equal
     number of freshly drawn no-edge pairs; plain training uses the full
-    length every epoch.
+    length every epoch.  Each array is released after its last read: the
+    loss writes dZ over Z, and the backward pass pops the layer caches.
     """
     a_pos, a_neg = _adjacency_pair(graph)
     rng = _rng(config.seed, stream=1)
@@ -526,14 +555,13 @@ def _train_loop(
             cls = np.concatenate([cls, np.full(len(qu), CLASS_NONE, dtype=np.int64)])
         try:
             z, caches = _forward(a_pos, a_neg, state, keep_caches=True, layer0=layer0)
-            loss, g_theta, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls)
+            loss, g_theta, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls, dz_out=z)
         except FloatingPointError as exc:
             raise TrainingDivergedError(epoch) from exc
-        del z  # the loss has taken what it needs; free Z before the backward
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
         g_pos, g_neg = _backward(a_pos.T, a_neg.T, state, caches, dz[:, :d], dz[:, d:])
-        del caches, dz  # so the next epoch's forward does not run beside them
+        del caches, z, dz  # so the next epoch's forward does not run beside them
         opt.step([*g_pos, *g_neg, g_theta])
         state.loss_history.append(loss)
     state.epochs_trained += config.epochs

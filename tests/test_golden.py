@@ -9,8 +9,8 @@ graph, the ``stats`` and ``balance-report`` CLI outputs and the ``augment``
 ``stats --split-ratio``, ``balance-report`` and per-edge CSV outputs on a
 sign-tsv file with a hub and thousands of triangles.  A mid-scale graph
 (1,000 nodes, 4,000 edges, planted bad actors) pins ``baseline`` and
-``sga`` runs whose scans and kernels span many blocks, at the default work
-budgets and at small ones.  On the first graph,
+``sga`` runs whose scans, kernels and encoder batches span many blocks, at
+the default work budgets and at small ones.  On the first graph,
 ``augment --seed k`` must also write the augmented edges of
 ``run --pipeline sa-only --seed k``.  A refactor must leave them
 unchanged; a change that moves them on purpose says why in CHANGES.md and
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import bad_actor_records, community_records, hub_records
-from sigaug import balance
+from sigaug import balance, encoder
 from sigaug.augment import AugmentConfig
 from sigaug.cli import main
 from sigaug.curriculum import schedule_to_csv
@@ -350,13 +350,15 @@ def _mid_scale_digests() -> dict[str, str]:
 @pytest.mark.parametrize("budgets", ["default", "small"])
 def test_mid_scale_runs_are_golden(budgets):
     # small budgets split the triangle kernel and the two-hop scan into
-    # hundreds of blocks; the outputs must not depend on where they split
+    # hundreds of blocks, and the loss's 1,000 rows into 333 + 333 + 334;
+    # the outputs must not depend on where they split
     expected = {k: v for k, v in GOLDEN_MID_SCALE.items() if k != "records"}
     if budgets == "default":
         assert _mid_scale_digests() == expected
         return
     with mock.patch.object(balance, "_CHUNK_WORK", 1 << 8), \
-            mock.patch.object(importlib.import_module("sigaug.augment"), "_SCAN_WORK", 1 << 10):
+            mock.patch.object(importlib.import_module("sigaug.augment"), "_SCAN_WORK", 1 << 10), \
+            mock.patch.object(encoder, "_LOSS_BLOCK_ROWS", 333):
         assert _mid_scale_digests() == expected
 
 
