@@ -31,6 +31,10 @@ log = logging.getLogger(__name__)
 # two-hop paths per block of scanned rows; bounds the pairs held at once
 _SCAN_WORK = 1 << 16
 
+# augmentation that leaves a sign with less than this share of its training
+# edges is logged: the scorer is likely under-trained, not the edges wrong
+_STRIPPED_SHARE = 0.5
+
 
 @dataclass
 class AugmentConfig:
@@ -214,6 +218,29 @@ def select_beneficial(
     )
 
 
+def _log_stripped_signs(
+    train: EdgeColumns, augmented: EdgeColumns, logrec: AugmentationLog, aug_cfg: AugmentConfig
+) -> None:
+    """Warn once if ``augmented`` keeps less than ``_STRIPPED_SHARE`` of a sign's training edges."""
+    stripped = []
+    for sign, name, deleted, added, eps_del in [
+        (POS, "positive", logrec.deleted_pos, logrec.added_pos, aug_cfg.eps_del_pos),
+        (NEG, "negative", logrec.deleted_neg, logrec.added_neg, aug_cfg.eps_del_neg),
+    ]:
+        before = int(np.count_nonzero(train.sign == sign))
+        after = int(np.count_nonzero(augmented.sign == sign))
+        if after < _STRIPPED_SHARE * before:
+            stripped.append(
+                f"{after} of {before} {name} training edges remain ({deleted} deleted below "
+                f"eps_del_{name[:3]}={eps_del:g}, {added} added)"
+            )
+    if stripped:
+        log.warning(
+            "augmentation stripped a sign: %s; the default thresholds assume a trained scorer",
+            "; ".join(stripped),
+        )
+
+
 def augment(
     graph: SignedGraph,
     train: Sequence[EdgeSample],
@@ -227,7 +254,9 @@ def augment(
     candidates.  A ``graph`` that lacks a training pair, holds one with the
     other sign, or holds an edge that no training record names raises
     ``ValueError``.  Returns the augmented edges, the log, and the graph of
-    the augmented edges over the same node universe.
+    the augmented edges over the same node universe.  Logs one warning when
+    the augmented edges hold less than ``_STRIPPED_SHARE`` of the training
+    edges of a sign.
     """
     edges = _canonical(train)
     at = graph.edge_index(edges.u, edges.v)
@@ -243,6 +272,7 @@ def augment(
     logrec.candidate_additions = len(candidates.additions)
     logrec.candidate_deletions = len(candidates.deletions)
     augmented = select_beneficial(edges, candidates, log_counts=logrec)
+    _log_stripped_signs(edges, augmented, logrec, aug_cfg)
 
     after_graph = graph_from_samples(augmented, graph.num_nodes)
     logrec.bd_before = balance_report(graph).balance_degree

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bad_actor_records,
     brute_force_triangles,
     candidate_sets,
     community_records,
@@ -32,6 +33,7 @@ from sigaug.encoder import (
     pair_class_probabilities,
     train_encoder,
 )
+from sigaug.evalbench import report_payload, run_experiment
 from sigaug.graph import EdgeColumns, EdgeSample, graph_from_samples
 
 # the module itself: the package exports a function of the same name
@@ -514,3 +516,24 @@ def test_augment_log_counts_consistent(small_community):
     # the returned graph holds exactly the augmented edges
     assert after.num_nodes == g.num_nodes
     assert list(after.edge_columns()) == sorted(out)
+
+
+def test_augment_warns_when_it_strips_a_sign_and_outputs_stay(caplog):
+    # 10 pre-training epochs leave the scorer under-trained: at the default
+    # thresholds it deletes nearly every negative training edge and adds none
+    edges = bad_actor_records()
+    enc = EncoderConfig(embed_dim=16, epochs=10)
+    with caplog.at_level(logging.WARNING, logger="sigaug.augment"):
+        logged = run_experiment(edges, "sga", [0], enc_cfg=enc)
+    assert [r.getMessage() for r in caplog.records] == [
+        "augmentation stripped a sign: 3 of 270 negative training edges remain "
+        "(267 deleted below eps_del_neg=0.2, 0 added); "
+        "the default thresholds assume a trained scorer"
+    ]
+    logging.disable(logging.CRITICAL)
+    try:
+        silent = run_experiment(edges, "sga", [0], enc_cfg=enc)
+    finally:
+        logging.disable(logging.NOTSET)
+    assert report_payload(logged) == report_payload(silent)
+    assert list(logged.results[0].final_train) == list(silent.results[0].final_train)

@@ -85,8 +85,11 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("pipeline", ["baseline", "sga"])
-def test_run_report_and_schedule_are_golden(pipeline, tmp_path):
-    report = run_experiment(EDGES, pipeline, [3], enc_cfg=ENCODER, aug_cfg=AUGMENT)
+def test_run_report_and_schedule_are_golden(pipeline, tmp_path, caplog):
+    with caplog.at_level("WARNING", logger="sigaug.augment"):
+        report = run_experiment(EDGES, pipeline, [3], enc_cfg=ENCODER, aug_cfg=AUGMENT)
+    # this run keeps most edges of both signs
+    assert not [r for r in caplog.records if "stripped a sign" in r.getMessage()]
     payload = json.dumps(report_payload(report), sort_keys=True).encode()
     schedule_csv = tmp_path / "schedule.csv"
     schedule_to_csv(report.results[0].schedule, schedule_csv)
