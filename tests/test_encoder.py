@@ -287,29 +287,6 @@ def test_mlg_grads_scatter_matches_add_at_bit_for_bit():
     assert np.array_equal(got[2], expected[2])
 
 
-def whole_product_mlg_grads(z, theta, u, v, cls):
-    """_loss_and_mlg_grads with a fresh dZ made of two whole (n, zdim) products."""
-    m = len(u)
-    zdim = z.shape[1]
-    rows = np.arange(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dlogits = _pair_logits(z, theta, u, v)
-        dlogits -= dlogits.max(axis=1, keepdims=True)
-        true_shifted = dlogits[rows, cls]
-        np.exp(dlogits, out=dlogits)
-        norm = dlogits.sum(axis=1)
-        loss = float((np.log(norm) - true_shifted).mean())
-    dlogits /= norm[:, None]
-    dlogits[rows, cls] -= 1.0
-    dlogits /= m
-    mu = encoder._scatter_rows(u, dlogits, z.shape[0])
-    mv = encoder._scatter_rows(v, dlogits, z.shape[0])
-    g_theta = np.vstack([z.T @ mu, z.T @ mv])
-    dz = mu @ theta[:zdim].T
-    dz += mv @ theta[zdim:].T
-    return loss, g_theta, dz
-
-
 @st.composite
 def loss_batches(draw):
     block = draw(st.sampled_from([2, 4, 7, 16]))
@@ -329,7 +306,7 @@ def test_loss_written_over_z_matches_whole_products_bit_for_bit(batch):
     z = np.abs(rng.standard_normal((n, zdim)))  # a ReLU output
     theta = rng.standard_normal((2 * zdim, 3))
     u, v, cls = rng.integers(0, n, size=m), rng.integers(0, n, size=m), rng.integers(0, 3, size=m)
-    expected = whole_product_mlg_grads(z, theta, u, v, cls)
+    expected = add_at_mlg_grads(z, theta, u, v, cls)  # two whole products
     with mock.patch.object(encoder, "_LOSS_BLOCK_ROWS", block):
         fresh = _loss_and_mlg_grads(z, theta, u, v, cls)
         loss, g_theta, dz = _loss_and_mlg_grads(z, theta, u, v, cls, dz_out=z)
