@@ -12,13 +12,15 @@ balance``: the edge mask and ``BalanceReport.within``, after the split is
 drawn; a ``#`` line after its row gives the size of ``report.triangles``),
 the per-edge CSV that ``sigaug balance-report --per-edge-csv`` writes (into
 the same temporary directory), the encoder's initial state (spectral
-features) and ``--epochs`` training epochs, whose traced peak a ``#`` line
-after their row also gives in n·d floats (n nodes, embedding width d, 8
-bytes a float).  For each stage it prints the
+features) and ``--epochs`` training epochs.  For each stage it prints the
 user and system CPU seconds, the wall seconds and the minor page faults the
 stage took, the process's maximum resident set size so far, all from
 ``getrusage``, and the peak of the memory traced by ``tracemalloc`` during
-the stage.  Generation, which is pure Python, is not traced, nor is the
+the stage, above what was traced when it began.  The initial state and the
+epochs are traced as one span, so the epochs row counts the frees of
+arrays that ``init_state`` made, and a ``#`` line after the epochs row
+gives the span's peak in n·d floats (n nodes, embedding width d, 8 bytes a
+float).  Generation, which is pure Python, is not traced, nor is the
 split balance.  Nor are the load, the build and the CSV write: tracing their
 many small Python objects would swamp their CPU figures, so each runs a
 second time, traced, and that row (``..., traced``) gives only its traced
@@ -51,19 +53,27 @@ COLUMNS = ("stage", "user_s", "sys_s", "wall_s", "minflt", "maxrss_mb", "traced_
 def stage(name: str, trace: bool = True):
     """Print one row of ``COLUMNS`` for the code run inside the block.
 
-    Yields a dict; a traced stage sets its ``traced_bytes`` on leaving the block.
+    Yields a dict; a traced stage sets ``peak_bytes``, the traced peak, and
+    ``traced_bytes``, that peak above the traced memory at the block's
+    start, on leaving the block.  Inside a span that is already tracing
+    (see ``main``), the stage resets the peak and leaves tracing on.
     """
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     result = {}
-    if trace:
+    spanned = tracemalloc.is_tracing()
+    if trace and spanned:
+        tracemalloc.reset_peak()
+    elif trace:
         tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0] if trace else 0
     try:
         yield result
         if trace:
-            result["traced_bytes"] = tracemalloc.get_traced_memory()[1]
+            result["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+            result["traced_bytes"] = result["peak_bytes"] - base
         traced = f"{result['traced_bytes'] / 2**20:.1f}" if trace else "-"
     finally:
-        if trace:
+        if trace and not spanned:
             tracemalloc.stop()
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
@@ -141,13 +151,20 @@ def main(argv=None) -> int:
             _write_per_edge_csv(report, per_edge)
         with stage("per-edge CSV, traced"):
             _write_per_edge_csv(report, per_edge)
-    with stage("init_state"):
-        state = init_state(graph, config)
     edges = graph.edge_columns()
-    with stage(f"{args.epochs} epochs") as epochs:
-        _train_loop(graph, state, config, edges, lambda _epoch: len(edges))
+    tracemalloc.start()  # one span: init_state's arrays stay traced through the epochs
+    try:
+        with stage("init_state") as init:
+            state = init_state(graph, config)
+        with stage(f"{args.epochs} epochs") as epochs:
+            _train_loop(graph, state, config, edges, lambda _epoch: len(edges))
+    finally:
+        tracemalloc.stop()
+    span_peak = max(init["peak_bytes"], epochs["peak_bytes"])
     nd = graph.num_nodes * config.embed_dim
-    print(f"# {args.epochs} epochs: traced peak {epochs['traced_bytes'] / (8 * nd):.1f} n*d floats")
+    print(
+        f"# init_state and {args.epochs} epochs: traced peak {span_peak / (8 * nd):.1f} n*d floats"
+    )
     print(
         f"# {graph.num_nodes} nodes, {graph.edge_count} edges, "
         f"{report.stats.balanced} balanced and {report.stats.unbalanced} unbalanced triangles, "

@@ -15,9 +15,8 @@ first, is checked against the graph as it evolves and linked if accepted.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +29,9 @@ log = logging.getLogger(__name__)
 
 # two-hop paths per block of scanned rows; bounds the pairs held at once
 _SCAN_WORK = 1 << 16
+
+# the neighbour set of a node with no link of a sign yet; lookups only, never linked into
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
 
 # augmentation that leaves a sign with less than this share of its training
 # edges is logged: the scorer is likely under-trained, not the edges wrong
@@ -162,6 +164,11 @@ def generate_candidates(
     )
 
 
+def _walk(edges: EdgeColumns) -> Iterator[tuple[int, int, int]]:
+    """``(u, v, sign)`` of each record as Python ints, made one record at a time."""
+    return zip(*(memoryview(np.asarray(c, dtype=np.int64)) for c in (edges.u, edges.v, edges.sign)))
+
+
 def select_beneficial(
     train: Sequence[EdgeSample],
     candidates: CandidateSets,
@@ -169,7 +176,7 @@ def select_beneficial(
 ) -> EdgeColumns:
     """Apply deletions, then additions that close only balanced triangles.
 
-    One walk over one working graph, ``nbrs[node, sign]``: the set of a
+    One walk over one working graph: ``nbrs[sign][node]`` is the set of a
     node's neighbours through edges of that sign.  The canonical training
     records come first, in training order: a record whose pair is a
     deletion is counted and dropped, a repeat of a linked pair is dropped
@@ -179,42 +186,56 @@ def select_beneficial(
     would close an unbalanced triangle is rejected, and every other one is
     linked and accepted, so it is visible to every later check.  Returns
     the kept records, then the accepted additions.
+
+    The working graph is held lean: each node id is one int object (ids are
+    mapped through ``list(range(n))``), each per-sign list holds one shared
+    empty set for a node until its first link of that sign creates the
+    node's own set, so a lookup never creates one, the records are read one
+    at a time (``_walk``), and the kept records and accepted additions are
+    marked one byte each.
     """
     counts = log_counts if log_counts is not None else AugmentationLog()
-    nbrs: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
     edges = _canonical(train)
+    additions = _canonical(candidates.additions)
+    n = 1 + max(int(edges.v.max(initial=-1)), int(additions.v.max(initial=-1)))
+    ids = list(range(n))
+    pos: list[set[int] | frozenset[int]] = [_NO_NEIGHBOURS] * n
+    neg: list[set[int] | frozenset[int]] = [_NO_NEIGHBOURS] * n
+    nbrs = {POS: pos, NEG: neg}
+
+    def link(side: list, a: int, b: int) -> None:
+        if side[a] is _NO_NEIGHBOURS:
+            side[a] = {ids[b]}
+        else:
+            side[a].add(ids[b])
+
     deletions = _canonical(candidates.deletions)
     deleted = set(zip(deletions.u.tolist(), deletions.v.tolist()))
-    kept: list[int] = []
-    records = zip(edges.u.tolist(), edges.v.tolist(), edges.sign.tolist())
-    for i, (u, v, sign) in enumerate(records):
+    kept = bytearray(len(edges))
+    for i, (u, v, sign) in enumerate(_walk(edges)):
         if (u, v) in deleted:
             counts.deleted_pos += sign == POS
             counts.deleted_neg += sign == NEG
-        elif v not in nbrs[u, POS] and v not in nbrs[u, NEG]:
-            nbrs[u, sign].add(v)
-            nbrs[v, sign].add(u)
-            kept.append(i)
+        elif v not in pos[u] and v not in neg[u]:
+            link(nbrs[sign], u, v)
+            link(nbrs[sign], v, u)
+            kept[i] = 1
 
-    additions = _canonical(candidates.additions)
-    accepted: list[int] = []
-    proposed = zip(additions.u.tolist(), additions.v.tolist(), additions.sign.tolist())
-    for i, (u, v, sign) in enumerate(proposed):
-        if v in nbrs[u, POS] or v in nbrs[u, NEG]:
+    accepted = bytearray(len(additions))
+    for i, (u, v, sign) in enumerate(_walk(additions)):
+        if v in pos[u] or v in neg[u]:
             continue
         # a common neighbour k with sign(u, k) * sign(k, v) = -sign: an unbalanced triangle
-        if not (
-            nbrs[u, POS].isdisjoint(nbrs[v, -sign]) and nbrs[u, NEG].isdisjoint(nbrs[v, sign])
-        ):
+        if not (pos[u].isdisjoint(nbrs[-sign][v]) and neg[u].isdisjoint(nbrs[sign][v])):
             counts.rejected += 1
             continue
-        nbrs[u, sign].add(v)
-        nbrs[v, sign].add(u)
-        accepted.append(i)
+        link(nbrs[sign], u, v)
+        link(nbrs[sign], v, u)
+        accepted[i] = 1
         counts.added_pos += sign == POS
         counts.added_neg += sign == NEG
     return _concat(
-        edges[np.asarray(kept, dtype=np.int64)], additions[np.asarray(accepted, dtype=np.int64)]
+        edges[np.frombuffer(kept, dtype=bool)], additions[np.frombuffer(accepted, dtype=bool)]
     )
 
 

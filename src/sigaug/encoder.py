@@ -284,8 +284,10 @@ def _backward(
     Consumes ``caches``, the ``(x_pos, x_neg, active)`` tuples of
     ``_forward``: each is popped off the list and released once that
     layer's weight gradients are computed, so the backward pass holds one
-    layer's cache at a time.  ``d_hpos`` and ``d_hneg`` are read, never
-    written.
+    layer's cache at a time.  ``d_hpos`` and ``d_hneg`` are masked in
+    place: each layer multiplies its output gradients by its ReLU mask
+    where they lie, so the caller's arrays (``_train_loop`` passes the
+    halves of dZ) hold the last layer's pre-activation gradients afterwards.
     """
     d = state.embed_dim
     n_layers = state.num_layers
@@ -293,8 +295,9 @@ def _backward(
     g_neg: list[np.ndarray] = [np.empty(0)] * n_layers
     for layer in reversed(range(n_layers)):
         x_pos, x_neg, active = caches.pop()
-        dpre_pos = d_hpos * active[:, :d]
-        dpre_neg = d_hneg * active[:, d:]
+        dpre_pos = np.multiply(d_hpos, active[:, :d], out=d_hpos)
+        dpre_neg = np.multiply(d_hneg, active[:, d:], out=d_hneg)
+        del d_hpos, d_hneg
         g_pos[layer] = dpre_pos.T @ x_pos
         g_neg[layer] = dpre_neg.T @ x_neg
         del x_pos, x_neg, active
@@ -356,14 +359,12 @@ def _pair_logits(z: np.ndarray, theta: np.ndarray, u: np.ndarray, v: np.ndarray)
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``n`` rows by ``index``: the transpose of a gather.
+    """Sum ``values`` into ``n`` entries by ``index``: the transpose of a gather.
 
     Each output starts at 0.0 and adds in index order, bit-identical to
-    ``np.add.at`` on zeros; 2-D values take one ``bincount`` per column.
+    ``np.add.at`` on zeros.
     """
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=n)
-    return np.stack([np.bincount(index, weights=col, minlength=n) for col in values.T], axis=1)
+    return np.bincount(index, weights=values, minlength=n)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -399,6 +400,13 @@ def _loss_and_mlg_grads(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus gradients w.r.t. theta and Z for one full batch.
 
+    The logits are class-major: row c of one ``(3, m)`` array holds every
+    pair's class-c logit, gathered from the two ``(n, 3)`` projections of Z,
+    and is shifted, exponentiated and turned into its logit gradient in
+    place.  Each operation is the row-major one's, element for element and
+    in the same order (the exponentials are summed as (e0 + e1) + e2), so
+    the results are bit-identical to it.
+
     dZ is ``mu @ theta_top.T + mv @ theta_bot.T``, where ``mu`` and ``mv``
     sum each pair's logit gradients into its ``u`` and ``v`` rows.  It is
     written into ``dz_out`` when given (a fresh array otherwise), and the
@@ -409,27 +417,37 @@ def _loss_and_mlg_grads(
     size beside it.
     """
     m = len(u)
-    zdim = z.shape[1]
-    rows = np.arange(m)
+    n, zdim = z.shape
+    z_top = z @ theta[:zdim]
+    z_bot = z @ theta[zdim:]
     with np.errstate(over="ignore", invalid="ignore"):
-        # one (m, 3) array holds the shifted logits, then their exp, then dlogits
-        dlogits = _pair_logits(z, theta, u, v)
-        dlogits -= dlogits.max(axis=1, keepdims=True)
-        true_shifted = dlogits[rows, cls]
+        # one (3, m) array holds the shifted logits, then their exp, then dlogits
+        dlogits = np.empty((3, m))
+        for c in range(3):
+            np.add(z_top[u, c], z_bot[v, c], out=dlogits[c])
+        del z_top, z_bot
+        dlogits -= np.maximum(np.maximum(dlogits[0], dlogits[1]), dlogits[2])
+        true_shifted = np.choose(cls, dlogits)
         np.exp(dlogits, out=dlogits)
-        norm = dlogits.sum(axis=1)
-        loss = float((np.log(norm) - true_shifted).mean())
-    dlogits /= norm[:, None]
-    dlogits[rows, cls] -= 1.0
+        norm = dlogits[0] + dlogits[1]
+        norm += dlogits[2]
+        dlogits /= norm
+        # norm's last read is done: it becomes each pair's loss term
+        np.log(norm, out=norm)
+        norm -= true_shifted
+        loss = float(norm.mean())
+    del norm, true_shifted
+    for c in range(3):
+        np.subtract(dlogits[c], 1.0, out=dlogits[c], where=cls == c)
     dlogits /= m
-    mu = _scatter_rows(u, dlogits, z.shape[0])
-    mv = _scatter_rows(v, dlogits, z.shape[0])
+    mu = np.stack([_scatter_rows(u, row, n) for row in dlogits], axis=1)
+    mv = np.stack([_scatter_rows(v, row, n) for row in dlogits], axis=1)
+    del dlogits
     g_theta = np.vstack([z.T @ mu, z.T @ mv])
     dz = np.matmul(mu, theta[:zdim].T, out=dz_out)
     theta_bot = theta[zdim:].T
     # a last block of one row joins the one before it: numpy multiplies a
     # single row by gemv, which can round otherwise than the whole gemm
-    n = len(dz)
     bounds = [*range(0, max(n - 1, 1), _LOSS_BLOCK_ROWS), n]
     for lo, hi in zip(bounds, bounds[1:]):
         dz[lo:hi] += mv[lo:hi] @ theta_bot
@@ -536,37 +554,51 @@ def _train_loop(
     Epoch t trains on the first ``size_for_epoch(t)`` samples plus an equal
     number of freshly drawn no-edge pairs; plain training uses the full
     length every epoch.  Each array is released after its last read: the
-    loss writes dZ over Z, and the backward pass pops the layer caches.
+    loss writes dZ over Z, the backward pass masks dZ's halves in place and
+    pops the layer caches, and each epoch's no-edge draws go once they are
+    joined to the batch.
+
+    H0 is held once.  The layer-1 inputs ``[A+ H0 | H0]`` and
+    ``[A- H0 | H0]`` both contain it, so while training
+    ``state.input_features`` is the right half of the first of them and the
+    array it held before is freed.  After the last forward pass, or when
+    training raises, it becomes a C-contiguous array of its own again, with
+    the same bits.
     """
     a_pos, a_neg = _adjacency_pair(graph)
     rng = _rng(config.seed, stream=1)
     params = state.parameters()
     opt = _Optimizer(config.learning_rate, params)
     d = state.embed_dim
-    layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
     u_all, v_all, cls_all = _as_index_arrays(samples)
-    for epoch in range(config.epochs):
-        k = min(size_for_epoch(epoch), len(u_all))
-        u, v, cls = u_all[:k], v_all[:k], cls_all[:k]
-        qu, qv = _sample_absent_pairs(rng, graph, k)
-        if len(qu):
-            u = np.concatenate([u, qu])
-            v = np.concatenate([v, qv])
-            cls = np.concatenate([cls, np.full(len(qu), CLASS_NONE, dtype=np.int64)])
-        try:
-            z, caches = _forward(a_pos, a_neg, state, keep_caches=True, layer0=layer0)
-            loss, g_theta, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls, dz_out=z)
-        except FloatingPointError as exc:
-            raise TrainingDivergedError(epoch) from exc
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(epoch)
-        g_pos, g_neg = _backward(a_pos.T, a_neg.T, state, caches, dz[:, :d], dz[:, d:])
-        del caches, z, dz  # so the next epoch's forward does not run beside them
-        opt.step([*g_pos, *g_neg, g_theta])
-        state.loss_history.append(loss)
-    state.epochs_trained += config.epochs
-    z, _ = _forward(a_pos, a_neg, state, layer0=layer0)
-    state.embeddings = z
+    d0 = state.input_features.shape[1]
+    layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
+    state.input_features = layer0[0][:, d0:]
+    try:
+        for epoch in range(config.epochs):
+            k = min(size_for_epoch(epoch), len(u_all))
+            u, v, cls = u_all[:k], v_all[:k], cls_all[:k]
+            qu, qv = _sample_absent_pairs(rng, graph, k)
+            if len(qu):
+                u = np.concatenate([u, qu])
+                v = np.concatenate([v, qv])
+                cls = np.concatenate([cls, np.full(len(qu), CLASS_NONE, dtype=np.int64)])
+            del qu, qv
+            try:
+                z, caches = _forward(a_pos, a_neg, state, keep_caches=True, layer0=layer0)
+                loss, g_theta, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls, dz_out=z)
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(epoch) from exc
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            g_pos, g_neg = _backward(a_pos.T, a_neg.T, state, caches, dz[:, :d], dz[:, d:])
+            del caches, z, dz  # so the next epoch's forward does not run beside them
+            opt.step([*g_pos, *g_neg, g_theta])
+            state.loss_history.append(loss)
+        state.epochs_trained += config.epochs
+        state.embeddings, _ = _forward(a_pos, a_neg, state, layer0=layer0)
+    finally:
+        state.input_features = state.input_features.copy()
     return state
 
 
