@@ -6,11 +6,11 @@ Generates the benchmark's Slashdot-shaped graph (``perfbench/gen.py``, the
 edges, and runs one stage after another in this process: generation,
 ``load_edge_list`` of the graph written as a sign-tsv in a temporary
 directory (the write is not timed), graph build from the generated arrays,
-``balance_report``, the balance of an 80% training split read from that
-report's triangles as ``sigaug stats --split-ratio 0.8`` reads it (``split
-balance``: the edge mask and ``BalanceReport.within``, after the split is
-drawn; a ``#`` line after its row gives the size of ``report.triangles``),
-the per-edge CSV that ``sigaug balance-report --per-edge-csv`` writes (into
+``balance_report``, the balance of an 80% training split counted as
+``sigaug stats --split-ratio 0.8`` counts it (``split balance``: the edge
+mask and ``split_totals``' one kernel pass, after the split is drawn; a
+``#`` line after its row gives the kept and the total triangles), the
+per-edge CSV that ``sigaug balance-report --per-edge-csv`` writes (into
 the same temporary directory), the encoder's initial state (spectral
 features) and ``--epochs`` training epochs.  For each stage it prints the
 user and system CPU seconds, the wall seconds and the minor page faults the
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(REPO / "perfbench"))
     import gen
 
-    from sigaug.balance import balance_report
+    from sigaug.balance import balance_report, split_totals
     from sigaug.cli import _write_per_edge_csv
     from sigaug.encoder import EncoderConfig, _train_loop, init_state
     from sigaug.graph import EdgeColumns, build_graph, load_edge_list, split_train_test
@@ -141,11 +141,8 @@ def main(argv=None) -> int:
         with stage("split balance", trace=False):
             keep = np.zeros(graph.edge_count, dtype=bool)
             keep[split.train_positions] = True
-            kept = report.within(keep)
-        print(
-            f"# split balance: the 80% split keeps {kept.total} of {report.stats.total} "
-            f"triangles; report.triangles holds {report.triangles.nbytes / 2**20:.1f} MB"
-        )
+            whole, kept = split_totals(graph, keep)
+        print(f"# split balance: the 80% split keeps {kept.total} of {whole.total} triangles")
         per_edge = Path(tmp) / "per-edge.csv"
         with stage("per-edge CSV", trace=False):
             _write_per_edge_csv(report, per_edge)

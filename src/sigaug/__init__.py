@@ -27,6 +27,7 @@ from .balance import (  # noqa: F401
     balance_report,
     enumerate_triangles,
     global_balance_degree,
+    split_totals,
 )
 from .encoder import (  # noqa: F401
     EncoderConfig,
@@ -60,7 +61,6 @@ from .evalbench import (  # noqa: F401
     auc_rank,
     bound_value,
     compute_metrics,
-    generalization_diagnostic,
     predict_test_signs,
     random_perturbation,
     run_experiment,

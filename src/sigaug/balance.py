@@ -35,21 +35,21 @@ entries in all, so the product's memory stays bounded however large the
 hub degrees are.  The chunks come from ``graph._budget_runs``, which also
 cuts the candidate scan into row blocks.
 
-The report keeps each triangle once, as the positions of its three edges
-in ``edge_columns()``: one row of a ``(t, 3)`` array, int32 below 2**31
-edges, so 12 bytes per triangle.  A Slashdot-sized graph (500,000 edges)
-has 227,158 triangles, which take 2.6 MB, beside the 7.6 MB of its two
-per-edge count columns.  ``BalanceReport.within(keep)`` totals the
-triangles of the subgraph that keeps the edges a boolean mask selects,
-without a second graph or kernel pass.  It is exact, because a subgraph's
-triangles are exactly the parent's triangles whose three edges it keeps,
-each with the same three signs.  ``sigaug stats --split-ratio`` reads the
-training split's balance degree from it.
+The kernel yields each chunk's triangles as the positions of their three
+edges and whether each is unbalanced, and keeps none of them past the
+chunk.  ``balance_report`` bincounts them into the per-edge columns.
+``split_totals(graph, keep)`` counts, in one kernel pass, the
+triangles of the whole graph and of the subgraph that keeps the edges a
+boolean mask selects.  It is exact without a second graph, because a
+subgraph's triangles are exactly the parent's triangles whose three edges
+it keeps, each with the same three signs.  ``sigaug stats --split-ratio``
+reads the training split's balance degree from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import sparse
@@ -79,11 +79,9 @@ class BalanceReport:
     Edges are listed once as u < v in (u, v) order: ``u``, ``v`` and
     ``sign`` are the graph's own ``edge_columns()`` arrays, so edge (u, v)
     sits at ``graph.edge_index(u, v)`` in every column.
-    ``balanced``/``unbalanced`` count the triangles through each edge.
-    ``triangles`` lists each triangle once, as one row of the positions of
-    its three edges in those columns (int32 below 2**31 edges).  The arrays
-    are read-only because one report is shared by every caller on the same
-    graph.
+    ``balanced``/``unbalanced`` count the triangles through each edge.  The
+    arrays are read-only because one report is shared by every caller on
+    the same graph.
     """
 
     stats: TriangleStats
@@ -92,21 +90,6 @@ class BalanceReport:
     sign: np.ndarray
     balanced: np.ndarray
     unbalanced: np.ndarray
-    triangles: np.ndarray
-
-    def within(self, keep: np.ndarray) -> TriangleStats:
-        """Triangle totals of the subgraph that keeps the edges where ``keep`` is True.
-
-        ``keep`` is a boolean mask over the report's edges.  A subgraph's
-        triangles are exactly this graph's triangles whose three edges it
-        keeps, with the same signs, so the totals are exact.
-        """
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != self.sign.shape:
-            raise ValueError(f"keep must be a boolean mask of {len(self.sign)} edges")
-        kept = self.triangles[keep[self.triangles].all(axis=1)]
-        unbalanced = int(np.count_nonzero(self.sign[kept].prod(axis=1) < 0))
-        return TriangleStats(len(kept) - unbalanced, unbalanced)
 
     @property
     def balance_degree(self) -> float | None:
@@ -127,16 +110,12 @@ def _local_degree(balanced: np.ndarray, unbalanced: np.ndarray) -> np.ndarray:
     return np.divide(balanced - unbalanced, total, out=np.ones(len(total)), where=total > 0)
 
 
-def _position_dtype(m: int) -> type:
-    """The narrowest dtype this module stores edge positions in, for a graph of m edges."""
-    return np.int32 if m < 2**31 else np.int64
-
-
 def _out_rows(graph: SignedGraph) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Each edge pointed from its lower- to its higher-ranked end, as CSR out-rows.
 
     Nodes rank by (degree, id).  Edge a -> b is column b of row a, with data
-    its position in ``edge_columns()`` + 1.  Also returns the out-degrees.
+    its position in ``edge_columns()`` + 1 (int32 below 2**31 edges).  Also
+    returns the out-degrees.
     """
     edges = graph.edge_columns()
     u, v = edges.u, edges.v
@@ -147,16 +126,16 @@ def _out_rows(graph: SignedGraph) -> tuple[sparse.csr_matrix, np.ndarray]:
     tail, head = np.where(up, u, v), np.where(up, v, u)
     order = np.argsort(tail * n + head)
     outdeg = np.bincount(tail, minlength=n)
-    position = order.astype(_position_dtype(m)) + 1
+    position = order.astype(np.int32 if m < 2**31 else np.int64) + 1
     indptr = np.concatenate(([0], np.cumsum(outdeg)))
     return sparse.csr_matrix((position, head[order], indptr), shape=(n, n)), outdeg
 
 
-def _incident_triangles(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-edge (balanced, unbalanced) triangle counts, and every triangle's edges.
+def _triangle_chunks(graph: SignedGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every triangle once, chunk by chunk: a ``(3, t)`` array and a length-t mask.
 
-    The counts are in ``edge_columns()`` order.  The triangles are a
-    ``(t, 3)`` array of edge positions, one row per triangle.
+    The array holds the positions in ``edge_columns()`` of each triangle's
+    three edges, one column per triangle; the mask marks the unbalanced ones.
     """
     edges = graph.edge_columns()
     u, v, sign = edges.u, edges.v, edges.sign
@@ -165,31 +144,28 @@ def _incident_triangles(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.
     pattern = sparse.csr_matrix(
         (np.ones(m, dtype=np.int8), out.indices, out.indptr), shape=out.shape, copy=False
     )
-    both = np.zeros(m, dtype=np.int64)  # b + ub
-    unbalanced = np.zeros(m, dtype=np.int64)
-    position = _position_dtype(m)
-    found = [np.empty((0, 3), dtype=position)]
     for lo, hi in _budget_runs(outdeg[u] + outdeg[v], _CHUNK_WORK):
         # one stored entry per triangle {u, v, c} whose top-ranked node is c
         common = out[u[lo:hi]].multiply(pattern[v[lo:hi]]).tocsr()
         uv = np.repeat(np.arange(lo, hi), np.diff(common.indptr))
         uc = common.data - 1
         vc = graph.edge_index(v[uv], common.indices)
-        triangles = np.column_stack((uv, uc, vc)).astype(position)
-        odd = np.repeat(sign[uv] * sign[uc] * sign[vc] < 0, 3)
-        both += np.bincount(triangles.ravel(), minlength=m)
-        unbalanced += np.bincount(triangles.ravel()[odd], minlength=m)
-        found.append(triangles)
-    return both - unbalanced, unbalanced, np.concatenate(found)
+        yield np.stack((uv, uc, vc)), sign[uv] * sign[uc] * sign[vc] < 0
 
 
 def _compute_report(graph: SignedGraph) -> BalanceReport:
     edges = graph.edge_columns()
-    balanced, unbalanced, triangles = _incident_triangles(graph)
-    for column in (balanced, unbalanced, triangles):
+    m = graph.edge_count
+    both = np.zeros(m, dtype=np.int64)  # b + ub
+    unbalanced = np.zeros(m, dtype=np.int64)
+    for triangles, odd in _triangle_chunks(graph):
+        both += np.bincount(triangles.ravel(), minlength=m)
+        unbalanced += np.bincount(triangles[:, odd].ravel(), minlength=m)
+    balanced = both - unbalanced
+    for column in (balanced, unbalanced):
         column.flags.writeable = False
     stats = TriangleStats(int(balanced.sum()) // 3, int(unbalanced.sum()) // 3)
-    return BalanceReport(stats, edges.u, edges.v, edges.sign, balanced, unbalanced, triangles)
+    return BalanceReport(stats, edges.u, edges.v, edges.sign, balanced, unbalanced)
 
 
 def balance_report(graph: SignedGraph) -> BalanceReport:
@@ -208,6 +184,27 @@ def balance_report(graph: SignedGraph) -> BalanceReport:
 def enumerate_triangles(graph: SignedGraph) -> TriangleStats:
     """Balanced/unbalanced totals, each unordered triangle counted once."""
     return balance_report(graph).stats
+
+
+def split_totals(graph: SignedGraph, keep: np.ndarray) -> tuple[TriangleStats, TriangleStats]:
+    """Triangle totals of the whole graph and of its subgraph of the edges ``keep`` marks.
+
+    ``keep`` is a boolean mask over ``graph.edge_columns()``.  A subgraph's
+    triangles are exactly this graph's triangles whose three edges it keeps,
+    with the same signs, so both totals come exactly from one kernel pass.
+    """
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != (graph.edge_count,):
+        raise ValueError(f"keep must be a boolean mask of {graph.edge_count} edges")
+    total = unbalanced = kept_total = kept_unbalanced = 0
+    for triangles, odd in _triangle_chunks(graph):
+        kept = keep[triangles].all(axis=0)
+        total += len(odd)
+        unbalanced += int(np.count_nonzero(odd))
+        kept_total += int(np.count_nonzero(kept))
+        kept_unbalanced += int(np.count_nonzero(kept & odd))
+    return (TriangleStats(total - unbalanced, unbalanced),
+            TriangleStats(kept_total - kept_unbalanced, kept_unbalanced))
 
 
 def global_balance_degree(stats: TriangleStats) -> float | None:

@@ -224,12 +224,21 @@ def _prepare_run(
 def cmd_stats(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .balance import balance_report, global_balance_degree
+    from .balance import balance_report, global_balance_degree, split_totals
     from .graph import _density, density, record_density, split_train_test
 
     path, loaded, graph, build_stats = _load_graph(_config_from_args(args))
-    report = balance_report(graph)
-    bd = report.balance_degree
+    if args.split_ratio is None:
+        stats = balance_report(graph).stats
+    else:
+        split = split_train_test(graph.edge_columns(), args.split_ratio, args.split_seed)
+        keep = np.zeros(graph.edge_count, dtype=bool)
+        keep[split.train_positions] = True
+        train_edges = len(split.train)
+        del split  # the kernel pass below needs only the mask
+        # the split's triangles are the graph's triangles whose three edges it keeps
+        stats, kept = split_totals(graph, keep)
+    bd = global_balance_degree(stats)
     out = {
         "dataset": str(path),
         "nodes": loaded.num_nodes,
@@ -245,20 +254,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "self_loops_dropped": loaded.self_loops_dropped,
         "conflicting_pairs_dropped": build_stats.conflicts_dropped,
         "merged_duplicate_pairs": build_stats.merged_pairs,
-        "balanced_triangles": report.stats.balanced,
-        "unbalanced_triangles": report.stats.unbalanced,
+        "balanced_triangles": stats.balanced,
+        "unbalanced_triangles": stats.unbalanced,
         "balance_degree": None if bd is None else round(bd, 6),
     }
     if args.split_ratio is not None:
-        split = split_train_test(graph.edge_columns(), args.split_ratio, args.split_seed)
-        # the split's triangles are the graph's triangles whose three edges it keeps
-        keep = np.zeros(graph.edge_count, dtype=bool)
-        keep[split.train_positions] = True
-        tbd = global_balance_degree(report.within(keep))
+        tbd = global_balance_degree(kept)
         out["train_split_ratio"] = args.split_ratio
         out["train_split_seed"] = args.split_seed
-        out["train_split_edges"] = len(split.train)
-        out["train_split_density"] = _density(len(split.train), graph.num_nodes)
+        out["train_split_edges"] = train_edges
+        out["train_split_density"] = _density(train_edges, graph.num_nodes)
         out["train_split_balance_degree"] = None if tbd is None else round(tbd, 6)
     _print(out, args.json)
     return 0

@@ -60,10 +60,13 @@ class PacingConfig:
 
 @dataclass
 class CurriculumSchedule:
-    """Canonical edge columns sorted by (difficulty ascending, u, v) with parallel scores."""
+    """Canonical edge columns sorted by (difficulty ascending, u, v) with parallel scores.
+
+    ``difficulties`` is a float64 array; readers take any float sequence.
+    """
 
     ordered_edges: EdgeColumns
-    difficulties: list[float]
+    difficulties: np.ndarray
 
 
 def pacing(t: int, config: PacingConfig) -> float:
@@ -91,7 +94,7 @@ def score_and_sort(graph: SignedGraph, train: Sequence[EdgeSample]) -> Curriculu
     # the report lists the edges as edge_columns() does
     difficulty = balance_report(graph).difficulty[at]
     order = np.lexsort((v, u, difficulty))
-    return CurriculumSchedule(ordered_edges=edges[order], difficulties=difficulty[order].tolist())
+    return CurriculumSchedule(ordered_edges=edges[order], difficulties=difficulty[order])
 
 
 def subset_size(n_edges: int, t: int, config: PacingConfig) -> int:

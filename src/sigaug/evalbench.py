@@ -300,32 +300,20 @@ def _binary_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
-def generalization_diagnostic(
-    state: EncoderState,
-    train: Sequence[EdgeSample],
-    test: Sequence[EdgeSample],
-    constants: GapConstants | None = None,
-) -> GapDiagnostic:
-    """Empirical train/test gap of the downstream classifier plus the bound.
-
-    Train/test error is the mean binary cross-entropy of the logistic sign
-    classifier, so the training set must hold both signs, as for
-    ``predict_test_signs``; beta is max|Z| and theta the recorded initial
-    weight norm.
-    """
-    scores, labels = predict_test_signs(state, train, _concat(train, test))
-    return _gap_diagnostic(state, scores, labels, len(train), constants)
-
-
 def _gap_diagnostic(
     state: EncoderState,
     scores: np.ndarray,
     labels: np.ndarray,
     n_train: int,
-    constants: GapConstants | None,
+    constants: GapConstants,
 ) -> GapDiagnostic:
-    """The diagnostic from one head's scores of the train edges followed by the test edges."""
-    constants = constants or GapConstants()
+    """Empirical train/test gap of the downstream classifier plus the bound.
+
+    ``scores`` and ``labels`` are one sign head's output on the first
+    ``n_train`` (train) edges followed by the test edges.  Train/test error
+    is their mean binary cross-entropy; beta is max|Z| and theta the
+    recorded initial weight norm.
+    """
     train_err = _binary_cross_entropy(scores[:n_train], labels[:n_train])
     test_err = _binary_cross_entropy(scores[n_train:], labels[n_train:])
     beta = float(np.abs(state.embeddings).max())

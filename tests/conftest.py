@@ -153,8 +153,8 @@ def kernel_calls(monkeypatch):
     from sigaug import balance
 
     calls = []
-    kernel = balance._incident_triangles
-    monkeypatch.setattr(balance, "_incident_triangles",
+    kernel = balance._triangle_chunks
+    monkeypatch.setattr(balance, "_triangle_chunks",
                         lambda *args: calls.append(1) or kernel(*args))
     return calls
 

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _brute_force_triangle_scan,
     brute_force_edge_triangles,
     brute_force_triangles,
     hub_records,
@@ -18,6 +17,7 @@ from sigaug.balance import (
     balance_report,
     enumerate_triangles,
     global_balance_degree,
+    split_totals,
 )
 from sigaug.graph import EdgeSample, graph_from_samples, split_train_test
 
@@ -295,21 +295,6 @@ def test_balance_report_is_computed_once_per_graph(kernel_calls):
         first.balanced[0] = 5  # shared between callers, so read-only
 
 
-def test_report_keeps_each_triangle_once_as_its_edge_positions():
-    rng = np.random.default_rng(13)
-    edges = random_signed_records(rng, 30, edge_prob=0.3)
-    g = graph_of(edges, 30)
-    report = balance_report(g)
-    triangles = report.triangles
-    assert triangles.dtype == np.int32 and triangles.shape == (report.stats.total, 3)
-    assert not triangles.flags.writeable
-    nodes = np.concatenate((report.u[triangles], report.v[triangles]), axis=1)
-    balanced = report.sign[triangles].prod(axis=1) > 0
-    found = [(*sorted(set(row)), b) for row, b in zip(nodes.tolist(), balanced.tolist())]
-    # the scan lists each triangle once, as (i, j, k, balanced) with i < j < k
-    assert sorted(found) == sorted(_brute_force_triangle_scan(edges, 30))
-
-
 @st.composite
 def splittable_graphs(draw):
     """(edges, num_nodes) of a random graph with at least 2 edges."""
@@ -332,7 +317,7 @@ _TRAIN = st.one_of(st.tuples(st.floats(0.01, 0.99), st.integers(0, 2**16)), st.b
 @example(_complete(6, -1), (0.8, 3))  # all negative: every kept triangle unbalanced
 @example(_K6_AND_STAR, False)  # empty mask
 @example(_K6_AND_STAR, True)  # all-true mask
-def test_within_equals_the_report_of_the_kept_subgraph(graph_spec, train):
+def test_split_totals_equal_the_reports_of_the_graph_and_the_kept_subgraph(graph_spec, train):
     edges, n = graph_spec
     g = graph_of(edges, n)
     columns = g.edge_columns()
@@ -347,12 +332,16 @@ def test_within_equals_the_report_of_the_kept_subgraph(graph_spec, train):
         keep = np.zeros(g.edge_count, dtype=bool)
         keep[split.train_positions] = True
         kept = split.train
-    assert balance_report(g).within(keep) == balance_report(graph_from_samples(kept, n)).stats
+    whole, within = split_totals(g, keep)
+    assert whole == balance_report(g).stats
+    assert within == balance_report(graph_from_samples(kept, n)).stats
 
 
-def test_within_refuses_anything_but_a_mask_of_every_edge():
-    report = balance_report(graph_of(*_complete(4, 1)))
-    assert report.within(np.ones(6, dtype=bool)) == report.stats
+def test_split_totals_refuse_anything_but_a_mask_of_every_edge(kernel_calls):
+    g = graph_of(*_complete(4, 1))
+    assert split_totals(g, np.ones(6, dtype=bool)) == (balance_report(g).stats,) * 2
+    kernel_calls.clear()
     for keep in (np.ones(5, dtype=bool), np.ones(6, dtype=np.int64), np.arange(3)):
         with pytest.raises(ValueError, match="boolean mask of 6 edges"):
-            report.within(keep)
+            split_totals(g, keep)
+    assert kernel_calls == []  # refused before the kernel runs

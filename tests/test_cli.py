@@ -50,6 +50,14 @@ def test_stats_split_section(dataset_file_path, capsys):
     assert payload["train_split_edges"] < payload["unique_edges"]
 
 
+@pytest.mark.parametrize("split", [[], ["--split-ratio", "0.8"]], ids=["whole", "split"])
+def test_stats_evaluates_the_balance_kernel_once(dataset_file_path, kernel_calls, split, capsys):
+    # with a split, one pass totals both the graph's and the split's triangles
+    assert main(["stats", "--dataset", str(dataset_file_path), "--json", *split]) == 0
+    capsys.readouterr()
+    assert len(kernel_calls) == 1
+
+
 def test_stats_missing_dataset_exits_2(capsys):
     assert main(["stats", "--dataset", "no-such-file.csv"]) == 2
     assert "error" in capsys.readouterr().err

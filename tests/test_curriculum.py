@@ -50,7 +50,7 @@ def test_score_and_sort_triangle_free_is_lexicographic():
     edges = [EdgeSample(3, 4, 1), EdgeSample(0, 5, -1), EdgeSample(1, 2, 1)]
     g = graph_from_samples(edges, 6)
     schedule = score_and_sort(g, edges)
-    assert schedule.difficulties == [0.0, 0.0, 0.0]
+    assert np.array_equal(schedule.difficulties, [0.0, 0.0, 0.0])
     assert [(e.u, e.v) for e in schedule.ordered_edges] == [(0, 5), (1, 2), (3, 4)]
 
 
@@ -65,8 +65,7 @@ def test_score_and_sort_unbalanced_edges_last():
     ]
     g = graph_from_samples(edges, 8)
     schedule = score_and_sort(g, edges)
-    assert schedule.difficulties[:3] == [0.0, 0.0, 0.0]
-    assert schedule.difficulties[3:] == [1.0, 1.0, 1.0]
+    assert np.array_equal(schedule.difficulties, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     assert {e.pair for e in schedule.ordered_edges[3:]} == {(5, 6), (5, 7), (6, 7)}
 
 
@@ -90,7 +89,8 @@ def test_score_and_sort_hand_instance():
         (0, 2),
         (1, 2),
     ]
-    assert schedule.difficulties == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert schedule.difficulties.dtype == np.float64
+    assert np.array_equal(schedule.difficulties, [0.0, 0.0, 0.5, 1.0, 1.0])
 
 
 def test_score_and_sort_requires_edges_present():
@@ -111,7 +111,7 @@ def test_score_and_sort_is_stable_permutation():
     g = graph_from_samples(edges, 5)
     schedule = score_and_sort(g, list(reversed(edges)))
     assert sorted(schedule.ordered_edges) == sorted(edges)
-    assert schedule.difficulties == sorted(schedule.difficulties)
+    assert np.array_equal(schedule.difficulties, np.sort(schedule.difficulties))
 
 
 def test_subset_at_epoch_sizes():

@@ -18,12 +18,12 @@ from sigaug.encoder import EncoderConfig, EncoderState, _pair_logits, train_enco
 from sigaug.evalbench import (
     PERTURBATION_KINDS,
     GapConstants,
+    _gap_diagnostic,
     _sigmoid,
     auc_rank,
     bound_value,
     compute_metrics,
     fit_logistic,
-    generalization_diagnostic,
     predict_test_signs,
     random_perturbation,
     run_experiment,
@@ -383,23 +383,16 @@ def test_logistic_head_silent_on_separable_data():
     test = [EdgeSample(0, 2, 1), EdgeSample(3, 5, 1), EdgeSample(2, 4, -1), EdgeSample(0, 5, -1)]
     scores, labels = predict_test_signs(state, train, test)
     assert np.array_equal(np.where(scores >= 0.5, 1, -1), labels)
-    diag = generalization_diagnostic(state, train, test)
+    scores, labels = predict_test_signs(state, train, [*train, *test])
+    diag = _gap_diagnostic(state, scores, labels, len(train), GapConstants())
     assert math.isfinite(diag.train_error) and math.isfinite(diag.test_error)
 
 
 def test_predict_test_signs_single_class_errors():
     state = separable_state()
     train = [EdgeSample(0, 1, 1), EdgeSample(1, 2, 1)]
-    with pytest.raises(ValueError):
-        predict_test_signs(state, train, [EdgeSample(0, 2, 1)])
-
-
-def test_gap_diagnostic_refuses_a_one_sign_training_set():
-    # the diagnostic scores through the same head, so it refuses what predict_test_signs does
-    state = separable_state()
-    train = [EdgeSample(0, 1, 1), EdgeSample(1, 2, 1)]
     with pytest.raises(ValueError, match="both signs"):
-        generalization_diagnostic(state, train, [EdgeSample(0, 2, 1), EdgeSample(2, 4, -1)])
+        predict_test_signs(state, train, [EdgeSample(0, 2, 1)])
 
 
 def test_sign_head_needs_embeddings():
@@ -408,8 +401,6 @@ def test_sign_head_needs_embeddings():
     test = [EdgeSample(0, 2, 1)]
     with pytest.raises(ValueError, match="no embeddings"):
         predict_test_signs(state, SEPARABLE_TRAIN, test)
-    with pytest.raises(ValueError, match="no embeddings"):
-        generalization_diagnostic(state, SEPARABLE_TRAIN, test)
 
 
 # -- random perturbations ----------------------------------------------------------
@@ -566,7 +557,8 @@ def test_gap_diagnostic_zero_when_train_equals_test():
         EdgeSample(0, 3, -1),
         EdgeSample(1, 4, -1),
     ]
-    diag = generalization_diagnostic(state, edges, edges)
+    scores, labels = predict_test_signs(state, edges, edges + edges)
+    diag = _gap_diagnostic(state, scores, labels, len(edges), GapConstants())
     assert diag.empirical_gap == 0.0
     assert diag.z_inf_norm == 1.0
     assert diag.n_train_edges == 4

@@ -6,8 +6,9 @@ the per-edge balance CSV bit for bit on one fixed seeded graph, the files
 of a ``run`` driven by a config file plus flags and of a ``sweep`` on that
 graph, the ``stats`` and ``balance-report`` CLI outputs and the ``augment``
 ``id_map.json`` on a messy rating file built from the same graph, and the
-``stats --split-ratio``, ``balance-report`` and per-edge CSV outputs on a
-sign-tsv file with a hub and thousands of triangles.  A mid-scale graph
+``stats`` (without a split, and with two splits), ``balance-report`` and
+per-edge CSV outputs on a sign-tsv file with a hub and thousands of
+triangles.  A mid-scale graph
 (1,000 nodes, 4,000 edges, planted bad actors) pins ``baseline`` and
 ``sga`` runs whose scans, kernels and encoder batches span many blocks, at
 the default work budgets and at small ones.  On the first graph,
@@ -71,6 +72,8 @@ GOLDEN = {
     "hub/stats": "0e3b0150619f7ba58cd0a3362e9abee01c3ce30ccc21e90ec65cef20d1705504",
     "hub/balance-report": "8b94a494f06b2f4e8269d6f0f5e402bba55d6c0d45ca82edbcc219869959ff9b",
     "hub/per-edge-csv": "2294afaf299a39e0afb0b45830dcca71b9e6dd10818384f96969f1e8f2c7e31b",
+    "hub/stats-no-split": "0d2cadd8ac55a9413c91a26630408dc891d9f6c1042da5597ee4a3d8ff47c5a5",
+    "hub/stats-split-0.5-seed-7": "f45b3ee84425c1b6745994cf39c87d290377c438715dffdc292b5fadde10e9cd",
 }
 
 OTHER_PIPELINES = [
@@ -267,6 +270,20 @@ def test_hub_file_cli_outputs_are_golden(tmp_path, capsys):
         "balance-report": GOLDEN["hub/balance-report"],
         "per-edge-csv": GOLDEN["hub/per-edge-csv"],
     }
+
+
+@pytest.mark.parametrize("split, key", [
+    ([], "hub/stats-no-split"),
+    (["--split-ratio", "0.5", "--split-seed", "7"], "hub/stats-split-0.5-seed-7"),
+])
+def test_hub_file_stats_are_golden(split, key, tmp_path, capsys):
+    data = tmp_path / "hub.tsv"
+    data.write_text(hub_sign_tsv())
+    dataset = ["--dataset", str(data), "--format", "sign-tsv"]
+    assert main(["--quiet", "stats", *dataset, *split, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    del stats["dataset"]  # the path differs between runs
+    assert _sha256(json.dumps(stats, sort_keys=True).encode()) == GOLDEN[key]
 
 
 RUN_CONFIG = """\
