@@ -224,42 +224,46 @@ def _forward(
 ):
     """Embeddings Z plus per-layer caches; ``layer0`` reuses precomputed layer-1 inputs.
 
-    Each layer's two GEMMs write into the halves of one ``(n, 2d)`` array and
-    ReLU runs in place, so the last layer's array is Z.  A deeper layer
-    copies the previous layer's output into its two ``(n, 3d)`` inputs and
-    frees it before allocating its own, so no two outputs are held at once.
-    With ``keep_caches`` each layer appends ``(x_pos, x_neg, active)``: its
-    two inputs and the boolean ReLU mask ``pre-activation > 0`` over both
-    halves, all that the backward pass reads of the pre-activations.
+    Every layer but the last writes its two GEMM outputs into the third
+    column blocks of the next layer's two ``(n, 3d)`` inputs; ReLU and the
+    mask run on those blocks, and the sparse products that fill the first
+    two blocks read them, so no hidden output is held beside those inputs.
+    The last layer writes the halves of Z.  With ``keep_caches`` each layer
+    appends ``(x_pos, x_neg, active)``: its two inputs and the boolean ReLU
+    mask ``pre-activation > 0`` over both outputs, all that the backward
+    pass reads of the pre-activations.
     """
     n, d = state.num_nodes, state.embed_dim
-    h_pos = h_neg = None
     caches = []
+    last = state.num_layers - 1
+    x_pos, x_neg = layer0 or _layer0_inputs(a_pos, a_neg, state.input_features)
     for layer, (w_pos, w_neg) in enumerate(zip(state.pos_weights, state.neg_weights)):
-        if layer == 0:
-            if layer0 is None:
-                layer0 = _layer0_inputs(a_pos, a_neg, state.input_features)
-            x_pos, x_neg = layer0
+        # the last layer's elementwise passes run on Z whole: strided blocks cost more
+        if layer == last:
+            z = np.empty((n, 2 * d))
+            h_pos, h_neg, outs = z[:, :d], z[:, d:], [z]
         else:
-            x_pos = np.empty((n, 3 * d))
-            x_pos[:, :d] = a_pos @ h_pos
-            x_pos[:, d : 2 * d] = a_neg @ h_neg
-            x_pos[:, 2 * d :] = h_pos
-            x_neg = np.empty_like(x_pos)
-            x_neg[:, :d] = a_pos @ h_neg
-            x_neg[:, d : 2 * d] = a_neg @ h_pos
-            x_neg[:, 2 * d :] = h_neg
-            del z, h_pos, h_neg  # the inputs hold all this layer reads of them
-        z = np.empty((n, 2 * d))
+            next_pos, next_neg = np.empty((n, 3 * d)), np.empty((n, 3 * d))
+            h_pos, h_neg = outs = [next_pos[:, 2 * d :], next_neg[:, 2 * d :]]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(x_pos, w_pos.T, out=z[:, :d])
-            np.matmul(x_neg, w_neg.T, out=z[:, d:])
-        if not np.isfinite(z).all():
+            np.matmul(x_pos, w_pos.T, out=h_pos)
+            np.matmul(x_neg, w_neg.T, out=h_neg)
+        if not all(np.isfinite(h).all() for h in outs):
             raise FloatingPointError(f"non-finite activations at layer {layer + 1}")
         if keep_caches:
-            caches.append((x_pos, x_neg, z > 0))
-        np.maximum(z, 0.0, out=z)
-        h_pos, h_neg = z[:, :d], z[:, d:]
+            active = np.empty((n, 2 * d), dtype=bool)
+            for h, mask in zip(outs, np.hsplit(active, len(outs))):
+                np.greater(h, 0.0, out=mask)
+            caches.append((x_pos, x_neg, active))
+        for h in outs:
+            np.maximum(h, 0.0, out=h)
+        if layer < last:
+            # next inputs: [A+ h_pos, A- h_neg, h_pos] and [A+ h_neg, A- h_pos, h_neg]
+            next_pos[:, :d] = a_pos @ h_pos
+            next_pos[:, d : 2 * d] = a_neg @ h_neg
+            next_neg[:, :d] = a_pos @ h_neg
+            next_neg[:, d : 2 * d] = a_neg @ h_pos
+            x_pos, x_neg = next_pos, next_neg
     return z, caches
 
 
@@ -288,6 +292,8 @@ def _backward(
     place: each layer multiplies its output gradients by its ReLU mask
     where they lie, so the caller's arrays (``_train_loop`` passes the
     halves of dZ) hold the last layer's pre-activation gradients afterwards.
+    ``dpre @ W`` is formed one ``(n, d)`` column block at a time, from W's
+    column views, so each sparse product reads a contiguous operand.
     """
     d = state.embed_dim
     n_layers = state.num_layers
@@ -304,19 +310,17 @@ def _backward(
         if layer == 0:
             break  # input features are fixed
         # x_pos blocks: [A+ h_pos', A- h_neg', h_pos']
-        dx = dpre_pos @ state.pos_weights[layer]
+        w = state.pos_weights[layer]
+        d_hpos = a_pos_t @ (dpre_pos @ w[:, :d])
+        d_hpos += dpre_pos @ w[:, 2 * d :]
+        d_hneg = a_neg_t @ (dpre_pos @ w[:, d : 2 * d])
         del dpre_pos
-        d_hpos = a_pos_t @ dx[:, :d]
-        d_hpos += dx[:, 2 * d :]
-        d_hneg = a_neg_t @ dx[:, d : 2 * d]
-        del dx
         # x_neg blocks: [A+ h_neg', A- h_pos', h_neg']
-        dx = dpre_neg @ state.neg_weights[layer]
+        w = state.neg_weights[layer]
+        d_hneg += a_pos_t @ (dpre_neg @ w[:, :d])
+        d_hneg += dpre_neg @ w[:, 2 * d :]
+        d_hpos += a_neg_t @ (dpre_neg @ w[:, d : 2 * d])
         del dpre_neg
-        d_hneg += a_pos_t @ dx[:, :d]
-        d_hneg += dx[:, 2 * d :]
-        d_hpos += a_neg_t @ dx[:, d : 2 * d]
-        del dx
     return g_pos, g_neg
 
 

@@ -530,8 +530,12 @@ def run_experiment(
     or ``sa-only`` run logs an add threshold <= 0.5 once, before its first
     seed.  Each run seed derives the seeds of its pre-trained scorer and of
     its final model, so ``check_experiment`` refuses an ``enc_cfg.seed``
-    other than 0.  The pre-trained scorer is released once ``augment`` has
-    used it, before the final model trains.  When ``encoder_cache`` is
+    other than 0.  Each seed reads its densities and balance degrees as soon
+    as their graphs exist, and final training holds nothing it does not
+    read: the pre-trained scorer goes once ``augment`` has used it, the
+    training graph once the final graph is built (unless it is the final
+    graph), and the final graph's memoised balance report once
+    ``score_and_sort`` has read it.  When ``encoder_cache`` is
     given, the cache keeps each seed's scorer and later calls reuse it
     (valid while dataset, split, and encoder config are unchanged).  The gap
     diagnostic uses ``GapConstants`` with the encoder's learning rate and
@@ -561,7 +565,8 @@ def run_experiment(
             split = split_train_test(edges, ratio, split_seed)
             train = split.train
             train_graph = graph_from_samples(train, num_nodes)
-            before_report = balance_report(train_graph)
+            density_before = density(train_graph)
+            bd_before = balance_report(train_graph).balance_degree
             aug_log: AugmentationLog | None = None
 
             if kind in AUGMENTING:
@@ -581,10 +586,13 @@ def run_experiment(
                 final_graph = graph_from_samples(final_train, num_nodes)
             else:
                 final_train, final_graph = train, train_graph
+            del train_graph  # only the final graph is read from here on
+            density_after = density(final_graph)
 
-            # the final graph's balance report is computed once, then memoised on it
             stage = "schedule"
             schedule = score_and_sort(final_graph, final_train)
+            bd_after = balance_report(final_graph).balance_degree
+            final_graph._balance_report = None  # no later stage reads its per-edge columns
             pace = pace_cfg if kind in PACED else plain_pace
 
             stage = "train"
@@ -597,7 +605,6 @@ def run_experiment(
             scored = _concat(final_train, split.test)
             scores, labels = predict_test_signs(state, final_train, scored)
             metrics = compute_metrics(scores[n_fit:], labels[n_fit:])
-            after_report = balance_report(final_graph)
             diag = None
             if diagnostic:
                 constants = GapConstants(eta=enc_cfg.learning_rate, t=enc_cfg.epochs)
@@ -610,10 +617,10 @@ def run_experiment(
             n_train=len(train),
             n_test=len(split.test),
             n_train_final=len(final_train),
-            density_before=density(train_graph),
-            density_after=density(final_graph),
-            bd_before=before_report.balance_degree,
-            bd_after=after_report.balance_degree,
+            density_before=density_before,
+            density_after=density_after,
+            bd_before=bd_before,
+            bd_after=bd_after,
             runtime_sec=time.perf_counter() - started,
             augmentation=aug_log,
             diagnostic=diag,

@@ -473,7 +473,8 @@ class SignedGraph:
     pair, in any order.
     """
 
-    __slots__ = ("num_nodes", "edge_count", "_adjacency", "_edges", "_keys", "_balance_report")
+    __slots__ = ("num_nodes", "edge_count", "_adjacency", "_edges", "_keys", "_balance_report",
+                 "__weakref__")
 
     def __init__(self, num_nodes: int, u, v, sign):
         if num_nodes < 1:
@@ -502,7 +503,7 @@ class SignedGraph:
             arr.flags.writeable = False
         self._keys = keys
         self._adjacency = adjacency
-        # filled by balance.balance_report; the graph never changes, so it never goes stale
+        # balance_report fills it, run_experiment clears it; never stale: the graph never changes
         self._balance_report = None
 
     def edge_index(self, u, v) -> np.ndarray:

@@ -264,7 +264,7 @@ def test_backward_masks_dz_halves_in_place_bit_for_bit(layers):
     u, v, cls = _as_index_arrays([(e.u, e.v, e.sign) for e in edges] + [(0, 29, 0), (3, 8, 0)])
     d = state.embed_dim
     z, caches = _forward(a_pos, a_neg, state, keep_caches=True)
-    active = caches[-1][2]
+    active = z > 0  # relu(pre) > 0 exactly where pre > 0; read before dZ overwrites Z
     _, _, dz = _loss_and_mlg_grads(z, state.mlg_weights, u, v, cls, dz_out=z)
     halves = dz[:, :d].copy(), dz[:, d:].copy()
     expected = _backward(a_pos.T, a_neg.T, state, list(caches), *halves)
@@ -398,7 +398,20 @@ def test_cached_layer0_inputs_match_rebuilding_every_epoch(monkeypatch):
         assert np.array_equal(pa, pb)
 
 
-@pytest.mark.parametrize("layers, bound", [(2, 17.5), (3, 24)])
+def sparse_training_graph(n):
+    """8,000 random edges, 80% positive, over ``n`` nodes; the memory tests' graph."""
+    rng = np.random.default_rng(0)
+    pairs = set()
+    while len(pairs) < 8000:
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    signs = rng.choice([1, -1], size=len(pairs), p=[0.8, 0.2])
+    train = [EdgeSample(u, v, int(s)) for (u, v), s in zip(sorted(pairs), signs)]
+    return train, graph_from_samples(train, n)
+
+
+@pytest.mark.parametrize("layers, bound", [(2, 16.3), (3, 22.9)])
 def test_training_frees_each_epochs_activations(layers, bound):
     # the embedding is n x 2d; a deeper layer's cache holds its two n x 3d
     # inputs and an n x 2d boolean ReLU mask.  With 2 layers, keeping every
@@ -411,22 +424,39 @@ def test_training_frees_each_epochs_activations(layers, bound):
     # from after init_state; traced from before it, so that H0 counts, that
     # code peaked at 18.69 (25.32).  Holding H0 only inside the layer-1
     # inputs, a class-major loss and masking the gradients in place, 16.47
-    # (23.10)
+    # (23.10); writing each hidden layer's output into the next layer's
+    # inputs and forming the backward pass's input gradient one n x d block
+    # at a time, 16.16 (22.80), where the loss now sets the peak
     n, d = 2000, 32
-    rng = np.random.default_rng(0)
-    pairs = set()
-    while len(pairs) < 8000:
-        a, b = (int(x) for x in rng.integers(0, n, size=2))
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-    signs = rng.choice([1, -1], size=len(pairs), p=[0.8, 0.2])
-    train = [EdgeSample(u, v, int(s)) for (u, v), s in zip(sorted(pairs), signs)]
-    g = graph_from_samples(train, n)
+    train, g = sparse_training_graph(n)
     cfg = EncoderConfig(embed_dim=d, layers=layers, epochs=3, input_features="seeded-random")
     tracemalloc.start()
     try:
         state = init_state(g, cfg)
         encoder._train_loop(g, state, cfg, train, lambda _epoch: len(train))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * n * d * 8
+
+
+@pytest.mark.parametrize("layers, bound", [(2, 4.5), (3, 5.5)])
+def test_backward_builds_no_full_input_gradient(layers, bound):
+    # traced from the call on, so only what _backward allocates counts.
+    # Building the (n, 3d) dx = dpre @ W and handing the sparse products its
+    # strided blocks, which scipy copies, rose 7.10 (7.20 with 3 layers) n d
+    # floats; one (n, d) block of dx at a time, 4.10 (5.20): the two input
+    # gradients being summed, one block and one sparse product's result, plus
+    # with 3 layers the middle layer's own gradient, which _backward made
+    n, d = 2000, 32
+    train, g = sparse_training_graph(n)
+    state = init_state(g, EncoderConfig(embed_dim=d, layers=layers, input_features="seeded-random"))
+    a_pos, a_neg = _adjacency_pair(g)
+    z, caches = _forward(a_pos, a_neg, state, keep_caches=True)
+    _, _, dz = _loss_and_mlg_grads(z, state.mlg_weights, *_as_index_arrays(train), dz_out=z)
+    tracemalloc.start()
+    try:
+        _backward(a_pos.T, a_neg.T, state, caches, dz[:, :d], dz[:, d:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import community_records, shuffled_planted_records
+from conftest import bad_actor_records, community_records, shuffled_planted_records
 from sigaug import evalbench
 from sigaug.augment import AugmentConfig
 from sigaug.curriculum import PacingConfig
@@ -611,6 +612,28 @@ def test_balance_kernel_evaluations_per_seed(tiny_setup, kernel_calls, pipeline,
     edges, enc = tiny_setup
     run_experiment(edges, pipeline, [0, 1], enc_cfg=enc)
     assert len(kernel_calls) == 2 * per_seed
+
+
+@pytest.mark.parametrize("pipeline", ["baseline", "sga"])
+def test_final_training_holds_no_training_graph_or_balance_columns(monkeypatch, pipeline):
+    # final training reads the final graph's adjacency and the schedule: sga's
+    # training graph is gone by then, and the per-edge balance columns that
+    # scored the schedule are no longer memoised on the final graph
+    train_graphs, on_entry = [], []
+    augment, train_with_curriculum = evalbench.augment, evalbench.train_with_curriculum
+
+    def recording_augment(graph, *args):
+        train_graphs.append(weakref.ref(graph))
+        return augment(graph, *args)
+
+    def checking_train(graph, *args):
+        on_entry.append((graph._balance_report is None, [ref() is None for ref in train_graphs]))
+        return train_with_curriculum(graph, *args)
+
+    monkeypatch.setattr(evalbench, "augment", recording_augment)
+    monkeypatch.setattr(evalbench, "train_with_curriculum", checking_train)
+    run_experiment(bad_actor_records(), pipeline, [0], enc_cfg=EncoderConfig(embed_dim=8, epochs=2))
+    assert on_entry == [(True, [True] * (pipeline == "sga"))]
 
 
 @pytest.mark.parametrize(
