@@ -343,12 +343,9 @@ def _write_sign_tsv(edges, path: Path) -> None:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    from dataclasses import asdict, replace
+    from dataclasses import asdict
 
-    from .augment import augment
-    from .encoder import train_encoder
-    from .evalbench import _derive_seeds, check_experiment
-    from .graph import graph_from_samples, split_train_test
+    from .evalbench import _pretrain_and_augment, _seed_split, check_experiment
 
     cfg = _config_from_args(args)
     # the checks of `run --pipeline sa-only`, whose edges this writes
@@ -356,12 +353,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
     cfg.augment.log_low_add_thresholds()
     _, loaded, graph, _ = _load_graph(cfg)
     (seed,) = cfg.seeds
-    split_seed, pretrain_seed, _, _ = _derive_seeds(seed)
-    split = split_train_test(graph.edge_columns(), cfg.ratio, split_seed)
-    train_graph = graph_from_samples(split.train, graph.num_nodes)
-    # the scorer of `run --pipeline sa-only` for this seed, so both write the same edges
-    state = train_encoder(train_graph, split.train, replace(cfg.encoder, seed=pretrain_seed))
-    augmented, logrec, _ = augment(train_graph, split.train, state, cfg.augment)
+    # the split, scorer and augmentation of `run --pipeline sa-only` for this seed, made by
+    # the same code, so both write the same edges; with no cache the scorer is trained here
+    split, train_graph = _seed_split(graph.edge_columns(), graph.num_nodes, seed, cfg.ratio)
+    augmented, logrec, _ = _pretrain_and_augment(train_graph, split.train, seed, cfg.encoder,
+                                                 cfg.augment)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

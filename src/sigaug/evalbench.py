@@ -21,10 +21,11 @@ decay in the training-edge count) is meaningful, not its absolute value.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .encoder import (
 from .graph import (
     NEG,
     POS,
+    DatasetSplit,
     EdgeColumns,
     EdgeSample,
     SignedGraph,
@@ -505,6 +507,35 @@ def _edges_and_nodes(dataset: SignedGraph | Sequence[EdgeSample]) -> tuple[EdgeC
     return dataset.edge_columns(), dataset.num_nodes
 
 
+def _seed_split(
+    edges: EdgeColumns, num_nodes: int, seed: int, ratio: float
+) -> tuple[DatasetSplit, SignedGraph]:
+    """Run seed ``seed``'s train/test split of ``edges`` and the graph of its train edges."""
+    split = split_train_test(edges, ratio, _derive_seeds(seed)[0])
+    return split, graph_from_samples(split.train, num_nodes)
+
+
+def _pretrain_and_augment(
+    train_graph: SignedGraph, train: EdgeColumns, seed: int, enc_cfg: EncoderConfig,
+    aug_cfg: AugmentConfig, encoder_cache: dict | None = None,
+) -> tuple[EdgeColumns, AugmentationLog, SignedGraph]:
+    """``augment`` a ``_seed_split`` train half with a scorer pre-trained on it.
+
+    An ``encoder_cache`` keeps each scorer under all it depends on: the run
+    seed, a digest of the train columns, the node count and each ``enc_cfg`` field.
+    """
+    key = scorer = None
+    if encoder_cache is not None:
+        columns = b"".join(c.tobytes() for c in (train.u, train.v, train.sign))
+        key = (seed, hashlib.sha256(columns).hexdigest(), train_graph.num_nodes, astuple(enc_cfg))
+        scorer = encoder_cache.get(key)
+    if scorer is None:
+        scorer = train_encoder(train_graph, train, replace(enc_cfg, seed=_derive_seeds(seed)[1]))
+        if key is not None:
+            encoder_cache[key] = scorer
+    return augment(train_graph, train, scorer, aug_cfg)
+
+
 def run_experiment(
     dataset: SignedGraph | Sequence[EdgeSample],
     pipeline: str,
@@ -535,11 +566,10 @@ def run_experiment(
     read: the pre-trained scorer goes once ``augment`` has used it, the
     training graph once the final graph is built (unless it is the final
     graph), and the final graph's memoised balance report once
-    ``score_and_sort`` has read it.  When ``encoder_cache`` is
-    given, the cache keeps each seed's scorer and later calls reuse it
-    (valid while dataset, split, and encoder config are unchanged).  The gap
-    diagnostic uses ``GapConstants`` with the encoder's learning rate and
-    epochs.
+    ``score_and_sort`` has read it.  A given ``encoder_cache`` keeps each
+    scorer, and a later call reuses it only on the same split and encoder
+    config; a different one pre-trains its own.  The gap diagnostic uses
+    ``GapConstants`` with the encoder's learning rate and epochs.
     """
     enc_cfg = enc_cfg or EncoderConfig()
     kind, perturb_kind, perturb_ratio = check_experiment(
@@ -561,31 +591,24 @@ def run_experiment(
         started = time.perf_counter()
         stage = "split"
         try:
-            split_seed, pretrain_seed, final_seed, perturb_seed = _derive_seeds(seed)
-            split = split_train_test(edges, ratio, split_seed)
-            train = split.train
-            train_graph = graph_from_samples(train, num_nodes)
+            _, _, final_seed, perturb_seed = _derive_seeds(seed)
+            split, train_graph = _seed_split(edges, num_nodes, seed, ratio)
             density_before = density(train_graph)
             bd_before = balance_report(train_graph).balance_degree
             aug_log: AugmentationLog | None = None
 
             if kind in AUGMENTING:
                 stage = "augment"
-                scorer = encoder_cache.get(seed) if encoder_cache is not None else None
-                if scorer is None:
-                    scorer = train_encoder(train_graph, train, replace(enc_cfg, seed=pretrain_seed))
-                    if encoder_cache is not None:
-                        encoder_cache[seed] = scorer
-                final_train, aug_log, final_graph = augment(train_graph, train, scorer, aug_cfg)
-                del scorer  # an encoder_cache keeps its own reference
+                final_train, aug_log, final_graph = _pretrain_and_augment(
+                    train_graph, split.train, seed, enc_cfg, aug_cfg, encoder_cache)
             elif kind == "random":
                 stage = "perturb"
                 final_train = random_perturbation(
-                    train, perturb_kind, perturb_ratio, perturb_seed, num_nodes=num_nodes
+                    split.train, perturb_kind, perturb_ratio, perturb_seed, num_nodes=num_nodes
                 )
                 final_graph = graph_from_samples(final_train, num_nodes)
             else:
-                final_train, final_graph = train, train_graph
+                final_train, final_graph = split.train, train_graph
             del train_graph  # only the final graph is read from here on
             density_after = density(final_graph)
 
@@ -614,7 +637,7 @@ def run_experiment(
         result = SeedResult(
             seed=seed,
             metrics=metrics,
-            n_train=len(train),
+            n_train=len(split.train),
             n_test=len(split.test),
             n_train_final=len(final_train),
             density_before=density_before,
@@ -640,24 +663,12 @@ def run_experiment(
 
 
 def report_payload(report: ExperimentReport) -> dict:
-    """JSON-ready report content, excluding volatile timing information."""
+    """JSON-ready report content, without timing or what a run writes to files of its own."""
+    unreported = ("runtime_sec", "final_train", "schedule", "encoder_state")
     per_seed = []
     for r in report.results:
-        per_seed.append(
-            {
-                "seed": r.seed,
-                "metrics": asdict(r.metrics),
-                "n_train": r.n_train,
-                "n_test": r.n_test,
-                "n_train_final": r.n_train_final,
-                "density_before": r.density_before,
-                "density_after": r.density_after,
-                "bd_before": r.bd_before,
-                "bd_after": r.bd_after,
-                "augmentation": asdict(r.augmentation) if r.augmentation else None,
-                "diagnostic": asdict(r.diagnostic) if r.diagnostic else None,
-            }
-        )
+        values = {f.name: getattr(r, f.name) for f in fields(r) if f.name not in unreported}
+        per_seed.append({k: asdict(v) if is_dataclass(v) else v for k, v in values.items()})
     return {
         "dataset": report.dataset,
         "pipeline": report.pipeline,
@@ -705,12 +716,12 @@ def sensitivity_sweep(
     ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
     ``tp-only``.  big_t values must be whole numbers, and every value is
     range-checked before the first one runs.  Every value runs on the one
-    ``dataset``, as ``run_experiment`` takes it.  The pre-trained
-    candidate scorer is cached per seed and shared across values (none of
-    the sweepable parameters affect it).  Each value is one run, so an add
-    threshold <= 0.5 in its augmentation config is logged once per value.
-    ``check_experiment`` refuses a sweep that cannot start, an
-    ``enc_cfg.seed`` other than 0 included, before any value runs.
+    ``dataset``, as ``run_experiment`` takes it.  Each seed's pre-trained
+    candidate scorer is cached under its split and encoder config and shared
+    across values (none of the sweepable parameters affect it).  Each value
+    is one run, so an add threshold <= 0.5 in its augmentation config is
+    logged once per value.  ``check_experiment`` refuses a sweep that cannot
+    start, an ``enc_cfg.seed`` other than 0 included, before any value runs.
     """
     enc_cfg = enc_cfg or EncoderConfig()
     check_experiment(pipeline, seeds, ratio, param, values, encoder_seed=enc_cfg.seed)
@@ -726,9 +737,5 @@ def sensitivity_sweep(
         for name in METRIC_NAMES:
             row[f"{name}_mean"] = agg[name]["mean"]
             row[f"{name}_std"] = agg[name]["std"]
-        row["pretrain_curves"] = [
-            list(r.augmentation.pretrain_loss) if r.augmentation else []
-            for r in rep.results
-        ]
         rows.append(row)
     return rows

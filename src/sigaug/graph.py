@@ -603,9 +603,7 @@ class DatasetSplit:
 
     train: EdgeColumns
     test: EdgeColumns
-    seed: int
-    ratio: float = field(default=0.8)
-    train_positions: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    train_positions: np.ndarray = field(repr=False, compare=False)
 
 
 def split_train_test(
@@ -624,9 +622,7 @@ def split_train_test(
     edges = EdgeColumns(*_columns(edges))
     train_positions = perm[:n_train]
     train_positions.flags.writeable = False
-    return DatasetSplit(
-        edges[train_positions], edges[perm[n_train:]], seed, ratio, train_positions=train_positions
-    )
+    return DatasetSplit(edges[train_positions], edges[perm[n_train:]], train_positions)
 
 
 def _density(edge_count: int, num_nodes: int) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -19,6 +20,7 @@ from sigaug.encoder import EncoderConfig, EncoderState, _pair_logits, train_enco
 from sigaug.evalbench import (
     PERTURBATION_KINDS,
     GapConstants,
+    SeedResult,
     _gap_diagnostic,
     _sigmoid,
     auc_rank,
@@ -27,6 +29,7 @@ from sigaug.evalbench import (
     fit_logistic,
     predict_test_signs,
     random_perturbation,
+    report_payload,
     run_experiment,
     sensitivity_sweep,
 )
@@ -664,6 +667,16 @@ def test_diagnostic_run_fits_the_sign_head_once_per_seed(tiny_setup, monkeypatch
     assert all(r.diagnostic is not None for r in report.results)
 
 
+def test_report_payload_reports_every_seed_field_but_timing_and_bulk(tiny_setup):
+    edges, enc = tiny_setup
+    payload = report_payload(run_experiment(edges, "sa-only", [0], enc_cfg=enc, diagnostic=True))
+    unreported = {"runtime_sec", "final_train", "schedule", "encoder_state"}
+    (per_seed,) = payload["per_seed"]
+    assert set(per_seed) == {f.name for f in dataclasses.fields(SeedResult)} - unreported
+    assert isinstance(per_seed["metrics"], dict) and isinstance(per_seed["diagnostic"], dict)
+    assert per_seed["augmentation"]["pretrain_loss"]
+
+
 def test_run_experiment_on_empty_edge_set_fails_clearly():
     with pytest.raises(ValueError, match="edge set is empty"):
         run_experiment([], "baseline", [0])
@@ -784,10 +797,26 @@ def test_sweep_reuses_pretrained_encoder(tiny_setup, monkeypatch):
     )
     assert len(pretrained) == 2  # once per seed, shared by the three values
     assert len(rows) == 3
-    for seed in (0, 1):
-        curves = [row["pretrain_curves"][seed] for row in rows]
-        assert curves[0] == curves[1] == curves[2]
-        assert len(curves[0]) == enc.epochs
+
+
+GOLDEN_RECORDS = community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08)
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"ratio": 0.8}, {"ratio": 0.6}),
+    ({}, {"enc_cfg": EncoderConfig(embed_dim=8, epochs=10)}),
+    ({}, {"dataset": community_records(n=40, seed=22, p_intra=0.3, p_inter=0.15, flip=0.08)}),
+], ids=["ratio", "epochs", "graph"])
+def test_encoder_cache_reuses_no_scorer_of_another_split_or_config(first, second):
+    # a scorer pre-trained on another split, config or graph must not serve
+    # this run: the second run reports what it reports without a cache
+    run = dict(dataset=GOLDEN_RECORDS, pipeline="sa-only", seeds=[3],
+               enc_cfg=EncoderConfig(embed_dim=8, epochs=20),
+               aug_cfg=AugmentConfig(eps_add_pos=0.6, eps_add_neg=0.6))
+    cache: dict = {}
+    run_experiment(**{**run, **first}, encoder_cache=cache)
+    shared = run_experiment(**{**run, **second}, encoder_cache=cache)
+    assert report_payload(shared) == report_payload(run_experiment(**{**run, **second}))
 
 
 def test_sweep_validation(tiny_setup, monkeypatch):
