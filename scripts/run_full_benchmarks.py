@@ -2,27 +2,62 @@
 """Manual benchmark driver for the large datasets (multi-hour desk runs).
 
 Runs baseline and augmented pipelines over the chosen datasets (names from
-``sigaug.config.KNOWN_DATASETS``), five seeds each, writing one output
-directory per (dataset, pipeline).  Like the ``sigaug`` command it starts,
-it needs sigaug importable (installed, or ``PYTHONPATH=src``).  The small
-bitcoin graphs take minutes; epinions/slashdot-scale graphs take hours
-on a laptop CPU, which is why these rows are not part of the acceptance gate.
+``sigaug.config.KNOWN_DATASETS``), five seeds each, in one process.  Each
+dataset is loaded once, and all its pipelines run in one
+``sigaug.run_pipelines`` call, which shares each seed's split, scorer,
+augmentation and schedules among them.  Each (dataset, pipeline) gets the
+output directory ``sigaug run`` would write, written by the same code.
+In ``--pipelines``, ``random:<kind>,<ratio>`` is one item.  Datasets are
+looked up under ``$SIGAUG_DATA_DIR``, then the repo's ``datasets/``, and a
+relative ``--outdir`` is taken from the repo root, whatever the working
+directory.  A dataset that fails to load, or a seed that fails, fails
+every pipeline of that dataset; the driver goes on with the next one and
+exits 1 at the end, listing the failed datasets.  A pipeline or seed list
+that cannot run exits 2 before any dataset loads.
+
+It needs sigaug importable (installed, or ``PYTHONPATH=src``).  The small
+bitcoin graphs take minutes; epinions/slashdot-scale graphs take hours on a
+laptop CPU, which is why these rows are not part of the acceptance gate.
 
 Usage:
     python scripts/run_full_benchmarks.py [--datasets bitcoin-alpha,bitcoin-otc]
-                                          [--pipelines baseline,sga]
-                                          [--outdir benchmark-results]
+                                          [--pipelines baseline,sga,random:drop-edge,0.1]
+                                          [--outdir benchmark-results] [--seeds 5]
 """
 
 import argparse
-import subprocess
+import logging
+import re
 import sys
 from pathlib import Path
 
-from sigaug.config import KNOWN_DATASETS
+from sigaug.cli import start_output, write_run
+from sigaug.config import KNOWN_DATASETS, config_from_dict
+from sigaug.evalbench import check_experiment, run_pipelines
+from sigaug.graph import build_graph, load_edge_list
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_PIPELINES = ["baseline", "sga", "sa-only", "tp-only"]
+# one pipeline per comma-separated item, but random:<kind>,<ratio> spans two
+PIPELINE_ITEM = re.compile(r"\s*random:[^,]*,[^,]*|[^,]+")
+
+
+def run_dataset(dataset: str, pipelines: list[str], seeds: list[int], outdir: Path) -> None:
+    """Load ``dataset`` once, run every pipeline on it and write each one's directory."""
+    cfgs = [
+        config_from_dict({}, {"dataset": dataset, "pipeline": pipeline, "seeds": seeds,
+                              "output_dir": str(outdir / dataset / pipeline.replace(":", "_"))})
+        for pipeline in pipelines
+    ]
+    cfg = cfgs[0]
+    path, fmt = cfg.resolve_dataset(REPO)
+    loaded = load_edge_list(path, format=fmt)
+    graph, _ = build_graph(loaded.samples, num_nodes=loaded.num_nodes)
+    outdirs = [start_output(c, graph) for c in cfgs]
+    reports = run_pipelines(graph, pipelines, cfg.seeds, cfg.encoder, cfg.augment, cfg.pacing,
+                            cfg.ratio)
+    for c, report, run_dir in zip(cfgs, reports, outdirs):
+        write_run(c, report, run_dir)
 
 
 def main() -> int:
@@ -34,37 +69,32 @@ def main() -> int:
     args = parser.parse_args()
 
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
-    pipelines = [p.strip() for p in args.pipelines.split(",") if p.strip()]
+    pipelines = [p.strip() for p in PIPELINE_ITEM.findall(args.pipelines) if p.strip()]
     unknown = [d for d in datasets if d not in KNOWN_DATASETS]
     if unknown:
         raise SystemExit(f"unknown datasets {unknown}")
+    try:
+        base = config_from_dict({}, {"seeds": args.seeds})
+        if not pipelines:
+            raise ValueError("no pipelines given")
+        for pipeline in pipelines:
+            check_experiment(pipeline, base.seeds, base.ratio)
+    except ValueError as exc:
+        parser.error(str(exc))
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
+    outdir = REPO / args.outdir
     failures = []
     for dataset in datasets:
-        for pipeline in pipelines:
-            outdir = Path(args.outdir) / dataset / pipeline.replace(":", "_")
-            cmd = [
-                sys.executable,
-                "-m",
-                "sigaug.cli",
-                "run",
-                "--dataset",
-                dataset,
-                "--pipeline",
-                pipeline,
-                "--seeds",
-                args.seeds,
-                "--outdir",
-                str(outdir),
-            ]
-            print(f"\n=== {dataset} / {pipeline} -> {outdir}")
-            result = subprocess.run(cmd, cwd=REPO)
-            if result.returncode != 0:
-                failures.append((dataset, pipeline, result.returncode))
+        print(f"\n=== {dataset}: {', '.join(pipelines)} -> {outdir / dataset}")
+        try:
+            run_dataset(dataset, pipelines, base.seeds, outdir)
+        except Exception as exc:  # every pipeline of this dataset fails; go on with the next
+            failures.append((dataset, exc))
     if failures:
-        print("\nfailed runs:")
-        for dataset, pipeline, code in failures:
-            print(f"  {dataset}/{pipeline}: exit {code}")
+        print("\nfailed datasets (every pipeline of each):")
+        for dataset, exc in failures:
+            print(f"  {dataset}: {exc}")
         return 1
     print("\nall runs complete")
     return 0

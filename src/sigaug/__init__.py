@@ -64,5 +64,6 @@ from .evalbench import (  # noqa: F401
     predict_test_signs,
     random_perturbation,
     run_experiment,
+    run_pipelines,
     sensitivity_sweep,
 )

@@ -197,8 +197,7 @@ def _prepare_run(
     ``run_experiment`` and ``sensitivity_sweep`` share, with the loaded
     graph as the dataset.
     """
-    from .config import write_resolved
-    from .evalbench import _swept_configs, check_experiment, check_test_half
+    from .evalbench import _swept_configs, check_experiment
 
     cfg = _config_from_args(args, defaults)
     check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
@@ -207,15 +206,27 @@ def _prepare_run(
         # sensitivity_sweep building these again later shows no trace of this one
         _swept_configs(param, values, cfg.augment, cfg.pacing)
     _, _, graph, _ = _load_graph(cfg)
-    check_test_half(cfg.ratio, graph.edge_count)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_resolved(cfg, outdir / "config.resolved.json", _environment())
+    outdir = start_output(cfg, graph)
     experiment = dict(
         dataset=graph, pipeline=cfg.pipeline, seeds=cfg.seeds, enc_cfg=cfg.encoder,
         aug_cfg=cfg.augment, pace_cfg=cfg.pacing, ratio=cfg.ratio,
     )
     return cfg, outdir, experiment
+
+
+def start_output(cfg, graph) -> Path:
+    """Create the output directory of ``cfg``'s run on ``graph`` and write its resolved config.
+
+    Raises ``ValueError`` first if the split leaves ``graph`` no test edge.
+    """
+    from .config import write_resolved
+    from .evalbench import check_test_half
+
+    check_test_half(cfg.ratio, graph.edge_count)
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_resolved(cfg, outdir / "config.resolved.json", _environment())
+    return outdir
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -345,7 +356,8 @@ def _write_sign_tsv(edges, path: Path) -> None:
 def cmd_augment(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from .evalbench import _pretrain_and_augment, _seed_split, check_experiment
+    from .augment import augment
+    from .evalbench import _seed_scorer, _seed_split, check_experiment
 
     cfg = _config_from_args(args)
     # the checks of `run --pipeline sa-only`, whose edges this writes
@@ -354,10 +366,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     _, loaded, graph, _ = _load_graph(cfg)
     (seed,) = cfg.seeds
     # the split, scorer and augmentation of `run --pipeline sa-only` for this seed, made by
-    # the same code, so both write the same edges; with no cache the scorer is trained here
+    # the same code, so both write the same edges
     split, train_graph = _seed_split(graph.edge_columns(), graph.num_nodes, seed, cfg.ratio)
-    augmented, logrec, _ = _pretrain_and_augment(train_graph, split.train, seed, cfg.encoder,
-                                                 cfg.augment)
+    scorer = _seed_scorer(train_graph, split.train, seed, cfg.encoder)
+    augmented, logrec, _ = augment(train_graph, split.train, scorer, cfg.augment)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -371,13 +383,15 @@ def cmd_augment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_report_files(report, outdir: Path) -> None:
+def write_run(cfg, report, outdir: Path) -> None:
+    """Write the files of ``cfg``'s run from its ``report`` and print its summary row."""
     from .curriculum import schedule_to_csv
     from .encoder import save_checkpoint
     from .evalbench import (
         AUGMENTING, METRIC_NAMES, _parse_pipeline, report_payload, report_timing,
     )
 
+    report.dataset = cfg.dataset  # report the user-facing name, not the path
     payload = report_payload(report)
     payload["timing"] = report_timing(report)
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -400,6 +414,7 @@ def _write_report_files(report, outdir: Path) -> None:
             _write_sign_tsv(r.final_train, outdir / f"augmented_train_seed{r.seed}.tsv")
         if r.encoder_state is not None:
             save_checkpoint(r.encoder_state, outdir / f"encoder_seed{r.seed}.bin")
+    print(report.summary_row())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -407,9 +422,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     cfg, outdir, experiment = _prepare_run(args)
     report = run_experiment(**experiment, diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders)
-    report.dataset = cfg.dataset  # report the user-facing name, not the path
-    _write_report_files(report, outdir)
-    print(report.summary_row())
+    write_run(cfg, report, outdir)
     return 0
 
 

@@ -26,7 +26,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -515,25 +515,202 @@ def _seed_split(
     return split, graph_from_samples(split.train, num_nodes)
 
 
-def _pretrain_and_augment(
+def _seed_scorer(
     train_graph: SignedGraph, train: EdgeColumns, seed: int, enc_cfg: EncoderConfig,
-    aug_cfg: AugmentConfig, encoder_cache: dict | None = None,
-) -> tuple[EdgeColumns, AugmentationLog, SignedGraph]:
-    """``augment`` a ``_seed_split`` train half with a scorer pre-trained on it.
+    encoder_cache: dict | None = None,
+) -> EncoderState:
+    """Run seed ``seed``'s candidate scorer, pre-trained on a ``_seed_split`` train half.
 
     An ``encoder_cache`` keeps each scorer under all it depends on: the run
     seed, a digest of the train columns, the node count and each ``enc_cfg`` field.
     """
-    key = scorer = None
+    key = None
     if encoder_cache is not None:
         columns = b"".join(c.tobytes() for c in (train.u, train.v, train.sign))
         key = (seed, hashlib.sha256(columns).hexdigest(), train_graph.num_nodes, astuple(enc_cfg))
-        scorer = encoder_cache.get(key)
-    if scorer is None:
-        scorer = train_encoder(train_graph, train, replace(enc_cfg, seed=_derive_seeds(seed)[1]))
-        if key is not None:
-            encoder_cache[key] = scorer
-    return augment(train_graph, train, scorer, aug_cfg)
+        if key in encoder_cache:
+            return encoder_cache[key]
+    scorer = train_encoder(train_graph, train, replace(enc_cfg, seed=_derive_seeds(seed)[1]))
+    if key is not None:
+        encoder_cache[key] = scorer
+    return scorer
+
+
+class Run(NamedTuple):
+    """A pipeline and the augmentation and pacing configs it runs under."""
+
+    pipeline: str
+    aug_cfg: AugmentConfig
+    pace_cfg: PacingConfig
+
+
+# the order a seed makes final edge sets in: each augmentation reads the training
+# graph's memoised balance report before the train edges' schedule clears it
+_SOURCE_ORDER = ("augment", "train", "random")
+
+
+def _edge_source(run: Run) -> tuple:
+    """The key of a run's final edges; runs with one key share them and their schedule."""
+    kind, perturb_kind, perturb_ratio = _parse_pipeline(run.pipeline)
+    if kind in AUGMENTING:
+        return ("augment", astuple(run.aug_cfg))
+    if kind == "random":
+        return ("random", perturb_kind, perturb_ratio)
+    return ("train",)
+
+
+def _seed_results(
+    edges: EdgeColumns, num_nodes: int, seed: int, runs: Sequence[Run], enc_cfg: EncoderConfig,
+    ratio: float, diagnostic: bool, encoder_cache: dict | None, keep_states: bool,
+) -> list[SeedResult]:
+    """Seed ``seed`` of each run, one ``SeedResult`` per run in the given order.
+
+    Makes the split, the training graph and its report, and the scorer
+    once; one augmentation per distinct ``AugmentConfig``, one perturbation
+    per ``random:`` kind and ratio, and one schedule per final edge set
+    (``baseline`` and ``tp-only`` share one, as do ``sga`` and ``sa-only``).
+    Each run trains its own final model.  Besides the results, a seed holds
+    the split; the training graph and its memoised report until the last
+    augmentation and the train-edge runs are done; the scorer until the
+    last augmentation; and one final graph at a time, whose report goes
+    once its schedule is scored.  So a one-run seed trains its final model
+    holding no per-edge balance column, nor the training graph unless that
+    is its final graph.
+
+    A stage's time goes to the ``runtime_sec`` of the first run, in the
+    given order, that reads what it makes (the split's to the first run),
+    so a seed's runtimes add up to its wall time.  A failing stage raises
+    ``RuntimeError`` naming the seed and the stage, and fails every run.
+    """
+    runtimes = [0.0] * len(runs)
+    mark = time.perf_counter()
+
+    def charge(i: int) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        runtimes[i] += now - mark
+        mark = now
+
+    readers: dict[tuple, list[int]] = {}
+    for i, run in enumerate(runs):
+        readers.setdefault(_edge_source(run), []).append(i)
+    order = sorted(readers, key=lambda key: _SOURCE_ORDER.index(key[0]))
+    plain_pace = PacingConfig(lambda0=1.0, big_t=1, total_epochs=enc_cfg.epochs)
+    results: dict[int, SeedResult] = {}
+    stage = "split"
+    try:
+        _, _, final_seed, perturb_seed = _derive_seeds(seed)
+        model_cfg = replace(enc_cfg, seed=final_seed)
+        split, train_graph = _seed_split(edges, num_nodes, seed, ratio)
+        density_before = density(train_graph)
+        bd_before = balance_report(train_graph).balance_degree
+        scorer = None
+        charge(0)
+        for j, key in enumerate(order):
+            later = order[j + 1][0] if j + 1 < len(order) else None
+            aug_log: AugmentationLog | None = None
+            if key[0] == "augment":
+                stage = "augment"
+                if scorer is None:
+                    scorer = _seed_scorer(train_graph, split.train, seed, enc_cfg, encoder_cache)
+                final_train, aug_log, final_graph = augment(
+                    train_graph, split.train, scorer, runs[readers[key][0]].aug_cfg)
+            elif key[0] == "random":
+                stage = "perturb"
+                final_train = random_perturbation(
+                    split.train, key[1], key[2], perturb_seed, num_nodes=num_nodes
+                )
+                final_graph = graph_from_samples(final_train, num_nodes)
+            else:
+                final_train, final_graph = split.train, train_graph
+            if later != "augment":
+                scorer = None
+            if later not in ("augment", "train"):
+                train_graph = None  # only final graphs are read from here on
+            density_after = density(final_graph)
+
+            stage = "schedule"
+            schedule = score_and_sort(final_graph, final_train)
+            bd_after = balance_report(final_graph).balance_degree
+            final_graph._balance_report = None  # no later stage reads its per-edge columns
+            charge(readers[key][0])
+
+            for i in readers[key]:
+                stage = "train"
+                paced = _parse_pipeline(runs[i].pipeline)[0] in PACED
+                state = train_with_curriculum(final_graph, schedule, model_cfg,
+                                              runs[i].pace_cfg if paced else plain_pace)
+
+                stage = "evaluate"
+                # one head fit also scores the train edges, for the gap diagnostic
+                n_fit = len(final_train)
+                scored = _concat(final_train, split.test)
+                scores, labels = predict_test_signs(state, final_train, scored)
+                metrics = compute_metrics(scores[n_fit:], labels[n_fit:])
+                diag = None
+                if diagnostic:
+                    constants = GapConstants(eta=enc_cfg.learning_rate, t=enc_cfg.epochs)
+                    diag = _gap_diagnostic(state, scores, labels, n_fit, constants)
+                charge(i)  # the last of this run's stages
+                results[i] = SeedResult(
+                    seed=seed,
+                    metrics=metrics,
+                    n_train=len(split.train),
+                    n_test=len(split.test),
+                    n_train_final=len(final_train),
+                    density_before=density_before,
+                    density_after=density_after,
+                    bd_before=bd_before,
+                    bd_after=bd_after,
+                    runtime_sec=runtimes[i],
+                    augmentation=aug_log,
+                    diagnostic=diag,
+                    final_train=final_train,
+                    schedule=schedule,
+                    encoder_state=state if keep_states else None,
+                )
+                del state  # the next run trains without it
+                log.info("%s seed %d done: auc=%s f1b=%.4f (%.1fs)", runs[i].pipeline, seed,
+                         "N/A" if metrics.auc is None else f"{metrics.auc:.4f}",
+                         metrics.f1_binary, runtimes[i])
+            del final_graph
+    except Exception as exc:
+        raise RuntimeError(f"seed {seed}: stage {stage!r} failed: {exc}") from exc
+    return [results[i] for i in range(len(runs))]
+
+
+def _run_seeds(
+    dataset: SignedGraph | Sequence[EdgeSample], runs: Sequence[Run], seeds: Sequence[int],
+    enc_cfg: EncoderConfig, ratio: float, diagnostic: bool = False,
+    encoder_cache: dict | None = None, keep_states: bool = False,
+) -> list[ExperimentReport]:
+    """The seed loop: one report per run, each with one ``_seed_results`` result per seed.
+
+    The caller has checked each run (``check_experiment``).  Logs the add
+    thresholds <= 0.5 of each run that augments once, then raises
+    ``ValueError`` if ``ratio`` leaves the test half empty, before any seed runs.
+    """
+    for run in runs:
+        if _parse_pipeline(run.pipeline)[0] in AUGMENTING:
+            run.aug_cfg.log_low_add_thresholds()
+    edges, num_nodes = _edges_and_nodes(dataset)
+    check_test_half(ratio, len(edges))
+    reports = [
+        ExperimentReport(dataset="<in-memory>", pipeline=run.pipeline, ratio=ratio,
+                         seeds=list(seeds))
+        for run in runs
+    ]
+    for seed in seeds:
+        results = _seed_results(edges, num_nodes, seed, runs, enc_cfg, ratio, diagnostic,
+                                encoder_cache, keep_states)
+        for report, result in zip(reports, results):
+            report.results.append(result)
+    return reports
+
+
+def _pacing(enc_cfg: EncoderConfig, pace_cfg: PacingConfig | None) -> PacingConfig:
+    """``pace_cfg`` over the encoder's epochs; a pacing over other epochs is an error."""
+    return PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
 
 
 def run_experiment(
@@ -561,105 +738,47 @@ def run_experiment(
     or ``sa-only`` run logs an add threshold <= 0.5 once, before its first
     seed.  Each run seed derives the seeds of its pre-trained scorer and of
     its final model, so ``check_experiment`` refuses an ``enc_cfg.seed``
-    other than 0.  Each seed reads its densities and balance degrees as soon
-    as their graphs exist, and final training holds nothing it does not
-    read: the pre-trained scorer goes once ``augment`` has used it, the
-    training graph once the final graph is built (unless it is the final
-    graph), and the final graph's memoised balance report once
-    ``score_and_sort`` has read it.  A given ``encoder_cache`` keeps each
+    other than 0.  Each seed is one ``_seed_results`` call, which reads its
+    densities and balance degrees as soon as their graphs exist and releases
+    the scorer, the training graph and the final graph's memoised balance
+    report once nothing reads them.  A given ``encoder_cache`` keeps each
     scorer, and a later call reuses it only on the same split and encoder
-    config; a different one pre-trains its own.  The gap diagnostic uses
-    ``GapConstants`` with the encoder's learning rate and epochs.
+    config; a different one pre-trains its own.  ``run_pipelines`` shares a
+    seed's scorer and more among pipelines without one.  The gap diagnostic
+    uses ``GapConstants`` with the encoder's learning rate and epochs.
     """
     enc_cfg = enc_cfg or EncoderConfig()
-    kind, perturb_kind, perturb_ratio = check_experiment(
-        pipeline, seeds, ratio, encoder_seed=enc_cfg.seed
-    )
-    aug_cfg = aug_cfg or AugmentConfig()
-    if kind in AUGMENTING:
-        aug_cfg.log_low_add_thresholds()
-    # training runs for the encoder's epochs; a pacing over other epochs is an error
-    pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
-    edges, num_nodes = _edges_and_nodes(dataset)
-    check_test_half(ratio, len(edges))
-
-    report = ExperimentReport(
-        dataset="<in-memory>", pipeline=pipeline, ratio=ratio, seeds=list(seeds)
-    )
-    plain_pace = PacingConfig(lambda0=1.0, big_t=1, total_epochs=enc_cfg.epochs)
-    for seed in seeds:
-        started = time.perf_counter()
-        stage = "split"
-        try:
-            _, _, final_seed, perturb_seed = _derive_seeds(seed)
-            split, train_graph = _seed_split(edges, num_nodes, seed, ratio)
-            density_before = density(train_graph)
-            bd_before = balance_report(train_graph).balance_degree
-            aug_log: AugmentationLog | None = None
-
-            if kind in AUGMENTING:
-                stage = "augment"
-                final_train, aug_log, final_graph = _pretrain_and_augment(
-                    train_graph, split.train, seed, enc_cfg, aug_cfg, encoder_cache)
-            elif kind == "random":
-                stage = "perturb"
-                final_train = random_perturbation(
-                    split.train, perturb_kind, perturb_ratio, perturb_seed, num_nodes=num_nodes
-                )
-                final_graph = graph_from_samples(final_train, num_nodes)
-            else:
-                final_train, final_graph = split.train, train_graph
-            del train_graph  # only the final graph is read from here on
-            density_after = density(final_graph)
-
-            stage = "schedule"
-            schedule = score_and_sort(final_graph, final_train)
-            bd_after = balance_report(final_graph).balance_degree
-            final_graph._balance_report = None  # no later stage reads its per-edge columns
-            pace = pace_cfg if kind in PACED else plain_pace
-
-            stage = "train"
-            model_cfg = replace(enc_cfg, seed=final_seed)
-            state = train_with_curriculum(final_graph, schedule, model_cfg, pace)
-
-            stage = "evaluate"
-            # one head fit also scores the train edges, for the gap diagnostic
-            n_fit = len(final_train)
-            scored = _concat(final_train, split.test)
-            scores, labels = predict_test_signs(state, final_train, scored)
-            metrics = compute_metrics(scores[n_fit:], labels[n_fit:])
-            diag = None
-            if diagnostic:
-                constants = GapConstants(eta=enc_cfg.learning_rate, t=enc_cfg.epochs)
-                diag = _gap_diagnostic(state, scores, labels, n_fit, constants)
-        except Exception as exc:
-            raise RuntimeError(f"seed {seed}: stage {stage!r} failed: {exc}") from exc
-        result = SeedResult(
-            seed=seed,
-            metrics=metrics,
-            n_train=len(split.train),
-            n_test=len(split.test),
-            n_train_final=len(final_train),
-            density_before=density_before,
-            density_after=density_after,
-            bd_before=bd_before,
-            bd_after=bd_after,
-            runtime_sec=time.perf_counter() - started,
-            augmentation=aug_log,
-            diagnostic=diag,
-            final_train=final_train,
-            schedule=schedule,
-            encoder_state=state if keep_states else None,
-        )
-        report.results.append(result)
-        log.info(
-            "seed %d done: auc=%s f1b=%.4f (%.1fs)",
-            seed,
-            "N/A" if metrics.auc is None else f"{metrics.auc:.4f}",
-            metrics.f1_binary,
-            result.runtime_sec,
-        )
+    check_experiment(pipeline, seeds, ratio, encoder_seed=enc_cfg.seed)
+    run = Run(pipeline, aug_cfg or AugmentConfig(), _pacing(enc_cfg, pace_cfg))
+    (report,) = _run_seeds(dataset, [run], seeds, enc_cfg, ratio, diagnostic, encoder_cache,
+                           keep_states)
     return report
+
+
+def run_pipelines(
+    dataset: SignedGraph | Sequence[EdgeSample],
+    pipelines: Sequence[str],
+    seeds: Sequence[int],
+    enc_cfg: EncoderConfig | None = None,
+    aug_cfg: AugmentConfig | None = None,
+    pace_cfg: PacingConfig | None = None,
+    ratio: float = 0.8,
+) -> list[ExperimentReport]:
+    """One ``run_experiment`` report per pipeline, in order, from one seed loop.
+
+    Each report equals that of a ``run_experiment`` call with the same
+    arguments, timing aside, but each seed's split, scorer, augmentation
+    and schedules are made once for every pipeline that reads them (see
+    ``_seed_results``).  Every pipeline is checked before any seed runs.
+    """
+    if not pipelines:
+        raise ValueError("no pipelines to run")
+    enc_cfg = enc_cfg or EncoderConfig()
+    for pipeline in pipelines:
+        check_experiment(pipeline, seeds, ratio, encoder_seed=enc_cfg.seed)
+    aug_cfg, pace_cfg = aug_cfg or AugmentConfig(), _pacing(enc_cfg, pace_cfg)
+    runs = [Run(pipeline, aug_cfg, pace_cfg) for pipeline in pipelines]
+    return _run_seeds(dataset, runs, seeds, enc_cfg, ratio)
 
 
 def report_payload(report: ExperimentReport) -> dict:
@@ -710,28 +829,27 @@ def sensitivity_sweep(
     pace_cfg: PacingConfig | None = None,
     ratio: float = 0.8,
 ) -> list[dict]:
-    """One run_experiment per value of one augmentation/pacing parameter.
+    """One row of aggregate metrics per value of one augmentation/pacing parameter.
 
     The pipeline must use the parameter: the eps_* thresholds act only in
     ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
     ``tp-only``.  big_t values must be whole numbers, and every value is
-    range-checked before the first one runs.  Every value runs on the one
-    ``dataset``, as ``run_experiment`` takes it.  Each seed's pre-trained
-    candidate scorer is cached under its split and encoder config and shared
-    across values (none of the sweepable parameters affect it).  Each value
-    is one run, so an add threshold <= 0.5 in its augmentation config is
-    logged once per value.  ``check_experiment`` refuses a sweep that cannot
-    start, an ``enc_cfg.seed`` other than 0 included, before any value runs.
+    range-checked before the first one runs.  Every value is one run of one
+    seed loop on the one ``dataset``, as ``run_experiment`` takes it, so
+    each seed splits and pre-trains its scorer once for all values (see
+    ``_seed_results``).  A big_t or lambda0 sweep also augments and scores
+    its schedule once per seed; an eps_* sweep augments once per value.
+    Each value is one run, so an add threshold <= 0.5 in its augmentation
+    config is logged once per value.
+    ``check_experiment`` refuses a sweep that cannot start, an
+    ``enc_cfg.seed`` other than 0 included, before any value runs.
     """
     enc_cfg = enc_cfg or EncoderConfig()
     check_experiment(pipeline, seeds, ratio, param, values, encoder_seed=enc_cfg.seed)
-    aug_cfg = aug_cfg or AugmentConfig()
-    pace_cfg = pace_cfg or PacingConfig.for_epochs(enc_cfg.epochs)
-    cache: dict = {}
+    swept = _swept_configs(param, values, aug_cfg or AugmentConfig(), _pacing(enc_cfg, pace_cfg))
+    runs = [Run(pipeline, aug, pace) for aug, pace in swept]
     rows: list[dict] = []
-    for value, (aug, pace) in zip(values, _swept_configs(param, values, aug_cfg, pace_cfg)):
-        rep = run_experiment(dataset, pipeline, seeds, enc_cfg, aug, pace, ratio,
-                             encoder_cache=cache)
+    for value, rep in zip(values, _run_seeds(dataset, runs, seeds, enc_cfg, ratio)):
         agg = rep.aggregate()
         row = {"param": param, "value": value}
         for name in METRIC_NAMES:

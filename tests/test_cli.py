@@ -174,19 +174,19 @@ def test_augment_command(dataset_file_path, tmp_path, capsys):
 def test_augment_and_sa_only_run_share_one_split_and_scorer_path(
     dataset_file_path, tmp_path, monkeypatch, command, capsys
 ):
-    # both commands make a seed's split, scorer and augmentation by the same
-    # evalbench functions, once each
+    # both commands make a seed's split and scorer by the same evalbench
+    # functions, once each, and augment with that scorer
     from sigaug import evalbench
 
     calls = []
-    for name in ("_seed_split", "_pretrain_and_augment"):
+    for name in ("_seed_split", "_seed_scorer"):
         func = getattr(evalbench, name)
         monkeypatch.setattr(evalbench, name,
                             lambda *a, _n=name, _f=func, **k: calls.append(_n) or _f(*a, **k))
     assert main(["--quiet", *command, "--dataset", str(dataset_file_path), "--seed", "2",
                  "--outdir", str(tmp_path / "out"), *FAST]) == 0
     capsys.readouterr()
-    assert calls == ["_seed_split", "_pretrain_and_augment"]
+    assert calls == ["_seed_split", "_seed_scorer"]
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -31,6 +33,7 @@ from sigaug.evalbench import (
     random_perturbation,
     report_payload,
     run_experiment,
+    run_pipelines,
     sensitivity_sweep,
 )
 from sigaug.graph import EdgeColumns, EdgeSample, graph_from_samples
@@ -781,12 +784,19 @@ def test_sweep_single_value_matches_run(tiny_setup):
     assert rows[0]["f1_binary_mean"] == agg["f1_binary"]["mean"]
 
 
-def test_sweep_reuses_pretrained_encoder(tiny_setup, monkeypatch):
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls per name of the evalbench stages that make a seed's shared things."""
+    calls = collections.Counter()
+    for name in ("train_encoder", "augment", "score_and_sort", "train_with_curriculum"):
+        func = getattr(evalbench, name)
+        monkeypatch.setattr(evalbench, name,
+                            lambda *a, _n=name, _f=func, **k: calls.update([_n]) or _f(*a, **k))
+    return calls
+
+
+def test_sweep_reuses_pretrained_encoder(tiny_setup, stage_calls):
     edges, enc = tiny_setup
-    pretrained = []
-    train = evalbench.train_encoder
-    monkeypatch.setattr(evalbench, "train_encoder",
-                        lambda *a: pretrained.append(1) or train(*a))
     rows = sensitivity_sweep(
         edges,
         "eps_add_pos",
@@ -795,7 +805,8 @@ def test_sweep_reuses_pretrained_encoder(tiny_setup, monkeypatch):
         seeds=[0, 1],
         enc_cfg=enc,
     )
-    assert len(pretrained) == 2  # once per seed, shared by the three values
+    assert stage_calls["train_encoder"] == 2  # once per seed, shared by the three values
+    assert stage_calls["augment"] == 6  # each value's thresholds augment each seed
     assert len(rows) == 3
 
 
@@ -819,13 +830,65 @@ def test_encoder_cache_reuses_no_scorer_of_another_split_or_config(first, second
     assert report_payload(shared) == report_payload(run_experiment(**{**run, **second}))
 
 
+DEFAULT_PIPELINES = ["baseline", "sga", "sa-only", "tp-only"]
+SHARED = dict(dataset=GOLDEN_RECORDS, seeds=[3, 4], enc_cfg=EncoderConfig(embed_dim=8, epochs=20),
+              aug_cfg=AugmentConfig(eps_add_pos=0.6, eps_add_neg=0.6))
+
+
+def _column_bytes(edges: EdgeColumns) -> bytes:
+    return b"".join(column.tobytes() for column in (edges.u, edges.v, edges.sign))
+
+
+def test_pipelines_sharing_seeds_equal_standalone_runs():
+    # sga and sa-only share a scorer and augmentation, baseline and tp-only
+    # the train edges' schedule; none of it may change what a pipeline reports
+    pipelines = [*DEFAULT_PIPELINES, "random:drop-edge,0.1"]
+    reports = run_pipelines(pipelines=pipelines, **SHARED)
+    assert [report.pipeline for report in reports] == pipelines
+    for report in reports:
+        alone = run_experiment(pipeline=report.pipeline, **SHARED)
+        assert (json.dumps(report_payload(report), sort_keys=True)
+                == json.dumps(report_payload(alone), sort_keys=True))
+        for shared, own in zip(report.results, alone.results, strict=True):
+            assert _column_bytes(shared.final_train) == _column_bytes(own.final_train)
+            assert (_column_bytes(shared.schedule.ordered_edges)
+                    == _column_bytes(own.schedule.ordered_edges))
+            assert shared.schedule.difficulties.tobytes() == own.schedule.difficulties.tobytes()
+
+
+@pytest.mark.parametrize("call, per_seed", [
+    (lambda: run_pipelines(pipelines=DEFAULT_PIPELINES, **SHARED),
+     {"train_encoder": 1, "augment": 1, "score_and_sort": 2, "train_with_curriculum": 4,
+      "kernel": 2}),
+    (lambda: run_pipelines(pipelines=[*DEFAULT_PIPELINES, "random:drop-edge,0.1"], **SHARED),
+     {"train_encoder": 1, "augment": 1, "score_and_sort": 3, "train_with_curriculum": 5,
+      "kernel": 3}),
+    (lambda: sensitivity_sweep(param="big_t", values=[2, 5, 10], pipeline="sga", **SHARED),
+     {"train_encoder": 1, "augment": 1, "score_and_sort": 1, "train_with_curriculum": 3,
+      "kernel": 2}),
+], ids=["four-pipelines", "with-drop-edge", "big_t-sweep"])
+def test_a_seed_makes_each_shared_stage_once(stage_calls, kernel_calls, call, per_seed):
+    # one pre-training, one augmentation per distinct augmentation config and
+    # one schedule (and kernel evaluation) per distinct final edge set per seed
+    call()
+    seeds = len(SHARED["seeds"])
+    assert {**stage_calls, "kernel": len(kernel_calls)} == {
+        name: seeds * count for name, count in per_seed.items()
+    }
+
+
+def test_run_pipelines_needs_a_pipeline():
+    with pytest.raises(ValueError, match="no pipelines to run"):
+        run_pipelines(pipelines=[], **SHARED)
+
+
 def test_sweep_validation(tiny_setup, monkeypatch):
     edges, enc = tiny_setup
 
     def no_run(*args, **kwargs):
         raise AssertionError("a value ran before every value was checked")
 
-    monkeypatch.setattr(evalbench, "run_experiment", no_run)
+    monkeypatch.setattr(evalbench, "_run_seeds", no_run)
     with pytest.raises(ValueError):
         sensitivity_sweep(edges, "embed_dim", [8], enc_cfg=enc)
     with pytest.raises(ValueError):
