@@ -173,9 +173,10 @@ def balance_report(graph: SignedGraph) -> BalanceReport:
 
     Per-edge incident counts sum to three times the global totals (each
     triangle touches three edges).  The graph is immutable, so the report
-    is kept on it and later calls return the same object.  ``run_experiment``
-    clears the memo once it has scored the schedule; the memo then keeps
-    nothing, and a further call would run the kernel again.
+    is kept on it and later calls return the same object.
+    ``evalbench._seed_results`` clears the memo once it has scored a
+    schedule; the memo then keeps nothing, and a further call would run the
+    kernel again.
     """
     report = graph._balance_report
     if report is None:

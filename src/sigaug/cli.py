@@ -139,6 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():
+        # --quiet may follow the subcommand too; no default, so it never resets a --quiet before
+        p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                       help="only warnings and errors")
     return parser
 
 
@@ -182,36 +186,22 @@ def _load_graph(cfg):
     return path, loaded, graph, build_stats
 
 
-def _prepare_run(
-    args: argparse.Namespace,
-    defaults: dict | None = None,
-    param: str | None = None,
-    values: tuple | list = (),
-):
-    """Config, output directory and experiment arguments of a run or sweep.
+def _prepare_run(args: argparse.Namespace, defaults: dict | None = None,
+                 param: str | None = None, values: tuple | list = ()):
+    """Config, plan, loaded graph and output directory of a run or sweep.
 
-    Checks the run, and the swept ``param`` and every one of its ``values``
-    of a sweep, then loads the dataset and checks that the split leaves a
-    test edge: only a run that can start creates the output directory and
-    writes ``config.resolved.json`` into it.  The arguments are those
-    ``run_experiment`` and ``sensitivity_sweep`` share, with the loaded
-    graph as the dataset.
+    Plans the run, or the sweep of ``param`` over ``values``, then loads
+    the dataset and checks that the split leaves a test edge: only a run
+    that can start creates the output directory and writes
+    ``config.resolved.json`` into it.
     """
-    from .evalbench import _swept_configs, check_experiment
+    from .evalbench import plan_experiment
 
     cfg = _config_from_args(args, defaults)
-    check_experiment(cfg.pipeline, cfg.seeds, cfg.ratio, param, values)
-    if param is not None:
-        # range-checks every swept value; building a config logs nothing, so
-        # sensitivity_sweep building these again later shows no trace of this one
-        _swept_configs(param, values, cfg.augment, cfg.pacing)
+    plan = plan_experiment([cfg.pipeline], cfg.seeds, cfg.encoder, cfg.augment, cfg.pacing,
+                           cfg.ratio, param, values)
     _, _, graph, _ = _load_graph(cfg)
-    outdir = start_output(cfg, graph)
-    experiment = dict(
-        dataset=graph, pipeline=cfg.pipeline, seeds=cfg.seeds, enc_cfg=cfg.encoder,
-        aug_cfg=cfg.augment, pace_cfg=cfg.pacing, ratio=cfg.ratio,
-    )
-    return cfg, outdir, experiment
+    return cfg, plan, graph, start_output(cfg, graph)
 
 
 def start_output(cfg, graph) -> Path:
@@ -357,14 +347,14 @@ def cmd_augment(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .augment import augment
-    from .evalbench import _seed_scorer, _seed_split, check_experiment
+    from .evalbench import _seed_scorer, _seed_split, plan_experiment
 
     cfg = _config_from_args(args)
     # the checks of `run --pipeline sa-only`, whose edges this writes
-    check_experiment("sa-only", cfg.seeds, cfg.ratio)
+    (seed,) = plan_experiment(["sa-only"], cfg.seeds, cfg.encoder, cfg.augment, cfg.pacing,
+                              cfg.ratio).seeds
     cfg.augment.log_low_add_thresholds()
     _, loaded, graph, _ = _load_graph(cfg)
-    (seed,) = cfg.seeds
     # the split, scorer and augmentation of `run --pipeline sa-only` for this seed, made by
     # the same code, so both write the same edges
     split, train_graph = _seed_split(graph.edge_columns(), graph.num_nodes, seed, cfg.ratio)
@@ -383,13 +373,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
     return 0
 
 
-def write_run(cfg, report, outdir: Path) -> None:
-    """Write the files of ``cfg``'s run from its ``report`` and print its summary row."""
+def write_run(cfg, run, report, outdir: Path) -> None:
+    """Write the files of ``cfg``'s planned ``run`` from its ``report``; print its summary row."""
     from .curriculum import schedule_to_csv
     from .encoder import save_checkpoint
-    from .evalbench import (
-        AUGMENTING, METRIC_NAMES, _parse_pipeline, report_payload, report_timing,
-    )
+    from .evalbench import METRIC_NAMES, report_payload, report_timing
 
     report.dataset = cfg.dataset  # report the user-facing name, not the path
     payload = report_payload(report)
@@ -406,11 +394,10 @@ def write_run(cfg, report, outdir: Path) -> None:
                 _cell(r.density_before, 8), _cell(r.density_after, 8),
                 _cell(r.bd_before), _cell(r.bd_after),
             ])
-    pipeline_changes_edges = _parse_pipeline(report.pipeline)[0] in (*AUGMENTING, "random")
     for r in report.results:
         if r.schedule is not None:
             schedule_to_csv(r.schedule, outdir / f"schedule_seed{r.seed}.csv")
-        if pipeline_changes_edges:
+        if run.edge_source() != ("train",):  # it trains on other edges than the split's
             _write_sign_tsv(r.final_train, outdir / f"augmented_train_seed{r.seed}.tsv")
         if r.encoder_state is not None:
             save_checkpoint(r.encoder_state, outdir / f"encoder_seed{r.seed}.bin")
@@ -418,20 +405,20 @@ def write_run(cfg, report, outdir: Path) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .evalbench import run_experiment
+    from .evalbench import run_plan
 
-    cfg, outdir, experiment = _prepare_run(args)
-    report = run_experiment(**experiment, diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders)
-    write_run(cfg, report, outdir)
+    cfg, plan, graph, outdir = _prepare_run(args)
+    (report,) = run_plan(graph, plan, diagnostic=cfg.diagnostic, keep_states=cfg.save_encoders)
+    write_run(cfg, plan.runs[0], report, outdir)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evalbench import METRIC_NAMES, sensitivity_sweep
+    from .evalbench import METRIC_NAMES, run_plan, sweep_rows
 
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    _, outdir, experiment = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
-    rows = sensitivity_sweep(param=args.param, values=values, **experiment)
+    _, plan, graph, outdir = _prepare_run(args, {"pipeline": "sga"}, args.param, values)
+    rows = sweep_rows(args.param, values, run_plan(graph, plan))
     stats = [f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "std")]
     with (outdir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

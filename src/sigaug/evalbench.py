@@ -412,7 +412,8 @@ def _derive_seeds(seed: int) -> tuple[int, int, int, int]:
     return tuple(int(c.generate_state(1)[0]) for c in children)  # type: ignore[return-value]
 
 
-def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
+def _parse_pipeline(pipeline: str) -> tuple[str, tuple[str, float] | None]:
+    """A pipeline's kind, and the perturbation kind and ratio of a ``random:`` pipeline."""
     if not isinstance(pipeline, str):
         raise ValueError(f"pipeline must be a string, got {pipeline!r}")
     if pipeline.startswith("random:"):
@@ -428,31 +429,76 @@ def _parse_pipeline(pipeline: str) -> tuple[str, str | None, float]:
             raise ValueError(f"unknown perturbation kind {kind!r}")
         if not 0 <= ratio <= 1:  # NaN included
             raise ValueError(f"random perturbation ratio must be in [0, 1], got {ratio}")
-        return "random", kind, ratio
+        return "random", (kind, ratio)
     if pipeline not in ("baseline", "sga", "sa-only", "tp-only"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    return pipeline, None, 0.0
+    return pipeline, None
 
 
-def check_experiment(
-    pipeline: str,
+class Run(NamedTuple):
+    """One checked run: a pipeline, its parsed kind and perturbation, and its configs.
+
+    ``kind`` is ``baseline``, ``sga``, ``sa-only``, ``tp-only`` or
+    ``random``; ``perturbation`` is a ``random:`` pipeline's (kind, ratio).
+    ``pace_cfg`` is the pacing the final model trains under, the lambda0 = 1
+    degenerate curriculum for a pipeline that does not pace.
+    """
+
+    pipeline: str
+    kind: str
+    perturbation: tuple[str, float] | None
+    aug_cfg: AugmentConfig
+    pace_cfg: PacingConfig
+
+    def edge_source(self) -> tuple:
+        """The key of the run's final edges; runs with one key share them and their schedule.
+
+        Only a run keyed ``("train",)`` trains on its split's train edges.
+        """
+        if self.kind in AUGMENTING:
+            return ("augment", astuple(self.aug_cfg))
+        if self.perturbation is not None:
+            return ("random", *self.perturbation)
+        return ("train",)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A checked experiment: its runs, seeds, encoder config and train ratio.
+
+    ``plan_experiment`` makes one and ``run_plan`` runs it.
+    """
+
+    runs: tuple[Run, ...]
+    seeds: tuple[int, ...]
+    enc_cfg: EncoderConfig
+    ratio: float
+
+
+def plan_experiment(
+    pipelines: Sequence[str],
     seeds: Sequence[int],
-    ratio: float,
+    enc_cfg: EncoderConfig | None = None,
+    aug_cfg: AugmentConfig | None = None,
+    pace_cfg: PacingConfig | None = None,
+    ratio: float = 0.8,
     param: str | None = None,
     values: Sequence[float] = (),
-    encoder_seed: int = 0,
-) -> tuple[str, str | None, float]:
-    """Raise ``ValueError`` for a run or sweep that cannot start; parse the pipeline.
+) -> Plan:
+    """The checked plan of a run or sweep; ``ValueError`` for one that cannot start.
 
-    A run needs at least one seed, no seed twice, no negative seed, an
-    ``encoder_seed`` of 0 (each run seed derives the seeds of its encoders,
-    so any other value would go unused), a known pipeline (with a
-    ``random:`` ratio in [0, 1]) and a train ``ratio`` in (0, 1).  A sweep
-    (``param`` given) needs a sweepable parameter that the pipeline uses and
-    at least one value, and big_t values must be whole numbers.  Returns
-    the pipeline kind, and the perturbation kind and ratio of a ``random:``
-    pipeline.
+    A run needs at least one pipeline and at least one seed, no seed twice,
+    no negative seed, an ``enc_cfg.seed`` of 0 (each run seed derives the
+    seeds of its encoders, so any other value would go unused), known
+    pipelines (with a ``random:`` ratio in [0, 1]), a train ``ratio`` in
+    (0, 1) and a ``pace_cfg`` over the encoder's epochs.  A sweep (``param``
+    given) needs a sweepable parameter that every pipeline uses and at least
+    one value; big_t values must be whole numbers, and each value must be
+    in its config's range.  The plan has one run per pipeline, in order, or
+    for a sweep one run per value and pipeline, ordered by value.
     """
+    if not pipelines:
+        raise ValueError("no pipelines to run")
     if len(seeds) == 0:
         raise ValueError(
             "no seeds to run: give a seed count of at least 1 or a non-empty seed list"
@@ -462,28 +508,43 @@ def check_experiment(
     negative = [seed for seed in seeds if seed < 0]
     if negative:
         raise ValueError(f"seeds must be >= 0, got {', '.join(map(str, negative))}")
-    if encoder_seed != 0:
+    enc_cfg = enc_cfg or EncoderConfig()
+    if enc_cfg.seed != 0:
         raise ValueError(
-            f"EncoderConfig seed = {encoder_seed} is not used: encoder seeds are derived from "
+            f"EncoderConfig seed = {enc_cfg.seed} is not used: encoder seeds are derived from "
             "each run seed; leave it at 0"
         )
-    parsed = _parse_pipeline(pipeline)
+    parsed = [(pipeline, *_parse_pipeline(pipeline)) for pipeline in pipelines]
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    if param is not None:
+        if param not in SWEEPABLE_PARAMS:
+            raise ValueError(
+                f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
+        if not values:
+            raise ValueError("sweep needs at least one value")
+        users = AUGMENTING if param.startswith("eps_") else PACED
+        for pipeline, kind, _ in parsed:
+            if kind not in users:
+                raise ValueError(f"pipeline {pipeline!r} ignores {param}; "
+                                 f"sweep it with one of {', '.join(users)}")
+        if param == "big_t" and not all(float(v).is_integer() for v in values):
+            raise ValueError(f"big_t counts epochs and takes whole numbers, got {list(values)}")
+    aug_cfg = aug_cfg or AugmentConfig()
+    pace_cfg = PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
+    # every swept config is built here, so a value out of range raises before any runs
     if param is None:
-        return parsed
-    if param not in SWEEPABLE_PARAMS:
-        raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}")
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    users = AUGMENTING if param.startswith("eps_") else PACED
-    if parsed[0] not in users:
-        raise ValueError(
-            f"pipeline {pipeline!r} ignores {param}; sweep it with one of {', '.join(users)}"
-        )
-    if param == "big_t" and not all(float(v).is_integer() for v in values):
-        raise ValueError(f"big_t counts epochs and takes whole numbers, got {list(values)}")
-    return parsed
+        configs = [(aug_cfg, pace_cfg)]
+    elif param.startswith("eps_"):
+        configs = [(replace(aug_cfg, **{param: float(v)}), pace_cfg) for v in values]
+    elif param == "lambda0":
+        configs = [(aug_cfg, replace(pace_cfg, lambda0=float(v))) for v in values]
+    else:
+        configs = [(aug_cfg, replace(pace_cfg, big_t=int(v))) for v in values]
+    plain = PacingConfig(lambda0=1.0, big_t=1, total_epochs=enc_cfg.epochs)
+    runs = tuple(Run(pipeline, kind, perturbation, aug, pace if kind in PACED else plain)
+                 for aug, pace in configs for pipeline, kind, perturbation in parsed)
+    return Plan(runs, tuple(seeds), enc_cfg, ratio)
 
 
 def check_test_half(ratio: float, edge_count: int) -> None:
@@ -536,34 +597,16 @@ def _seed_scorer(
     return scorer
 
 
-class Run(NamedTuple):
-    """A pipeline and the augmentation and pacing configs it runs under."""
-
-    pipeline: str
-    aug_cfg: AugmentConfig
-    pace_cfg: PacingConfig
-
-
 # the order a seed makes final edge sets in: each augmentation reads the training
 # graph's memoised balance report before the train edges' schedule clears it
 _SOURCE_ORDER = ("augment", "train", "random")
 
 
-def _edge_source(run: Run) -> tuple:
-    """The key of a run's final edges; runs with one key share them and their schedule."""
-    kind, perturb_kind, perturb_ratio = _parse_pipeline(run.pipeline)
-    if kind in AUGMENTING:
-        return ("augment", astuple(run.aug_cfg))
-    if kind == "random":
-        return ("random", perturb_kind, perturb_ratio)
-    return ("train",)
-
-
 def _seed_results(
-    edges: EdgeColumns, num_nodes: int, seed: int, runs: Sequence[Run], enc_cfg: EncoderConfig,
-    ratio: float, diagnostic: bool, encoder_cache: dict | None, keep_states: bool,
+    edges: EdgeColumns, num_nodes: int, seed: int, plan: Plan, diagnostic: bool,
+    encoder_cache: dict | None, keep_states: bool,
 ) -> list[SeedResult]:
-    """Seed ``seed`` of each run, one ``SeedResult`` per run in the given order.
+    """Seed ``seed`` of each of the plan's runs, one ``SeedResult`` per run in its order.
 
     Makes the split, the training graph and its report, and the scorer
     once; one augmentation per distinct ``AugmentConfig``, one perturbation
@@ -578,10 +621,11 @@ def _seed_results(
     is its final graph.
 
     A stage's time goes to the ``runtime_sec`` of the first run, in the
-    given order, that reads what it makes (the split's to the first run),
+    plan's order, that reads what it makes (the split's to the first run),
     so a seed's runtimes add up to its wall time.  A failing stage raises
     ``RuntimeError`` naming the seed and the stage, and fails every run.
     """
+    runs, enc_cfg = plan.runs, plan.enc_cfg
     runtimes = [0.0] * len(runs)
     mark = time.perf_counter()
 
@@ -593,15 +637,14 @@ def _seed_results(
 
     readers: dict[tuple, list[int]] = {}
     for i, run in enumerate(runs):
-        readers.setdefault(_edge_source(run), []).append(i)
+        readers.setdefault(run.edge_source(), []).append(i)
     order = sorted(readers, key=lambda key: _SOURCE_ORDER.index(key[0]))
-    plain_pace = PacingConfig(lambda0=1.0, big_t=1, total_epochs=enc_cfg.epochs)
     results: dict[int, SeedResult] = {}
     stage = "split"
     try:
         _, _, final_seed, perturb_seed = _derive_seeds(seed)
         model_cfg = replace(enc_cfg, seed=final_seed)
-        split, train_graph = _seed_split(edges, num_nodes, seed, ratio)
+        split, train_graph = _seed_split(edges, num_nodes, seed, plan.ratio)
         density_before = density(train_graph)
         bd_before = balance_report(train_graph).balance_degree
         scorer = None
@@ -618,7 +661,7 @@ def _seed_results(
             elif key[0] == "random":
                 stage = "perturb"
                 final_train = random_perturbation(
-                    split.train, key[1], key[2], perturb_seed, num_nodes=num_nodes
+                    split.train, *key[1:], perturb_seed, num_nodes=num_nodes
                 )
                 final_graph = graph_from_samples(final_train, num_nodes)
             else:
@@ -637,9 +680,7 @@ def _seed_results(
 
             for i in readers[key]:
                 stage = "train"
-                paced = _parse_pipeline(runs[i].pipeline)[0] in PACED
-                state = train_with_curriculum(final_graph, schedule, model_cfg,
-                                              runs[i].pace_cfg if paced else plain_pace)
+                state = train_with_curriculum(final_graph, schedule, model_cfg, runs[i].pace_cfg)
 
                 stage = "evaluate"
                 # one head fit also scores the train edges, for the gap diagnostic
@@ -679,38 +720,32 @@ def _seed_results(
     return [results[i] for i in range(len(runs))]
 
 
-def _run_seeds(
-    dataset: SignedGraph | Sequence[EdgeSample], runs: Sequence[Run], seeds: Sequence[int],
-    enc_cfg: EncoderConfig, ratio: float, diagnostic: bool = False,
+def run_plan(
+    dataset: SignedGraph | Sequence[EdgeSample], plan: Plan, diagnostic: bool = False,
     encoder_cache: dict | None = None, keep_states: bool = False,
 ) -> list[ExperimentReport]:
-    """The seed loop: one report per run, each with one ``_seed_results`` result per seed.
+    """The seed loop: one report per run of ``plan``, with one ``_seed_results`` result a seed.
 
-    The caller has checked each run (``check_experiment``).  Logs the add
-    thresholds <= 0.5 of each run that augments once, then raises
-    ``ValueError`` if ``ratio`` leaves the test half empty, before any seed runs.
+    Logs the add thresholds <= 0.5 of each run that augments once, then
+    raises ``ValueError`` if the plan's ratio leaves the test half of
+    ``dataset`` empty, before any seed runs.
     """
-    for run in runs:
-        if _parse_pipeline(run.pipeline)[0] in AUGMENTING:
+    for run in plan.runs:
+        if run.kind in AUGMENTING:
             run.aug_cfg.log_low_add_thresholds()
     edges, num_nodes = _edges_and_nodes(dataset)
-    check_test_half(ratio, len(edges))
+    check_test_half(plan.ratio, len(edges))
     reports = [
-        ExperimentReport(dataset="<in-memory>", pipeline=run.pipeline, ratio=ratio,
-                         seeds=list(seeds))
-        for run in runs
+        ExperimentReport(dataset="<in-memory>", pipeline=run.pipeline, ratio=plan.ratio,
+                         seeds=list(plan.seeds))
+        for run in plan.runs
     ]
-    for seed in seeds:
-        results = _seed_results(edges, num_nodes, seed, runs, enc_cfg, ratio, diagnostic,
-                                encoder_cache, keep_states)
+    for seed in plan.seeds:
+        results = _seed_results(edges, num_nodes, seed, plan, diagnostic, encoder_cache,
+                                keep_states)
         for report, result in zip(reports, results):
             report.results.append(result)
     return reports
-
-
-def _pacing(enc_cfg: EncoderConfig, pace_cfg: PacingConfig | None) -> PacingConfig:
-    """``pace_cfg`` over the encoder's epochs; a pacing over other epochs is an error."""
-    return PacingConfig.for_epochs(enc_cfg.epochs, **(asdict(pace_cfg) if pace_cfg else {}))
 
 
 def run_experiment(
@@ -732,13 +767,11 @@ def run_experiment(
     Pipelines: ``baseline`` (plain training), ``sga`` (structure augmentation
     plus curriculum), ``sa-only``, ``tp-only``, and ``random:<kind>,<ratio>``.
     Plain training is realized as the lambda0 = 1 degenerate curriculum so a
-    no-op-threshold ``sga`` run is bit-identical to ``baseline``.  A run that
-    cannot start (see ``check_experiment``), or whose ``ratio`` leaves the
-    test half empty, raises ``ValueError`` before any seed runs; a ``sga``
-    or ``sa-only`` run logs an add threshold <= 0.5 once, before its first
-    seed.  Each run seed derives the seeds of its pre-trained scorer and of
-    its final model, so ``check_experiment`` refuses an ``enc_cfg.seed``
-    other than 0.  Each seed is one ``_seed_results`` call, which reads its
+    no-op-threshold ``sga`` run is bit-identical to ``baseline``.  The run
+    is one ``plan_experiment`` plan (each run seed derives the seeds of its
+    scorer and final model, so it refuses an ``enc_cfg.seed`` other than
+    0), run by ``run_plan``; either raises ``ValueError`` before any seed
+    runs.  Each seed is one ``_seed_results`` call, which reads its
     densities and balance degrees as soon as their graphs exist and releases
     the scorer, the training graph and the final graph's memoised balance
     report once nothing reads them.  A given ``encoder_cache`` keeps each
@@ -747,11 +780,8 @@ def run_experiment(
     seed's scorer and more among pipelines without one.  The gap diagnostic
     uses ``GapConstants`` with the encoder's learning rate and epochs.
     """
-    enc_cfg = enc_cfg or EncoderConfig()
-    check_experiment(pipeline, seeds, ratio, encoder_seed=enc_cfg.seed)
-    run = Run(pipeline, aug_cfg or AugmentConfig(), _pacing(enc_cfg, pace_cfg))
-    (report,) = _run_seeds(dataset, [run], seeds, enc_cfg, ratio, diagnostic, encoder_cache,
-                           keep_states)
+    plan = plan_experiment([pipeline], seeds, enc_cfg, aug_cfg, pace_cfg, ratio)
+    (report,) = run_plan(dataset, plan, diagnostic, encoder_cache, keep_states)
     return report
 
 
@@ -771,14 +801,7 @@ def run_pipelines(
     and schedules are made once for every pipeline that reads them (see
     ``_seed_results``).  Every pipeline is checked before any seed runs.
     """
-    if not pipelines:
-        raise ValueError("no pipelines to run")
-    enc_cfg = enc_cfg or EncoderConfig()
-    for pipeline in pipelines:
-        check_experiment(pipeline, seeds, ratio, encoder_seed=enc_cfg.seed)
-    aug_cfg, pace_cfg = aug_cfg or AugmentConfig(), _pacing(enc_cfg, pace_cfg)
-    runs = [Run(pipeline, aug_cfg, pace_cfg) for pipeline in pipelines]
-    return _run_seeds(dataset, runs, seeds, enc_cfg, ratio)
+    return run_plan(dataset, plan_experiment(pipelines, seeds, enc_cfg, aug_cfg, pace_cfg, ratio))
 
 
 def report_payload(report: ExperimentReport) -> dict:
@@ -798,24 +821,22 @@ def report_payload(report: ExperimentReport) -> dict:
     }
 
 
-def _swept_configs(
-    param: str, values: Sequence[float], aug_cfg: AugmentConfig, pace_cfg: PacingConfig
-) -> list[tuple[AugmentConfig, PacingConfig]]:
-    """The augmentation and pacing configs of each swept value, in order.
-
-    Builds them all at once, so a value out of range raises ``ValueError``
-    before any of them runs.
-    """
-    if param.startswith("eps_"):
-        return [(replace(aug_cfg, **{param: float(value)}), pace_cfg) for value in values]
-    if param == "lambda0":
-        return [(aug_cfg, replace(pace_cfg, lambda0=float(value))) for value in values]
-    return [(aug_cfg, replace(pace_cfg, big_t=int(value))) for value in values]
-
-
 def report_timing(report: ExperimentReport) -> dict:
     per_seed = [round(r.runtime_sec, 3) for r in report.results]
     return {"per_seed_sec": per_seed, "total_sec": round(sum(per_seed), 3)}
+
+
+def sweep_rows(param: str, values: Sequence[float], reports: list[ExperimentReport]) -> list[dict]:
+    """One row of aggregate metrics per swept value, from its run's report."""
+    rows: list[dict] = []
+    for value, rep in zip(values, reports):
+        agg = rep.aggregate()
+        row = {"param": param, "value": value}
+        for name in METRIC_NAMES:
+            row[f"{name}_mean"] = agg[name]["mean"]
+            row[f"{name}_std"] = agg[name]["std"]
+        rows.append(row)
+    return rows
 
 
 def sensitivity_sweep(
@@ -833,27 +854,15 @@ def sensitivity_sweep(
 
     The pipeline must use the parameter: the eps_* thresholds act only in
     ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
-    ``tp-only``.  big_t values must be whole numbers, and every value is
-    range-checked before the first one runs.  Every value is one run of one
-    seed loop on the one ``dataset``, as ``run_experiment`` takes it, so
-    each seed splits and pre-trains its scorer once for all values (see
-    ``_seed_results``).  A big_t or lambda0 sweep also augments and scores
-    its schedule once per seed; an eps_* sweep augments once per value.
-    Each value is one run, so an add threshold <= 0.5 in its augmentation
-    config is logged once per value.
-    ``check_experiment`` refuses a sweep that cannot start, an
-    ``enc_cfg.seed`` other than 0 included, before any value runs.
+    ``tp-only``.  big_t values must be whole numbers.  ``plan_experiment``
+    refuses a sweep that cannot start, a value out of range or an
+    ``enc_cfg.seed`` other than 0 included, before any value runs.  Every
+    value is one run of one ``run_plan`` seed loop on the one ``dataset``,
+    as ``run_experiment`` takes it, so each seed splits and pre-trains its
+    scorer once for all values (see ``_seed_results``).  A big_t or lambda0
+    sweep also augments and scores its schedule once per seed; an eps_*
+    sweep augments once per value.  Each value is one run, so an add
+    threshold <= 0.5 in its augmentation config is logged once per value.
     """
-    enc_cfg = enc_cfg or EncoderConfig()
-    check_experiment(pipeline, seeds, ratio, param, values, encoder_seed=enc_cfg.seed)
-    swept = _swept_configs(param, values, aug_cfg or AugmentConfig(), _pacing(enc_cfg, pace_cfg))
-    runs = [Run(pipeline, aug, pace) for aug, pace in swept]
-    rows: list[dict] = []
-    for value, rep in zip(values, _run_seeds(dataset, runs, seeds, enc_cfg, ratio)):
-        agg = rep.aggregate()
-        row = {"param": param, "value": value}
-        for name in METRIC_NAMES:
-            row[f"{name}_mean"] = agg[name]["mean"]
-            row[f"{name}_std"] = agg[name]["std"]
-        rows.append(row)
-    return rows
+    plan = plan_experiment([pipeline], seeds, enc_cfg, aug_cfg, pace_cfg, ratio, param, values)
+    return sweep_rows(param, values, run_plan(dataset, plan))

@@ -503,7 +503,7 @@ class SignedGraph:
             arr.flags.writeable = False
         self._keys = keys
         self._adjacency = adjacency
-        # balance_report fills it, run_experiment clears it; never stale: the graph never changes
+        # balance_report fills it, _seed_results clears it; never stale: the graph never changes
         self._balance_report = None
 
     def edge_index(self, u, v) -> np.ndarray:

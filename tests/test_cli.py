@@ -521,8 +521,32 @@ def test_the_settable_surface():
         "--learning-rate", "--epochs", "--input-features", "--eps-add-pos", "--eps-add-neg",
         "--eps-del-pos", "--eps-del-neg", "--lambda0", "--big-t",
         "--json", "--split-ratio", "--split-seed", "--per-edge-csv", "--param", "--values",
+        # the top-level --quiet, which every subcommand also takes after its name
+        "--quiet",
     }
-    assert (sum(map(len, _TABLES.values())), len(flags)) == (19, 27)
+    assert (sum(map(len, _TABLES.values())), len(flags)) == (19, 28)
+
+
+@pytest.mark.parametrize("command", [
+    ["stats", "--dataset", "g.tsv"],
+    ["balance-report", "--dataset", "g.tsv"],
+    ["augment", "--dataset", "g.tsv"],
+    ["run"],
+    ["sweep", "--param", "big_t", "--values", "2"],
+], ids=lambda command: command[0])
+def test_quiet_goes_before_or_after_the_subcommand(command):
+    from sigaug.cli import build_parser
+
+    parse = build_parser().parse_args
+    assert parse(command).quiet is False
+    assert parse(["--quiet", *command]).quiet is True
+    assert parse([*command, "--quiet"]).quiet is True
+
+
+def test_stats_takes_quiet_after_the_subcommand(dataset_file_path, capsys):
+    # the form acceptance criterion 1 calls
+    assert main(["stats", "--dataset", str(dataset_file_path), "--json", "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["unique_edges"] > 0
 
 
 def _typed_keys():
@@ -846,6 +870,25 @@ def test_a_sweep_parses_its_dataset_once(dataset_file_path, tmp_path, monkeypatc
     assert _sweep(dataset_file_path, tmp_path, "--pipeline", "tp-only",
                   "--param", "lambda0", "--values", "0.25,0.5,1.0") == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--pipeline", "random:drop-edge,0.1", "--seeds", "0,1"],
+    ["sweep", "--param", "big_t", "--values", "1,2", "--seeds", "0,1"],
+])
+def test_a_run_or_sweep_parses_its_pipeline_and_plans_once(
+    dataset_file_path, tmp_path, monkeypatch, command
+):
+    from sigaug import evalbench
+
+    calls = []
+    for name in ("_parse_pipeline", "plan_experiment"):
+        func = getattr(evalbench, name)
+        monkeypatch.setattr(evalbench, name,
+                            lambda *a, _n=name, _f=func, **k: calls.append(_n) or _f(*a, **k))
+    assert main(["--quiet", *command, "--dataset", str(dataset_file_path),
+                 "--outdir", str(tmp_path / "out"), *FAST]) == 0
+    assert sorted(calls) == ["_parse_pipeline", "plan_experiment"]
 
 
 @pytest.mark.parametrize("command", [

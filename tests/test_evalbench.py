@@ -888,7 +888,7 @@ def test_sweep_validation(tiny_setup, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a value ran before every value was checked")
 
-    monkeypatch.setattr(evalbench, "_run_seeds", no_run)
+    monkeypatch.setattr(evalbench, "run_plan", no_run)
     with pytest.raises(ValueError):
         sensitivity_sweep(edges, "embed_dim", [8], enc_cfg=enc)
     with pytest.raises(ValueError):
