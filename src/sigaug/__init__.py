@@ -61,9 +61,9 @@ from .evalbench import (  # noqa: F401
     auc_rank,
     bound_value,
     compute_metrics,
+    plan_experiment,
     predict_test_signs,
     random_perturbation,
     run_experiment,
-    run_pipelines,
-    sensitivity_sweep,
+    run_plan,
 )

@@ -48,6 +48,7 @@ reads the training split's balance degree from it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -168,20 +169,27 @@ def _compute_report(graph: SignedGraph) -> BalanceReport:
     return BalanceReport(stats, edges.u, edges.v, edges.sign, balanced, unbalanced)
 
 
+# each live graph's report; a graph never changes, so its report never goes stale
+_REPORTS: weakref.WeakKeyDictionary[SignedGraph, BalanceReport] = weakref.WeakKeyDictionary()
+
+
 def balance_report(graph: SignedGraph) -> BalanceReport:
     """Global triangle stats plus per-edge counts, computed once per graph.
 
     Per-edge incident counts sum to three times the global totals (each
     triangle touches three edges).  The graph is immutable, so the report
-    is kept on it and later calls return the same object.
-    ``evalbench._seed_results`` clears the memo once it has scored a
-    schedule; the memo then keeps nothing, and a further call would run the
-    kernel again.
+    is memoised while the graph lives, and later calls return the same
+    object until ``drop_report`` forgets it.
     """
-    report = graph._balance_report
+    report = _REPORTS.get(graph)
     if report is None:
-        report = graph._balance_report = _compute_report(graph)
+        report = _REPORTS[graph] = _compute_report(graph)
     return report
+
+
+def drop_report(graph: SignedGraph) -> None:
+    """Forget ``graph``'s memoised report; a further ``balance_report`` runs the kernel again."""
+    _REPORTS.pop(graph, None)
 
 
 def enumerate_triangles(graph: SignedGraph) -> TriangleStats:

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .augment import AugmentConfig, AugmentationLog, augment
-from .balance import balance_report
+from .balance import balance_report, drop_report
 from .curriculum import (
     CurriculumSchedule,
     PacingConfig,
@@ -608,22 +608,28 @@ def _seed_results(
 ) -> list[SeedResult]:
     """Seed ``seed`` of each of the plan's runs, one ``SeedResult`` per run in its order.
 
-    Makes the split, the training graph and its report, and the scorer
-    once; one augmentation per distinct ``AugmentConfig``, one perturbation
-    per ``random:`` kind and ratio, and one schedule per final edge set
-    (``baseline`` and ``tp-only`` share one, as do ``sga`` and ``sa-only``).
-    Each run trains its own final model.  Besides the results, a seed holds
-    the split; the training graph and its memoised report until the last
-    augmentation and the train-edge runs are done; the scorer until the
-    last augmentation; and one final graph at a time, whose report goes
-    once its schedule is scored.  So a one-run seed trains its final model
-    holding no per-edge balance column, nor the training graph unless that
-    is its final graph.
+    Every run, sweep and desk run goes through here, one call per seed.
+    What a seed shares: it makes the split, the training graph and its
+    report, and the scorer once (or takes the scorer from
+    ``encoder_cache``, see ``_seed_scorer``); one augmentation per distinct
+    ``AugmentConfig``, one perturbation per ``random:`` kind and ratio, and
+    one schedule per final edge set (``baseline`` and ``tp-only`` share one,
+    as do ``sga`` and ``sa-only``).  Each run trains its own final model.
+    Densities and balance degrees are read as soon as their graphs exist.
 
-    A stage's time goes to the ``runtime_sec`` of the first run, in the
-    plan's order, that reads what it makes (the split's to the first run),
-    so a seed's runtimes add up to its wall time.  A failing stage raises
-    ``RuntimeError`` naming the seed and the stage, and fails every run.
+    What it holds: besides the results, the split; the training graph and
+    its memoised report until the last augmentation and the train-edge runs
+    are done; the scorer until the last augmentation; and one final graph
+    at a time, whose report is dropped once its schedule is scored.  So a
+    one-run seed trains its final model holding no per-edge balance column,
+    nor the training graph unless that is its final graph.  A result keeps
+    its final encoder state only with ``keep_states``.
+
+    How it charges time: a stage's time goes to the ``runtime_sec`` of the
+    first run, in the plan's order, that reads what it makes (the split's
+    to the first run), so a seed's runtimes add up to its wall time.  A
+    failing stage raises ``RuntimeError`` naming the seed and the stage,
+    and fails every run.
     """
     runs, enc_cfg = plan.runs, plan.enc_cfg
     runtimes = [0.0] * len(runs)
@@ -675,7 +681,7 @@ def _seed_results(
             stage = "schedule"
             schedule = score_and_sort(final_graph, final_train)
             bd_after = balance_report(final_graph).balance_degree
-            final_graph._balance_report = None  # no later stage reads its per-edge columns
+            drop_report(final_graph)  # no later stage reads its per-edge columns
             charge(readers[key][0])
 
             for i in readers[key]:
@@ -728,7 +734,8 @@ def run_plan(
 
     Logs the add thresholds <= 0.5 of each run that augments once, then
     raises ``ValueError`` if the plan's ratio leaves the test half of
-    ``dataset`` empty, before any seed runs.
+    ``dataset`` empty, before any seed runs.  A sweep's rows are
+    ``sweep_rows(param, values, reports)``.
     """
     for run in plan.runs:
         if run.kind in AUGMENTING:
@@ -758,50 +765,23 @@ def run_experiment(
     ratio: float = 0.8,
     diagnostic: bool = False,
     encoder_cache: dict | None = None,
-    keep_states: bool = False,
 ) -> ExperimentReport:
-    """Split / augment / train / evaluate over every seed and aggregate.
+    """One pipeline's report over every seed: ``run_plan`` of a one-run ``plan_experiment`` plan.
 
     ``dataset`` is a built ``SignedGraph`` (as ``build_graph`` makes from a
     loaded file) or in-memory edge samples, which are deduplicated into one.
     Pipelines: ``baseline`` (plain training), ``sga`` (structure augmentation
     plus curriculum), ``sa-only``, ``tp-only``, and ``random:<kind>,<ratio>``.
     Plain training is realized as the lambda0 = 1 degenerate curriculum so a
-    no-op-threshold ``sga`` run is bit-identical to ``baseline``.  The run
-    is one ``plan_experiment`` plan (each run seed derives the seeds of its
-    scorer and final model, so it refuses an ``enc_cfg.seed`` other than
-    0), run by ``run_plan``; either raises ``ValueError`` before any seed
-    runs.  Each seed is one ``_seed_results`` call, which reads its
-    densities and balance degrees as soon as their graphs exist and releases
-    the scorer, the training graph and the final graph's memoised balance
-    report once nothing reads them.  A given ``encoder_cache`` keeps each
-    scorer, and a later call reuses it only on the same split and encoder
-    config; a different one pre-trains its own.  ``run_pipelines`` shares a
-    seed's scorer and more among pipelines without one.  The gap diagnostic
-    uses ``GapConstants`` with the encoder's learning rate and epochs.
+    no-op-threshold ``sga`` run is bit-identical to ``baseline``.  A run that
+    cannot start raises ``ValueError`` before any seed runs.  The gap
+    diagnostic uses ``GapConstants`` with the encoder's learning rate and
+    epochs.  Several pipelines or a sweep make one plan and run it with
+    ``run_plan``, so their seeds share what ``_seed_results`` lists.
     """
     plan = plan_experiment([pipeline], seeds, enc_cfg, aug_cfg, pace_cfg, ratio)
-    (report,) = run_plan(dataset, plan, diagnostic, encoder_cache, keep_states)
+    (report,) = run_plan(dataset, plan, diagnostic, encoder_cache)
     return report
-
-
-def run_pipelines(
-    dataset: SignedGraph | Sequence[EdgeSample],
-    pipelines: Sequence[str],
-    seeds: Sequence[int],
-    enc_cfg: EncoderConfig | None = None,
-    aug_cfg: AugmentConfig | None = None,
-    pace_cfg: PacingConfig | None = None,
-    ratio: float = 0.8,
-) -> list[ExperimentReport]:
-    """One ``run_experiment`` report per pipeline, in order, from one seed loop.
-
-    Each report equals that of a ``run_experiment`` call with the same
-    arguments, timing aside, but each seed's split, scorer, augmentation
-    and schedules are made once for every pipeline that reads them (see
-    ``_seed_results``).  Every pipeline is checked before any seed runs.
-    """
-    return run_plan(dataset, plan_experiment(pipelines, seeds, enc_cfg, aug_cfg, pace_cfg, ratio))
 
 
 def report_payload(report: ExperimentReport) -> dict:
@@ -837,32 +817,3 @@ def sweep_rows(param: str, values: Sequence[float], reports: list[ExperimentRepo
             row[f"{name}_std"] = agg[name]["std"]
         rows.append(row)
     return rows
-
-
-def sensitivity_sweep(
-    dataset: SignedGraph | Sequence[EdgeSample],
-    param: str,
-    values: Sequence[float],
-    pipeline: str = "sga",
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    enc_cfg: EncoderConfig | None = None,
-    aug_cfg: AugmentConfig | None = None,
-    pace_cfg: PacingConfig | None = None,
-    ratio: float = 0.8,
-) -> list[dict]:
-    """One row of aggregate metrics per value of one augmentation/pacing parameter.
-
-    The pipeline must use the parameter: the eps_* thresholds act only in
-    ``sga`` and ``sa-only``, big_t and lambda0 only in ``sga`` and
-    ``tp-only``.  big_t values must be whole numbers.  ``plan_experiment``
-    refuses a sweep that cannot start, a value out of range or an
-    ``enc_cfg.seed`` other than 0 included, before any value runs.  Every
-    value is one run of one ``run_plan`` seed loop on the one ``dataset``,
-    as ``run_experiment`` takes it, so each seed splits and pre-trains its
-    scorer once for all values (see ``_seed_results``).  A big_t or lambda0
-    sweep also augments and scores its schedule once per seed; an eps_*
-    sweep augments once per value.  Each value is one run, so an add
-    threshold <= 0.5 in its augmentation config is logged once per value.
-    """
-    plan = plan_experiment([pipeline], seeds, enc_cfg, aug_cfg, pace_cfg, ratio, param, values)
-    return sweep_rows(param, values, run_plan(dataset, plan))

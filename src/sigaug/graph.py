@@ -473,8 +473,7 @@ class SignedGraph:
     pair, in any order.
     """
 
-    __slots__ = ("num_nodes", "edge_count", "_adjacency", "_edges", "_keys", "_balance_report",
-                 "__weakref__")
+    __slots__ = ("num_nodes", "edge_count", "_adjacency", "_edges", "_keys", "__weakref__")
 
     def __init__(self, num_nodes: int, u, v, sign):
         if num_nodes < 1:
@@ -503,8 +502,6 @@ class SignedGraph:
             arr.flags.writeable = False
         self._keys = keys
         self._adjacency = adjacency
-        # balance_report fills it, _seed_results clears it; never stale: the graph never changes
-        self._balance_report = None
 
     def edge_index(self, u, v) -> np.ndarray:
         """Position of each pair ``(u, v)`` in ``edge_columns()``, in either order.

@@ -87,7 +87,7 @@ def random_signed_records(
     return edges
 
 
-def bad_actor_records(
+def planted_bad_actors(
     n: int = 1000,
     m: int = 4000,
     seed: int = 0,
@@ -95,16 +95,18 @@ def bad_actor_records(
     bad_frac: float = 0.05,
     bad_neg_prob: float = 0.75,
     noise_neg_prob: float = 0.02,
-) -> list[EdgeSample]:
-    """A trust network with planted bad actors: ``m`` distinct edges over ``n`` nodes.
+) -> tuple[list[EdgeSample], np.ndarray]:
+    """A trust network with planted bad actors, and its boolean bad-actor mask over the nodes.
 
-    Node i has expected degree proportional to (i + 10) ** -0.7, so the low
-    ids are hubs.  A random tree joins every node to an earlier one; the
-    rest are Chung-Lu draws or, with ``triad_prob``, a neighbour of a
-    neighbour, which closes triangles.  ``bad_frac`` of the nodes, drawn at
-    random, are bad actors: an edge touching exactly one of them is negative
-    with ``bad_neg_prob``, every other edge with ``noise_neg_prob``.
-    Returns canonical (u < v) samples in the order they were wired.
+    The network has ``m`` distinct edges over ``n`` nodes.  Node i has
+    expected degree proportional to (i + 10) ** -0.7, so the low ids are
+    hubs.  A random tree joins every node to an earlier one; the rest are
+    Chung-Lu draws or, with ``triad_prob``, a neighbour of a neighbour,
+    which closes triangles.  ``bad_frac`` of the nodes, drawn at random, are
+    bad actors: an edge touching exactly one of them is negative with
+    ``bad_neg_prob``, every other edge with ``noise_neg_prob``, so
+    ``bayes_scores`` knows each pair's sign probability.  The edges are
+    canonical (u < v) samples in the order they were wired.
     """
     rng = np.random.default_rng(seed)
     cum = np.cumsum((np.arange(n) + 10.0) ** -0.7)
@@ -133,7 +135,32 @@ def bad_actor_records(
     for u, v in pairs:
         p_neg = bad_neg_prob if bad[u] != bad[v] else noise_neg_prob
         edges.append(EdgeSample(u, v, -1 if rng.random() < p_neg else 1))
-    return edges
+    return edges, bad
+
+
+def bad_actor_records(
+    n: int = 1000,
+    m: int = 4000,
+    seed: int = 0,
+    triad_prob: float = 0.9,
+    bad_frac: float = 0.05,
+    bad_neg_prob: float = 0.75,
+    noise_neg_prob: float = 0.02,
+) -> list[EdgeSample]:
+    """The edges of ``planted_bad_actors`` with the same arguments."""
+    return planted_bad_actors(n, m, seed, triad_prob, bad_frac, bad_neg_prob, noise_neg_prob)[0]
+
+
+def bayes_scores(
+    bad: np.ndarray, u, v, bad_neg_prob: float = 0.75, noise_neg_prob: float = 0.02
+) -> np.ndarray:
+    """P(pos | u, v) for pairs of a ``planted_bad_actors`` graph with bad-actor mask ``bad``.
+
+    It is the Bayes-optimal sign score: a pair with exactly one bad end is
+    negative with ``bad_neg_prob``, any other pair with ``noise_neg_prob``.
+    """
+    cross = bad[np.asarray(u)] != bad[np.asarray(v)]
+    return np.where(cross, 1.0 - bad_neg_prob, 1.0 - noise_neg_prob)
 
 
 def hub_records(rng, n, hub_degree, extra_edges):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -503,6 +504,23 @@ def test_training_divergence_raises_with_epoch():
     with pytest.raises(TrainingDivergedError) as err:
         train_encoder(g, edges, cfg)
     assert err.value.epoch >= 0
+
+
+def test_overflowing_activations_diverge_at_their_epoch_without_a_warning():
+    # layer-1 weights this large overflow the first forward pass's activations,
+    # which fails as divergence before any loss is computed
+    edges = community_records(n=16, seed=2)
+    g = graph_from_samples(edges, 16)
+    cfg = EncoderConfig(embed_dim=6, epochs=5, seed=0)
+    state = init_state(g, cfg)
+    state.pos_weights[0][:] = 1e308
+    state.neg_weights[0][:] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError) as err:
+            encoder._train_loop(g, state, cfg, edges, lambda _epoch: len(edges))
+    assert err.value.epoch == 0
+    assert isinstance(err.value.__cause__, FloatingPointError)
 
 
 def test_training_loss_non_increasing_first_epochs():

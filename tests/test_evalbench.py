@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bad_actor_records, community_records, shuffled_planted_records
-from sigaug import evalbench
+from sigaug import balance, evalbench
 from sigaug.augment import AugmentConfig
 from sigaug.curriculum import PacingConfig
 from sigaug.encoder import EncoderConfig, EncoderState, _pair_logits, train_encoder
@@ -29,12 +29,13 @@ from sigaug.evalbench import (
     bound_value,
     compute_metrics,
     fit_logistic,
+    plan_experiment,
     predict_test_signs,
     random_perturbation,
     report_payload,
     run_experiment,
-    run_pipelines,
-    sensitivity_sweep,
+    run_plan,
+    sweep_rows,
 )
 from sigaug.graph import EdgeColumns, EdgeSample, graph_from_samples
 
@@ -633,7 +634,7 @@ def test_final_training_holds_no_training_graph_or_balance_columns(monkeypatch, 
         return augment(graph, *args)
 
     def checking_train(graph, *args):
-        on_entry.append((graph._balance_report is None, [ref() is None for ref in train_graphs]))
+        on_entry.append((graph not in balance._REPORTS, [ref() is None for ref in train_graphs]))
         return train_with_curriculum(graph, *args)
 
     monkeypatch.setattr(evalbench, "augment", recording_augment)
@@ -712,7 +713,8 @@ def test_run_experiment_rejects_a_ratio_outside_the_unit_interval(tiny_setup, mo
     with pytest.raises(ValueError, match="ratio must be in"):
         run_experiment(edges, "baseline", [0], enc_cfg=enc, ratio=ratio)
     with pytest.raises(ValueError, match="ratio must be in"):
-        sensitivity_sweep(edges, "lambda0", [0.5], seeds=[0], enc_cfg=enc, ratio=ratio)
+        run_plan(edges, plan_experiment(["sga"], [0], enc, ratio=ratio, param="lambda0",
+                                        values=[0.5]))
 
 
 def test_run_experiment_refuses_a_ratio_that_leaves_no_test_edge(tiny_setup, monkeypatch):
@@ -726,7 +728,8 @@ def test_run_experiment_refuses_a_ratio_that_leaves_no_test_edge(tiny_setup, mon
     with pytest.raises(ValueError, match="ratio 0.95 leaves no test edge out of 10"):
         run_experiment(edges[:10], "baseline", [0], enc_cfg=enc, ratio=0.95)
     with pytest.raises(ValueError, match="ratio 0.95 leaves no test edge out of 10"):
-        sensitivity_sweep(edges[:10], "lambda0", [0.5], seeds=[0], enc_cfg=enc, ratio=0.95)
+        run_plan(edges[:10], plan_experiment(["sga"], [0], enc, ratio=0.95, param="lambda0",
+                                             values=[0.5]))
 
 
 @pytest.mark.parametrize("pipeline, seeds, message", [
@@ -747,7 +750,7 @@ def test_run_experiment_rejects_repeated_seeds_and_random_ratios(
     with pytest.raises(ValueError, match=message):
         run_experiment(edges, pipeline, seeds, enc_cfg=enc)
     with pytest.raises(ValueError, match=message):
-        sensitivity_sweep(edges, "eps_add_pos", [0.9], pipeline, seeds=seeds, enc_cfg=enc)
+        run_plan(edges, plan_experiment([pipeline], seeds, enc, param="eps_add_pos", values=[0.9]))
 
 
 def test_run_experiment_refuses_an_encoder_seed(tiny_setup, monkeypatch):
@@ -762,7 +765,7 @@ def test_run_experiment_refuses_an_encoder_seed(tiny_setup, monkeypatch):
     with pytest.raises(ValueError, match="seed = 7 is not used: encoder seeds are derived"):
         run_experiment(edges, "sga", [0], enc_cfg=seeded)
     with pytest.raises(ValueError, match="seed = 7 is not used: encoder seeds are derived"):
-        sensitivity_sweep(edges, "lambda0", [0.5], seeds=[0], enc_cfg=seeded)
+        run_plan(edges, plan_experiment(["sga"], [0], seeded, param="lambda0", values=[0.5]))
 
 
 def test_run_experiment_rejects_pacing_over_other_epochs(tiny_setup):
@@ -775,8 +778,9 @@ def test_run_experiment_rejects_pacing_over_other_epochs(tiny_setup):
 def test_sweep_single_value_matches_run(tiny_setup):
     edges, enc = tiny_setup
     pace = PacingConfig(lambda0=0.25, big_t=15, total_epochs=30)
-    rows = sensitivity_sweep(edges, "lambda0", [0.25], pipeline="tp-only",
-                             seeds=[0, 1], enc_cfg=enc, pace_cfg=pace)
+    plan = plan_experiment(["tp-only"], [0, 1], enc, pace_cfg=pace, param="lambda0",
+                           values=[0.25])
+    rows = sweep_rows("lambda0", [0.25], run_plan(edges, plan))
     rep = run_experiment(edges, "tp-only", [0, 1], enc_cfg=enc, pace_cfg=pace)
     agg = rep.aggregate()
     assert len(rows) == 1
@@ -797,14 +801,9 @@ def stage_calls(monkeypatch):
 
 def test_sweep_reuses_pretrained_encoder(tiny_setup, stage_calls):
     edges, enc = tiny_setup
-    rows = sensitivity_sweep(
-        edges,
-        "eps_add_pos",
-        [0.8, 0.9, 0.95],
-        pipeline="sga",
-        seeds=[0, 1],
-        enc_cfg=enc,
-    )
+    values = [0.8, 0.9, 0.95]
+    plan = plan_experiment(["sga"], [0, 1], enc, param="eps_add_pos", values=values)
+    rows = sweep_rows("eps_add_pos", values, run_plan(edges, plan))
     assert stage_calls["train_encoder"] == 2  # once per seed, shared by the three values
     assert stage_calls["augment"] == 6  # each value's thresholds augment each seed
     assert len(rows) == 3
@@ -813,25 +812,32 @@ def test_sweep_reuses_pretrained_encoder(tiny_setup, stage_calls):
 GOLDEN_RECORDS = community_records(n=40, seed=21, p_intra=0.3, p_inter=0.15, flip=0.08)
 
 
-@pytest.mark.parametrize("first, second", [
-    ({"ratio": 0.8}, {"ratio": 0.6}),
-    ({}, {"enc_cfg": EncoderConfig(embed_dim=8, epochs=10)}),
-    ({}, {"dataset": community_records(n=40, seed=22, p_intra=0.3, p_inter=0.15, flip=0.08)}),
-], ids=["ratio", "epochs", "graph"])
-def test_encoder_cache_reuses_no_scorer_of_another_split_or_config(first, second):
+@pytest.mark.parametrize("first, second, pretrainings", [
+    ({"ratio": 0.8}, {"ratio": 0.6}, 2),
+    ({}, {"enc_cfg": EncoderConfig(embed_dim=8, epochs=10)}, 2),
+    ({}, {"dataset": community_records(n=40, seed=22, p_intra=0.3, p_inter=0.15, flip=0.08)}, 2),
+    ({}, {"pipeline": "sga"}, 1),
+], ids=["ratio", "epochs", "graph", "same-split-and-config"])
+def test_encoder_cache_reuses_no_scorer_of_another_split_or_config(
+    stage_calls, first, second, pretrainings
+):
     # a scorer pre-trained on another split, config or graph must not serve
-    # this run: the second run reports what it reports without a cache
-    run = dict(dataset=GOLDEN_RECORDS, pipeline="sa-only", seeds=[3],
+    # this run, and one pre-trained on the same split and config must; either
+    # way the second run reports what it reports without a cache
+    run = dict(dataset=GOLDEN_RECORDS, pipeline="sa-only", seeds=[3, 4],
                enc_cfg=EncoderConfig(embed_dim=8, epochs=20),
                aug_cfg=AugmentConfig(eps_add_pos=0.6, eps_add_neg=0.6))
     cache: dict = {}
     run_experiment(**{**run, **first}, encoder_cache=cache)
     shared = run_experiment(**{**run, **second}, encoder_cache=cache)
-    assert report_payload(shared) == report_payload(run_experiment(**{**run, **second}))
+    assert stage_calls["train_encoder"] == pretrainings * len(run["seeds"])
+    alone = run_experiment(**{**run, **second})
+    assert (json.dumps(report_payload(shared), sort_keys=True)
+            == json.dumps(report_payload(alone), sort_keys=True))
 
 
 DEFAULT_PIPELINES = ["baseline", "sga", "sa-only", "tp-only"]
-SHARED = dict(dataset=GOLDEN_RECORDS, seeds=[3, 4], enc_cfg=EncoderConfig(embed_dim=8, epochs=20),
+SHARED = dict(seeds=[3, 4], enc_cfg=EncoderConfig(embed_dim=8, epochs=20),
               aug_cfg=AugmentConfig(eps_add_pos=0.6, eps_add_neg=0.6))
 
 
@@ -843,10 +849,10 @@ def test_pipelines_sharing_seeds_equal_standalone_runs():
     # sga and sa-only share a scorer and augmentation, baseline and tp-only
     # the train edges' schedule; none of it may change what a pipeline reports
     pipelines = [*DEFAULT_PIPELINES, "random:drop-edge,0.1"]
-    reports = run_pipelines(pipelines=pipelines, **SHARED)
+    reports = run_plan(GOLDEN_RECORDS, plan_experiment(pipelines, **SHARED))
     assert [report.pipeline for report in reports] == pipelines
     for report in reports:
-        alone = run_experiment(pipeline=report.pipeline, **SHARED)
+        alone = run_experiment(GOLDEN_RECORDS, report.pipeline, **SHARED)
         assert (json.dumps(report_payload(report), sort_keys=True)
                 == json.dumps(report_payload(alone), sort_keys=True))
         for shared, own in zip(report.results, alone.results, strict=True):
@@ -856,30 +862,30 @@ def test_pipelines_sharing_seeds_equal_standalone_runs():
             assert shared.schedule.difficulties.tobytes() == own.schedule.difficulties.tobytes()
 
 
-@pytest.mark.parametrize("call, per_seed", [
-    (lambda: run_pipelines(pipelines=DEFAULT_PIPELINES, **SHARED),
+@pytest.mark.parametrize("plan, per_seed", [
+    (lambda: plan_experiment(DEFAULT_PIPELINES, **SHARED),
      {"train_encoder": 1, "augment": 1, "score_and_sort": 2, "train_with_curriculum": 4,
       "kernel": 2}),
-    (lambda: run_pipelines(pipelines=[*DEFAULT_PIPELINES, "random:drop-edge,0.1"], **SHARED),
+    (lambda: plan_experiment([*DEFAULT_PIPELINES, "random:drop-edge,0.1"], **SHARED),
      {"train_encoder": 1, "augment": 1, "score_and_sort": 3, "train_with_curriculum": 5,
       "kernel": 3}),
-    (lambda: sensitivity_sweep(param="big_t", values=[2, 5, 10], pipeline="sga", **SHARED),
+    (lambda: plan_experiment(["sga"], **SHARED, param="big_t", values=[2, 5, 10]),
      {"train_encoder": 1, "augment": 1, "score_and_sort": 1, "train_with_curriculum": 3,
       "kernel": 2}),
 ], ids=["four-pipelines", "with-drop-edge", "big_t-sweep"])
-def test_a_seed_makes_each_shared_stage_once(stage_calls, kernel_calls, call, per_seed):
+def test_a_seed_makes_each_shared_stage_once(stage_calls, kernel_calls, plan, per_seed):
     # one pre-training, one augmentation per distinct augmentation config and
     # one schedule (and kernel evaluation) per distinct final edge set per seed
-    call()
+    run_plan(GOLDEN_RECORDS, plan())
     seeds = len(SHARED["seeds"])
     assert {**stage_calls, "kernel": len(kernel_calls)} == {
         name: seeds * count for name, count in per_seed.items()
     }
 
 
-def test_run_pipelines_needs_a_pipeline():
+def test_a_plan_needs_a_pipeline():
     with pytest.raises(ValueError, match="no pipelines to run"):
-        run_pipelines(pipelines=[], **SHARED)
+        run_plan(GOLDEN_RECORDS, plan_experiment([], **SHARED))
 
 
 def test_sweep_validation(tiny_setup, monkeypatch):
@@ -889,15 +895,19 @@ def test_sweep_validation(tiny_setup, monkeypatch):
         raise AssertionError("a value ran before every value was checked")
 
     monkeypatch.setattr(evalbench, "run_plan", no_run)
+    seeds = (0, 1, 2, 3, 4)
     with pytest.raises(ValueError):
-        sensitivity_sweep(edges, "embed_dim", [8], enc_cfg=enc)
+        evalbench.run_plan(edges, plan_experiment(["sga"], seeds, enc, param="embed_dim",
+                                                  values=[8]))
     with pytest.raises(ValueError):
-        sensitivity_sweep(edges, "lambda0", [], enc_cfg=enc)
+        evalbench.run_plan(edges, plan_experiment(["sga"], seeds, enc, param="lambda0", values=[]))
     # enc has 30 epochs, so big_t = 40 is out of range
     with pytest.raises(ValueError, match="big_t must be in"):
-        sensitivity_sweep(edges, "big_t", [2, 40], seeds=[0], enc_cfg=enc)
+        evalbench.run_plan(edges, plan_experiment(["sga"], [0], enc, param="big_t",
+                                                  values=[2, 40]))
     with pytest.raises(ValueError, match="eps_del_neg must be in"):
-        sensitivity_sweep(edges, "eps_del_neg", [0.1, 1.5], seeds=[0], enc_cfg=enc)
+        evalbench.run_plan(edges, plan_experiment(["sga"], [0], enc, param="eps_del_neg",
+                                                  values=[0.1, 1.5]))
 
 
 def _leaves_scipy_stats_unloaded(code: str) -> bool:
