@@ -102,13 +102,22 @@ class BalanceReport:
 
     @property
     def difficulty(self) -> np.ndarray:
-        return (1.0 - self.local_degree) / 2.0
+        return edge_difficulty(self.balanced, self.unbalanced)
 
 
 def _local_degree(balanced: np.ndarray, unbalanced: np.ndarray) -> np.ndarray:
     total = balanced + unbalanced
     # An edge in no triangle carries no imbalance evidence: treat as easiest.
     return np.divide(balanced - unbalanced, total, out=np.ones(len(total)), where=total > 0)
+
+
+def edge_difficulty(balanced: np.ndarray, unbalanced: np.ndarray) -> np.ndarray:
+    """Difficulty ``(1 - local) / 2`` of edges in ``balanced``/``unbalanced`` triangles.
+
+    Elementwise, so a subset of the edges' counts gives that subset of their
+    difficulties.
+    """
+    return (1.0 - _local_degree(balanced, unbalanced)) / 2.0
 
 
 def _out_rows(graph: SignedGraph) -> tuple[sparse.csr_matrix, np.ndarray]:

@@ -226,17 +226,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .balance import balance_report, global_balance_degree, split_totals
-    from .graph import _density, density, record_density, split_train_test
+    from .graph import _density, _split_positions, density, record_density
 
     path, loaded, graph, build_stats = _load_graph(_config_from_args(args))
     if args.split_ratio is None:
         stats = balance_report(graph).stats
     else:
-        split = split_train_test(graph.edge_columns(), args.split_ratio, args.split_seed)
+        # split_train_test's shuffle of the graph's edges, without building its halves
+        order, train_edges = _split_positions(graph.edge_count, args.split_ratio, args.split_seed)
         keep = np.zeros(graph.edge_count, dtype=bool)
-        keep[split.train_positions] = True
-        train_edges = len(split.train)
-        del split  # the kernel pass below needs only the mask
+        keep[order[:train_edges]] = True
+        del order  # the kernel pass below needs only the mask
         # the split's triangles are the graph's triangles whose three edges it keeps
         stats, kept = split_totals(graph, keep)
     bd = global_balance_degree(stats)
@@ -279,7 +279,8 @@ def _write_per_edge_csv(report, path) -> None:
     ``%d,`` is formatted once, for every id up to the largest.  All of a row
     after ``u,v`` depends on the edge's (sign, b, ub) alone, because
     difficulty is an elementwise function of b and ub, so each distinct
-    (sign, b, ub) tail is formatted once, from its first edge.  Every row is
+    (sign, b, ub) tail is formatted once, from its first edge, and only
+    those tails' difficulties are computed.  Every row is
     then its ``u`` string, its ``v`` string and its tail, and one join writes
     them all: the bytes are those of formatting all six fields of every row.
     Tails repeat heavily (751 distinct over the 500,000 edges of a
@@ -289,6 +290,7 @@ def _write_per_edge_csv(report, path) -> None:
     """
     import numpy as np
 
+    from .balance import edge_difficulty
     from .graph import _unique_first
 
     balanced, unbalanced = report.balanced, report.unbalanced
@@ -296,8 +298,9 @@ def _write_per_edge_csv(report, path) -> None:
     # are below this width and (b, ub, sign) packs into one int64 key
     width = len(balanced) + 1
     _, first, inverse = _unique_first((balanced * width + unbalanced) * 2 + (report.sign > 0))
-    tail_columns = (report.sign[first], balanced[first], unbalanced[first],
-                    report.difficulty[first])
+    balanced, unbalanced = balanced[first], unbalanced[first]
+    tail_columns = (report.sign[first], balanced, unbalanced,
+                    edge_difficulty(balanced, unbalanced))
     tails = np.array(
         ["%d,%d,%d,%.6f\r\n" % tail for tail in zip(*(c.tolist() for c in tail_columns))],
         dtype=object,

@@ -23,7 +23,11 @@ are accepted everywhere and converted to columns once.
 ``SignedGraph.edge_index`` is the one lookup of node pairs in a graph.  The
 candidate scan, no-edge sampling, curriculum scoring and per-edge balance
 profiles all ask it where a pair sits in ``edge_columns()``, or whether the
-pair is there at all, and none of them builds pair keys of its own.
+pair is there at all, and none of them builds pair keys of its own.  It
+binary-searches the sorted pair keys for its queries in key order, not in
+query order, and puts each answer back at its query's place: consecutive
+searches then read neighbouring, cached parts of the keys instead of each
+missing cache, and the answers are those of searching each query alone.
 
 The loader reads a file once and parses its longest *regular prefix* with
 array operations: one precompiled regex per format matches the run of lines
@@ -264,12 +268,13 @@ def _regular_prefix(text: str, format: str) -> tuple[int, int, np.ndarray]:
         return 0, 0, np.empty((0, 3), dtype=np.int64)
     prefix = text[:end]
     if format == "sign-tsv":
-        # in a regular prefix, '#' only starts a comment line
-        data = re.sub("#[^\n]*\n", "", prefix) if "#" in prefix else prefix
+        # in a regular prefix, '#' only starts a comment line, and every other
+        # line is one record, so the lines are the comments plus the records
+        data, comments = re.subn("#[^\n]*\n", "", prefix) if "#" in prefix else (prefix, 0)
         if not data:  # comment lines only
-            return end, prefix.count("\n"), np.empty((0, 3), dtype=np.int64)
-        fields = np.fromstring(data[:-1], dtype=np.int64, sep=" ")
-        return end, prefix.count("\n"), fields.reshape(-1, 3)
+            return end, comments, np.empty((0, 3), dtype=np.int64)
+        fields = np.fromstring(data[:-1], dtype=np.int64, sep=" ").reshape(-1, 3)
+        return end, comments + len(fields), fields
     # rating-csv: cut each line at its third comma, where the ignored fields start
     chars = np.frombuffer(prefix.encode(), dtype=np.uint8)
     newlines = np.flatnonzero(chars == ord("\n"))
@@ -506,16 +511,26 @@ class SignedGraph:
     def edge_index(self, u, v) -> np.ndarray:
         """Position of each pair ``(u, v)`` in ``edge_columns()``, in either order.
 
-        ``u`` and ``v`` are ids, or id arrays of one shape.  A pair that is
-        not an edge gets -1: an absent pair, a self pair, or one with an id
-        outside ``[0, num_nodes)``.
+        ``u`` and ``v`` are ids, or id arrays that broadcast to one shape,
+        the shape of the result.  A pair that is not an edge gets -1: an
+        absent pair, a self pair, or one with an id outside ``[0, num_nodes)``.
+
+        The pair keys are searched in ascending order, not in query order,
+        and each answer is put back at its query's place, so the result is
+        that of searching each query on its own.  In key order each search
+        starts near where the last one ended, in sorted keys that are still
+        in cache; in query order each one misses cache on its own.
         """
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if self.edge_count == 0:
-            return np.full(lo.shape, -1)
+            return np.full(lo.shape, -1, dtype=np.int64)
         wanted = lo * self.num_nodes + hi
-        at = np.minimum(np.searchsorted(self._keys, wanted), self.edge_count - 1)
+        flat = wanted.ravel()
+        order = np.argsort(flat)
+        at = np.empty(flat.shape, dtype=np.int64)
+        at[order] = np.searchsorted(self._keys, flat[order])
+        at = np.minimum(at.reshape(wanted.shape), self.edge_count - 1)
         # an id out of range could alias another pair's key
         hit = (lo >= 0) & (hi < self.num_nodes) & (self._keys[at] == wanted)
         return np.where(hit, at, -1)
@@ -603,19 +618,27 @@ class DatasetSplit:
     train_positions: np.ndarray = field(repr=False, compare=False)
 
 
-def split_train_test(
-    edges: Sequence[EdgeSample], ratio: float, seed: int
-) -> DatasetSplit:
-    """Randomly partition edges; first ceil(ratio*|E|) of a seeded shuffle."""
+def _split_positions(count: int, ratio: float, seed: int) -> tuple[np.ndarray, int]:
+    """The seeded shuffle of ``count`` edge positions, and how many of its first are train.
+
+    ``split_train_test`` takes its halves from it; ``sigaug stats`` reads
+    the train positions alone.
+    """
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     if seed < 0:
         raise ValueError(f"split seed must be >= 0, got {seed}")
-    if len(edges) < 2:
+    if count < 2:
         raise ValueError("need at least 2 edges to split")
     rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(len(edges))
-    n_train = math.ceil(ratio * len(edges))
+    return rng.permutation(count), math.ceil(ratio * count)
+
+
+def split_train_test(
+    edges: Sequence[EdgeSample], ratio: float, seed: int
+) -> DatasetSplit:
+    """Randomly partition edges; first ceil(ratio*|E|) of a seeded shuffle."""
+    perm, n_train = _split_positions(len(edges), ratio, seed)
     edges = EdgeColumns(*_columns(edges))
     train_positions = perm[:n_train]
     train_positions.flags.writeable = False

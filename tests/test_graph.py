@@ -844,6 +844,59 @@ def test_edge_index_matches_brute_force(edges, n):
     ]
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_edge_index_matches_brute_force_on_drawn_queries(data):
+    # edge_index searches its queries in key order; each answer must still
+    # land at its own query's place, whatever the order, shape and ids
+    n = data.draw(st.integers(1, 12), label="n")
+    ids = st.integers(0, n - 1)
+    records = data.draw(st.lists(st.tuples(ids, ids, st.sampled_from([1, -1])), max_size=30))
+    signs = {(min(x, y), max(x, y)): s for x, y, s in records if x != y}  # may be edgeless
+    g = graph_from_samples([EdgeSample(x, y, s) for (x, y), s in signs.items()], n)
+    position = {e.pair: i for i, e in enumerate(g.edge_columns())}
+
+    any_id = st.integers(-3, n + 2)  # negative ids and ids >= n too
+    pair = st.one_of(
+        st.tuples(any_id, any_id),
+        any_id.map(lambda x: (x, x)),  # self pairs
+        *([st.sampled_from(sorted(signs)).flatmap(  # edges, in either order
+            lambda p: st.sampled_from([p, p[::-1]]))] if signs else []),
+    )
+    pairs = data.draw(st.lists(pair, max_size=24), label="pairs")
+    order = data.draw(st.sampled_from(["drawn", "shuffled", "reversed", "repeated"]), label="order")
+    if order == "shuffled":
+        pairs = data.draw(st.permutations(pairs))
+    elif order == "reversed":
+        pairs = pairs[::-1]
+    elif order == "repeated":
+        pairs = [p for p in pairs for _ in range(data.draw(st.integers(2, 3)))]
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    shape = data.draw(st.sampled_from(["0-d", "1-d", "2-d", "scalar-u", "scalar-v"]), label="shape")
+    if shape == "0-d":
+        a, b = (a[0], b[0]) if len(pairs) else (np.int64(0), np.int64(n))
+    elif shape == "2-d":  # an empty draw gives shape (0, cols)
+        cols = data.draw(st.integers(1, 4))
+        rows = len(pairs) // cols
+        a, b = a[: rows * cols].reshape(rows, cols), b[: rows * cols].reshape(rows, cols)
+    elif shape == "scalar-u":
+        a = int(a[0]) if len(pairs) else -1
+    elif shape == "scalar-v":
+        b = int(b[0]) if len(pairs) else n
+
+    wanted_u, wanted_v = np.broadcast_arrays(a, b)
+    expected = np.array(
+        [position.get((min(x, y), max(x, y)), -1)
+         for x, y in zip(wanted_u.ravel().tolist(), wanted_v.ravel().tolist())],
+        dtype=np.int64,
+    ).reshape(wanted_u.shape)
+    got = g.edge_index(a, b)
+    assert got.dtype == np.int64
+    assert got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize(
     "edges, n",
     [
